@@ -60,13 +60,13 @@ def _csv_num(x) -> str:
 @click.option("--kb", "kb_path", required=True, type=click.Path())
 @click.option("--scenario", "scenario_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=0, envvar="APRIOR_SEED", show_default=True)
-@click.option("--trials", type=int, required=True)
-@click.option("--value", type=float, default=1.0, show_default=True)
-@click.option("--cost", type=float, default=0.0, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), required=True)
+@click.option("--value", type=click.FloatRange(min=0), default=1.0, show_default=True)
+@click.option("--cost", type=click.FloatRange(min=0), default=0.0, show_default=True)
 @click.option("--phi0", type=float, default=0.0, show_default=True)
-@click.option("--n-max", type=int, default=9, show_default=True)
-@click.option("--epsilon", type=float, default=0.0, show_default=True)
-@click.option("--fixed-n", type=int, default=None)
+@click.option("--n-max", type=click.IntRange(min=1), default=9, show_default=True)
+@click.option("--epsilon", type=click.FloatRange(0, 1), default=0.0, show_default=True)
+@click.option("--fixed-n", type=click.IntRange(min=1), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl",
               show_default=True)
@@ -74,9 +74,6 @@ def _csv_num(x) -> str:
 def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
         fixed_n, out_path, fmt, strict):
     """Run one episode and write its log."""
-    if trials < 1:
-        click.echo("trials must be >= 1", err=True)
-        sys.exit(EXIT_OPERATIONAL)
     kb = _load_kb_or_exit(kb_path)
     try:
         scenario = world_mod.load_scenario_file(scenario_path, kb)
@@ -129,10 +126,10 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
 @main.command()
 @click.option("--kb", "kb_path", required=True, type=click.Path())
 @click.option("--node", type=int, required=True)
-@click.option("--epsilon", type=float, required=True)
-@click.option("--value", type=float, default=1.0, show_default=True)
-@click.option("--cost", type=float, default=0.0, show_default=True)
-@click.option("--n-max", type=int, default=15, show_default=True)
+@click.option("--epsilon", type=click.FloatRange(0, 1), required=True)
+@click.option("--value", type=click.FloatRange(min=0), default=1.0, show_default=True)
+@click.option("--cost", type=click.FloatRange(min=0), default=0.0, show_default=True)
+@click.option("--n-max", type=click.IntRange(min=1), default=15, show_default=True)
 @click.option("--mode", type=click.Choice([AUTO, EXACT, MONTE_CARLO]), default=AUTO,
               show_default=True)
 @click.option("--seed", type=int, default=0, envvar="APRIOR_SEED", show_default=True)

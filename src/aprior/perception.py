@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kb import ROOT, KnowledgeBase, Predicate
+from .kb import ROOT, KnowledgeBase
 from .rng import SplitMix64
 
 FULL = "full"
@@ -58,10 +58,6 @@ def check_vector(v: tuple[int, ...], dim: int, alphabet: int) -> None:
         raise ValueError(f"vector length {len(v)} != {dim}")
     if any(not 0 <= s < alphabet for s in v):
         raise ValueError(f"vector {v} has symbols outside [0, {alphabet})")
-
-
-def match_predicate(predicate: Predicate, v: tuple[int, ...]) -> bool:
-    return predicate.matches(v)
 
 
 def identify(kb: KnowledgeBase, v: tuple[int, ...]) -> RecognitionOutcome:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .kb import KnowledgeBase
-from .perception import check_vector, match_predicate
+from .perception import check_vector
 from .rng import SplitMix64
 
 OMEGA = "omega"
@@ -50,14 +50,14 @@ def _check_stimulus(kb: KnowledgeBase, vector: tuple[int, ...], truth) -> Stimul
     check_vector(vector, kb.dim, kb.alphabet)
     if truth == OMEGA:
         for oid, obj in kb.objects.items():
-            if kb.is_leaf(oid) and match_predicate(obj.predicate, vector):
+            if kb.is_leaf(oid) and obj.predicate.matches(vector):
                 raise TruthMismatch(
                     f"stimulus {vector} declared {OMEGA} but matches leaf {oid}"
                 )
         return Stimulus(vector, OMEGA)
     if truth not in kb.objects:
         raise TruthMismatch(f"unknown truth object {truth!r}")
-    if not match_predicate(kb.objects[truth].predicate, vector):
+    if not kb.objects[truth].predicate.matches(vector):
         raise TruthMismatch(f"stimulus {vector} does not satisfy object {truth}")
     return Stimulus(vector, truth)
 

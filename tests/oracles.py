@@ -95,3 +95,59 @@ def reflex_fire_trials(recognition_schedule, k: int):
             if count >= k:
                 fires.append(t)
     return fires
+
+
+def canonical_document_oracle(doc: dict) -> dict:
+    """The canonical form re-parsed from the raw document, arrays sorted by id.
+
+    Written against the document, not the sealed KB: defaults are filled
+    in here and every array is sorted as it stands, so it checks the form
+    the library derives from its validated structures.
+    """
+    return {
+        "d": doc["d"],
+        "alphabet": doc["alphabet"],
+        "objects": sorted(
+            (
+                {
+                    "id": o["id"],
+                    "parent": o.get("parent"),
+                    "predicate": sorted([list(p) for p in o.get("predicate", [])]),
+                }
+                for o in doc["objects"]
+            ),
+            key=lambda o: o["id"],
+        ),
+        "operations": sorted(
+            (
+                {
+                    "id": p["id"],
+                    "action_tag": p["action_tag"],
+                    "task": p["task"],
+                    "applicable_objects": sorted(p["applicable_objects"]),
+                }
+                for p in doc["operations"]
+            ),
+            key=lambda p: p["id"],
+        ),
+        "tasks": sorted(
+            (
+                {"id": t["id"], "pairs": sorted([list(pr) for pr in t["pairs"]])}
+                for t in doc["tasks"]
+            ),
+            key=lambda t: t["id"],
+        ),
+        "programs": sorted(
+            (
+                {
+                    "id": g["id"],
+                    "trigger": g["trigger"],
+                    "operations": list(g["operations"]),
+                    "k": g.get("k", 1),
+                    "utility": float(g.get("utility", 0.0)),
+                }
+                for g in doc["programs"]
+            ),
+            key=lambda g: g["id"],
+        ),
+    }

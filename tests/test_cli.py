@@ -188,3 +188,54 @@ def test_audit_truncated_file(runner, kb_file, tmp_path):
     bad.write_text('{"seed": 1, "trunc')
     result = runner.invoke(main, ["audit", str(bad), "--kb", str(kb_file)])
     assert result.exit_code == 2
+
+
+def assert_clean_exit(result, code):
+    """The exit code is the contract's, from sys.exit or a usage error, not a crash."""
+    assert result.exit_code == code
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("gap", ["non-object entry", "boolean k", "non-finite utility"])
+def test_validate_rejects_schema_gaps_without_traceback(runner, tmp_path, gap):
+    doc = three_node_doc()
+    if gap == "non-object entry":
+        doc["objects"].append(7)
+    elif gap == "boolean k":
+        doc["programs"][0]["k"] = True
+    else:
+        doc["programs"][0]["utility"] = float("nan")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = runner.invoke(main, ["validate", str(path)])
+    assert_clean_exit(result, 1)
+    assert "SchemaError" in result.output
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--epsilon", "1.5"), ("--epsilon", "-0.1"), ("--fixed-n", "0"), ("--trials", "0"),
+    ("--n-max", "0"), ("--value", "-1"), ("--cost", "-0.5"),
+])
+def test_run_rejects_out_of_range_option(runner, kb_file, scenario_file, tmp_path,
+                                         option, value):
+    args = run_args(kb_file, scenario_file, tmp_path / "log.jsonl")
+    if option in args:
+        args[args.index(option) + 1] = value
+    else:
+        args += [option, value]
+    result = runner.invoke(main, args)
+    assert_clean_exit(result, 2)
+    assert f"Invalid value for '{option}'" in result.output
+    assert not (tmp_path / "log.jsonl").exists()
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--epsilon", "1.01"), ("--n-max", "0"), ("--value", "-1"), ("--cost", "-0.02"),
+])
+def test_sweep_rejects_out_of_range_option(runner, kb_file, option, value):
+    args = sweep_args(kb_file)
+    args[args.index(option) + 1] = value
+    result = runner.invoke(main, args)
+    assert_clean_exit(result, 2)
+    assert f"Invalid value for '{option}'" in result.output

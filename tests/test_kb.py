@@ -1,6 +1,8 @@
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aprior.kb import (
     CyclicTree,
@@ -15,7 +17,8 @@ from aprior.kb import (
     enumerate_tasks,
     kb_digest,
 )
-from oracles import canonical_json_oracle, fnv1a_oracle
+from conftest import three_node_doc
+from oracles import canonical_document_oracle, canonical_json_oracle, fnv1a_oracle
 
 
 def minimal_doc():
@@ -197,3 +200,115 @@ def test_enumerate_tasks_orders_unsorted_ids():
     ]
     kb = build_kb(doc)
     assert [tid for tid, _ in enumerate_tasks(kb)] == [1, 2]
+
+
+@pytest.mark.parametrize("key", ["objects", "operations", "tasks", "programs"])
+def test_non_object_entry_rejected(key):
+    doc = minimal_doc()
+    doc[key].append([1])
+    with pytest.raises(SchemaError):
+        build_kb(doc)
+
+
+@pytest.mark.parametrize("path", [
+    ("d",),
+    ("objects", 0, "id"),
+    ("objects", 0, "predicate", 0, 1),
+    ("programs", 0, "trigger"),
+    ("programs", 0, "k"),
+    ("programs", 0, "utility"),
+], ids=lambda path: ".".join(map(str, path)))
+def test_boolean_where_integer_required_rejected(path):
+    # JSON true loads as a Python int equal to 1, which is a valid value at each path
+    doc = minimal_doc()
+    *head, last = path
+    target = doc
+    for step in head:
+        target = target[step]
+    target[last] = True
+    with pytest.raises(SchemaError):
+        build_kb(doc)
+
+
+@pytest.mark.parametrize("utility", [
+    float("nan"), float("inf"), float("-inf"), pytest.param(10 ** 400, id="huge-int"),
+])
+def test_non_finite_utility_rejected(utility):
+    doc = minimal_doc()
+    doc["programs"][0]["utility"] = utility
+    with pytest.raises(SchemaError):
+        build_kb(doc)
+
+
+def test_sealed_containers_are_read_only(kb):
+    containers = (kb.objects, kb.operations, kb.tasks, kb.programs,
+                  kb._children, kb._by_trigger)
+    for container in containers:
+        key = next(iter(container))
+        with pytest.raises(TypeError):
+            container[key] = container[key]
+        with pytest.raises(TypeError):
+            container[999] = container[key]
+        with pytest.raises(TypeError):
+            del container[key]
+    # the values below the maps are frozen dataclasses, tuples and frozensets
+    assert isinstance(kb.operations[2].applicable_objects, frozenset)
+    assert isinstance(kb.tasks[1].pairs, tuple)
+    assert isinstance(kb.programs_for(12), tuple)
+
+
+def _respell(doc: dict, rnd, omit_defaults: bool) -> dict:
+    """The same KB in another spelling: arrays shuffled, defaults left out."""
+    for key in ("objects", "operations", "tasks", "programs"):
+        rnd.shuffle(doc[key])
+    for obj in doc["objects"]:
+        rnd.shuffle(obj["predicate"])
+        if omit_defaults and obj["parent"] is None:
+            del obj["parent"]
+    for op in doc["operations"]:
+        rnd.shuffle(op["applicable_objects"])
+    for task in doc["tasks"]:
+        rnd.shuffle(task["pairs"])
+    for prog in doc["programs"]:
+        if omit_defaults and prog["k"] == 1:
+            del prog["k"]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(make=st.sampled_from([three_node_doc, minimal_doc]),
+       rnd=st.randoms(use_true_random=False), omit_defaults=st.booleans())
+def test_canonical_bytes_match_raw_reparse_oracle(make, rnd, omit_defaults):
+    doc = _respell(make(), rnd, omit_defaults)
+    expected = canonical_json_oracle(canonical_document_oracle(doc))
+    kb = build_kb(doc)
+    assert kb.canonical == expected
+    assert kb_digest(kb) == fnv1a_oracle(expected)
+    assert kb.canonical == canonical_json_oracle(canonical_document(doc))
+
+
+def test_redundant_spellings_take_the_clean_digest(doc):
+    # both seal to the same KB as the clean form; the raw re-parse hashed them apart
+    clean = kb_digest(build_kb(copy.deepcopy(doc)))
+    duplicated = copy.deepcopy(doc)
+    duplicated["operations"][1]["applicable_objects"] = [11, 12, 11]
+    minus_one = copy.deepcopy(doc)
+    minus_one["objects"][0]["parent"] = -1
+    for spelling in (duplicated, minus_one):
+        assert build_kb(copy.deepcopy(spelling)) == build_kb(copy.deepcopy(doc))
+        assert kb_digest(build_kb(copy.deepcopy(spelling))) == clean
+        assert canonical_document_oracle(spelling) != canonical_document_oracle(doc)
+
+
+def test_programs_for_ascending_id_and_empty(doc):
+    doc["programs"] += [
+        {"id": 7, "trigger": 12, "operations": [2], "k": 2, "utility": 0.1},
+        {"id": 0, "trigger": 12, "operations": [3], "k": 1, "utility": 0.2},
+    ]
+    doc["programs"].reverse()
+    kb = build_kb(doc)
+    assert [p.id for p in kb.programs_for(12)] == [0, 2, 7]
+    assert [p.id for p in kb.programs_for(11)] == [1]
+    assert kb.programs_for(1) == ()  # an internal node that triggers nothing
+    assert kb.programs_for(ROOT) == ()
+    assert kb.programs_for(999) == ()

@@ -15,7 +15,6 @@ from aprior.perception import (
     corrupt,
     identify,
     majority_fold,
-    match_predicate,
     measure,
 )
 from aprior.rng import SplitMix64
@@ -25,10 +24,10 @@ ALL_VECTORS = [(i, j) for i in range(3) for j in range(3)]
 
 
 def test_match_predicate_basics():
-    assert match_predicate(Predicate(()), (0, 1))
-    assert match_predicate(Predicate(((0, 0),)), (0, 1))
-    assert not match_predicate(Predicate(((0, 0),)), (1, 1))
-    assert not match_predicate(Predicate(((0, 0), (1, 0))), (0, 1))
+    assert Predicate(()).matches((0, 1))
+    assert Predicate(((0, 0),)).matches((0, 1))
+    assert not Predicate(((0, 0),)).matches((1, 1))
+    assert not Predicate(((0, 0), (1, 0))).matches((0, 1))
 
 
 def test_identify_spec_examples(kb):
