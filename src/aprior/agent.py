@@ -68,6 +68,8 @@ class AgentState:
     fixed_n: int | None = None
     memory: list[MemoryEntry] = field(default_factory=list)
     recurrence: dict[int, int] = field(default_factory=dict)
+    # vector -> its outcome on kb, filled by measure as vectors occur
+    recognition: dict[tuple[int, ...], RecognitionOutcome] = field(default_factory=dict)
     channel_rng: SplitMix64 | None = None
     selection_rng: SplitMix64 | None = None
     _planned_n: int | None = None
@@ -90,7 +92,7 @@ def planned_n(state: AgentState) -> int:
         return state.fixed_n
     if state._planned_n is None:
         ref = None
-        for oid in sorted(state.kb.objects):
+        for oid in state.kb.objects:
             obj = state.kb.objects[oid]
             if state.kb.is_leaf(oid) and len(obj.predicate.constraints) == state.kb.dim:
                 ref = oid
@@ -133,7 +135,10 @@ def eligible_programs(state: AgentState, outcome: RecognitionOutcome) -> list[Pr
 
 
 def do_action(state: AgentState, program: Program, outcome: RecognitionOutcome) -> ActionEvent:
-    if program.id not in {p.id for p in eligible_programs(state, outcome)}:
+    """Act out a program; raises IneligibleProgram unless eligible_programs lists it."""
+    sealed = state.kb.programs.get(program.id)
+    if (sealed is None or outcome.status == UNRECOGNIZED or sealed.trigger != outcome.node
+            or sealed.reflex_threshold > recurrence_count(state, outcome.node)):
         raise IneligibleProgram(f"program {program.id} not eligible on {outcome.node}")
     tags = tuple(state.kb.operations[pid].action_tag for pid in program.operations)
     t = state.memory[-1].t if state.memory else 0
@@ -144,7 +149,8 @@ def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
     """One full trial; returns the trial log as a plain dict."""
     t = state.memory[-1].t + 1 if state.memory else 0
     n = planned_n(state)
-    result = measure(state.kb, stimulus, n, state.params, state.channel_rng)
+    result = measure(state.kb, stimulus, n, state.params, state.channel_rng,
+                     state.recognition)
     entry = MemoryEntry(t=t, outcome=result.outcome, n=n)
     record(state, entry)
 
@@ -183,17 +189,17 @@ def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
     }
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 @dataclass
 class EpisodeLog:
     header: dict
     trials: list[dict]
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(self.header, sort_keys=True, separators=(",", ":"))]
-        lines += [
-            json.dumps(trial, sort_keys=True, separators=(",", ":"))
-            for trial in self.trials
-        ]
+        lines = [_ENCODER.encode(self.header)]
+        lines += [_ENCODER.encode(trial) for trial in self.trials]
         return "\n".join(lines) + "\n"
 
 
@@ -209,13 +215,16 @@ def run_episode(
 
     With strict=True the closure and no-effector-on-unrecognized
     invariants are asserted inline after every trial instead of only
-    post hoc by the auditor.
+    post hoc by the auditor. Closure compares the KB's canonical bytes
+    with those captured at episode start, which catches every change the
+    digest catches.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if scenario_rng is None:
         scenario_rng = substream(state.seed, "scenario")
 
+    canonical_before = state.kb.canonical
     digest_before = kb_digest(state.kb)
     tasks_before = [[tid, [list(p) for p in pairs]] for tid, pairs in enumerate_tasks(state.kb)]
 
@@ -232,8 +241,8 @@ def run_episode(
         else:
             log["score"] = 0.0
         if strict:
-            if kb_digest(state.kb) != digest_before:
-                raise AssertionError(f"trial {t}: knowledge base digest changed")
+            if state.kb.canonical != canonical_before:
+                raise AssertionError(f"trial {t}: knowledge base canonical bytes changed")
             if log["status"] == UNRECOGNIZED and log["action"] is not None:
                 raise AssertionError(f"trial {t}: action on unrecognized stimulus")
         trial_logs.append(log)

@@ -181,7 +181,7 @@ def audit_log(header: dict, trials: list[dict], kb: KnowledgeBase | None = None)
     """Run every check; reflex gating is checked for each KB program."""
     checks = [assert_closure(header, trials), assert_statement1(header, trials, kb)]
     if kb is not None:
-        for program in sorted(kb.programs.values(), key=lambda p: p.id):
+        for program in kb.programs.values():
             checks.append(assert_reflex(trials, program))
     return AuditReport(
         checks=tuple(checks),

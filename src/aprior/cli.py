@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 a check or validation failed, 2 operational error
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -22,6 +23,24 @@ from .rng import substream
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_OPERATIONAL = 2
+
+
+class FiniteFloat(click.FloatRange):
+    """A FloatRange that also rejects inf and nan, which pass its comparisons."""
+
+    name = "finite float"
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv} is not a finite number.", param, ctx)
+        return rv
+
+    def _describe_range(self) -> str:
+        # the help text's range; click would print "x<=None" for no bounds
+        if self.min is None and self.max is None:
+            return "finite"
+        return super()._describe_range()
 
 
 @click.group()
@@ -61,11 +80,11 @@ def _csv_num(x) -> str:
 @click.option("--scenario", "scenario_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=0, envvar="APRIOR_SEED", show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), required=True)
-@click.option("--value", type=click.FloatRange(min=0), default=1.0, show_default=True)
-@click.option("--cost", type=click.FloatRange(min=0), default=0.0, show_default=True)
-@click.option("--phi0", type=float, default=0.0, show_default=True)
+@click.option("--value", type=FiniteFloat(min=0), default=1.0, show_default=True)
+@click.option("--cost", type=FiniteFloat(min=0), default=0.0, show_default=True)
+@click.option("--phi0", type=FiniteFloat(), default=0.0, show_default=True)
 @click.option("--n-max", type=click.IntRange(min=1), default=9, show_default=True)
-@click.option("--epsilon", type=click.FloatRange(0, 1), default=0.0, show_default=True)
+@click.option("--epsilon", type=FiniteFloat(0, 1), default=0.0, show_default=True)
 @click.option("--fixed-n", type=click.IntRange(min=1), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl",
@@ -126,9 +145,9 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
 @main.command()
 @click.option("--kb", "kb_path", required=True, type=click.Path())
 @click.option("--node", type=int, required=True)
-@click.option("--epsilon", type=click.FloatRange(0, 1), required=True)
-@click.option("--value", type=click.FloatRange(min=0), default=1.0, show_default=True)
-@click.option("--cost", type=click.FloatRange(min=0), default=0.0, show_default=True)
+@click.option("--epsilon", type=FiniteFloat(0, 1), required=True)
+@click.option("--value", type=FiniteFloat(min=0), default=1.0, show_default=True)
+@click.option("--cost", type=FiniteFloat(min=0), default=0.0, show_default=True)
 @click.option("--n-max", type=click.IntRange(min=1), default=15, show_default=True)
 @click.option("--mode", type=click.Choice([AUTO, EXACT, MONTE_CARLO]), default=AUTO,
               show_default=True)

@@ -106,7 +106,7 @@ def _mc_feature_accuracy(
     # draw pattern matches perception.corrupt_symbol: one corruption word,
     # then one rejection-sampled replacement when corrupted
     a = params.alphabet
-    threshold = int(params.epsilon * (1 << 64))
+    threshold = params.threshold
     next_u64 = rng.next_u64
     randbelow = rng.randbelow
     hits = 0

@@ -7,7 +7,7 @@ descent of the recognition tree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .kb import ROOT, KnowledgeBase
 from .rng import SplitMix64
@@ -28,6 +28,8 @@ class ChannelParams:
     epsilon: float
     alphabet: int
     dim: int
+    # a channel use corrupts when its 64-bit draw is below this
+    threshold: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
@@ -36,6 +38,7 @@ class ChannelParams:
             raise ValueError("alphabet must be >= 2")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        object.__setattr__(self, "threshold", int(self.epsilon * (1 << 64)))
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,7 @@ def identify(kb: KnowledgeBase, v: tuple[int, ...]) -> RecognitionOutcome:
 
 def corrupt_symbol(symbol: int, params: ChannelParams, rng: SplitMix64) -> int:
     """One channel use: keep with prob 1-eps, else a uniform other symbol."""
-    threshold = int(params.epsilon * (1 << 64))
-    if rng.next_u64() >= threshold:
+    if rng.next_u64() >= params.threshold:
         return symbol
     j = rng.randbelow(params.alphabet - 1)
     return j if j < symbol else j + 1
@@ -101,15 +103,8 @@ def majority_fold(observations) -> tuple[int, ...]:
     """Per-feature modal symbol; ties broken by lowest symbol value."""
     if not observations:
         raise InvalidCount("need at least one observation")
-    dim = len(observations[0])
-    folded = []
-    for i in range(dim):
-        counts: dict[int, int] = {}
-        for obs in observations:
-            counts[obs[i]] = counts.get(obs[i], 0) + 1
-        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-        folded.append(best[0])
-    return tuple(folded)
+    # max keeps the first of equal counts, and the candidates ascend
+    return tuple(max(sorted(set(col)), key=col.count) for col in zip(*observations))
 
 
 def measure(
@@ -118,17 +113,26 @@ def measure(
     n: int,
     params: ChannelParams,
     rng: SplitMix64,
+    memo: dict[tuple[int, ...], RecognitionOutcome] | None = None,
 ) -> MeasurementResult:
     """Observe x through the channel n times, fold, and identify.
 
     agreement is the fraction of the n raw observations whose own
-    identification lands on the folded outcome's node.
+    identification lands on the folded outcome's node. memo maps vectors
+    to their outcomes on this kb; each vector missing from it is
+    identified once and added. Pass one memo per kb to keep it across
+    calls; without one, a fresh memo serves this call only.
     """
     if n < 1:
         raise InvalidCount("n must be >= 1")
     check_vector(x, params.dim, params.alphabet)
+    if memo is None:
+        memo = {}
     observations = [corrupt(x, params, rng) for _ in range(n)]
     denoised = majority_fold(observations)
-    outcome = identify(kb, denoised)
-    hits = sum(1 for obs in observations if identify(kb, obs).node == outcome.node)
+    for v in (denoised, *observations):
+        if v not in memo:
+            memo[v] = identify(kb, v)
+    outcome = memo[denoised]
+    hits = sum(1 for obs in observations if memo[obs].node == outcome.node)
     return MeasurementResult(denoised, outcome, hits / n, n)

@@ -36,6 +36,23 @@ def three_node_doc() -> dict:
     }
 
 
+def mixed_scenario_doc() -> dict:
+    """Known leaves, a partial stimulus stopping at Q1, and two omega patterns."""
+    return {
+        "name": "mixed", "kind": "categorical",
+        "entries": [
+            {"vector": [0, 0], "truth": 11},
+            {"vector": [0, 1], "truth": 12},
+            {"vector": [1, 2], "truth": 2},
+            {"vector": [0, 2], "truth": 1},
+            {"vector": [2, 0], "truth": "omega"},
+            {"vector": [2, 2], "truth": "omega"},
+        ],
+        "weights": [2.0, 2.0, 2.0, 1.5, 1.0, 1.0],
+        "scoring": [{"action": "pull", "truth": 11, "value": 1.0}],
+    }
+
+
 @pytest.fixture
 def doc():
     return three_node_doc()

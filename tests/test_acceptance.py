@@ -20,7 +20,7 @@ from aprior.kb import build_kb
 from aprior.perception import ChannelParams
 from aprior.rng import SplitMix64
 from aprior.world import load_scenario
-from conftest import three_node_doc
+from conftest import mixed_scenario_doc, three_node_doc
 from oracles import brute_fair_feature_accuracy, brute_feature_accuracy
 
 EPISODES = 100
@@ -33,20 +33,7 @@ def report(criterion: str, ok: bool, detail: str = ""):
 
 
 def mixed_scenario(kb):
-    # known leaves, a partial stimulus stopping at Q1, and two omega patterns
-    return load_scenario({
-        "name": "mixed", "kind": "categorical",
-        "entries": [
-            {"vector": [0, 0], "truth": 11},
-            {"vector": [0, 1], "truth": 12},
-            {"vector": [1, 2], "truth": 2},
-            {"vector": [0, 2], "truth": 1},
-            {"vector": [2, 0], "truth": "omega"},
-            {"vector": [2, 2], "truth": "omega"},
-        ],
-        "weights": [2.0, 2.0, 2.0, 1.5, 1.0, 1.0],
-        "scoring": [{"action": "pull", "truth": 11, "value": 1.0}],
-    }, kb)
+    return load_scenario(mixed_scenario_doc(), kb)
 
 
 def fresh_state(kb, seed):

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+import aprior.world as world_mod
 from aprior.agent import (
     AgentState,
     IneligibleProgram,
@@ -14,8 +17,9 @@ from aprior.agent import (
     run_episode,
     step,
 )
+from aprior.audit import audit_log, parse_log
 from aprior.decision import MeasurementEconomy
-from aprior.kb import ROOT, enumerate_tasks, kb_digest
+from aprior.kb import ROOT, build_kb, enumerate_tasks, kb_digest
 from aprior.perception import (
     FULL,
     PARTIAL,
@@ -23,7 +27,9 @@ from aprior.perception import (
     ChannelParams,
     RecognitionOutcome,
 )
+from aprior.rng import SplitMix64
 from aprior.world import load_scenario
+from conftest import mixed_scenario_doc, three_node_doc
 from oracles import reflex_fire_trials
 
 
@@ -87,6 +93,23 @@ def test_do_action_order_and_eligibility(kb):
     assert event.trigger == 12
     with pytest.raises(IneligibleProgram):
         do_action(state, kb.programs[1], out_q12)
+
+
+def test_do_action_rejects_what_eligible_programs_leaves_out(kb):
+    # program 3 fires on Q2 from its third recognition (k=3)
+    state = make_state(kb)
+    out_q2 = RecognitionOutcome(2, 1, FULL)
+    for t in range(3):
+        record(state, MemoryEntry(t=t, outcome=out_q2, n=1))
+        if t < 2:
+            with pytest.raises(IneligibleProgram):
+                do_action(state, kb.programs[3], out_q2)
+    assert do_action(state, kb.programs[3], out_q2).action_tags == ("approach",)
+    with pytest.raises(IneligibleProgram):
+        do_action(state, kb.programs[3], RecognitionOutcome(2, 1, UNRECOGNIZED))
+    foreign = dataclasses.replace(kb.programs[3], id=99)
+    with pytest.raises(IneligibleProgram):
+        do_action(state, foreign, out_q2)
 
 
 def test_step_unrecognized_leaves_kb_untouched(kb):
@@ -182,3 +205,55 @@ def test_run_episode_rejects_zero_trials(kb):
     scenario = scenario_fixed(kb, [((0, 0), 11)])
     with pytest.raises(ValueError):
         run_episode(make_state(kb), scenario, 0)
+
+
+TAMPER_TRIAL = 5
+
+
+@pytest.fixture
+def tampered_kb(monkeypatch):
+    """A sealed KB whose canonical bytes are replaced before trial TAMPER_TRIAL."""
+    kb = build_kb(three_node_doc())
+    forged = kb.canonical.replace(b'"k":3', b'"k":1')
+    assert forged != kb.canonical
+    original = world_mod.next_stimulus
+
+    def tampering(scenario, t, rng):
+        if t == TAMPER_TRIAL:
+            object.__setattr__(kb, "canonical", forged)
+        return original(scenario, t, rng)
+
+    monkeypatch.setattr(world_mod, "next_stimulus", tampering)
+    return kb
+
+
+def test_strict_run_names_the_trial_that_changed_the_kb(tampered_kb):
+    scenario = scenario_fixed(tampered_kb, [((0, 0), 11), ((1, 0), 2)])
+    with pytest.raises(AssertionError, match=rf"^trial {TAMPER_TRIAL}: knowledge base"):
+        run_episode(make_state(tampered_kb), scenario, 20, strict=True)
+
+
+def test_plain_log_of_a_changed_kb_fails_the_closure_audit(tampered_kb):
+    scenario = scenario_fixed(tampered_kb, [((0, 0), 11), ((1, 0), 2)])
+    log = run_episode(make_state(tampered_kb), scenario, 20)
+    report = audit_log(*parse_log(log.to_jsonl()), tampered_kb)
+    closure = next(c for c in report.checks if c.name == "closure")
+    assert not closure.passed
+    assert not report.passed
+
+
+@pytest.mark.parametrize("fixed_n,words", [(3, 9394), (None, 6914)])
+def test_episode_draws_a_pinned_number_of_words(kb, monkeypatch, fixed_n, words):
+    # totals taken before the recognition memo: one word per channel use and
+    # at least one per corruption, plus the scenario and selection draws
+    count = [0]
+    original = SplitMix64.next_u64
+
+    def counting(self):
+        count[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counting)
+    state = make_state(kb, epsilon=0.3, fixed_n=fixed_n, seed=11, cost=0.02)
+    run_episode(state, load_scenario(mixed_scenario_doc(), kb), 1000)
+    assert count[0] == words

@@ -239,3 +239,24 @@ def test_sweep_rejects_out_of_range_option(runner, kb_file, option, value):
     result = runner.invoke(main, args)
     assert_clean_exit(result, 2)
     assert f"Invalid value for '{option}'" in result.output
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("run", "--value", "nan"), ("run", "--value", "inf"), ("run", "--cost", "inf"),
+    ("run", "--cost", "nan"), ("run", "--phi0", "nan"), ("run", "--phi0", "-inf"),
+    ("run", "--epsilon", "nan"), ("sweep", "--value", "nan"), ("sweep", "--cost", "inf"),
+    ("sweep", "--epsilon", "nan"),
+])
+def test_non_finite_float_option_is_a_usage_error(runner, kb_file, scenario_file, tmp_path,
+                                                  command, option, value):
+    out = tmp_path / "out.txt"
+    args = (run_args(kb_file, scenario_file, out) if command == "run"
+            else sweep_args(kb_file, out=out))
+    if option in args:
+        args[args.index(option) + 1] = value
+    else:
+        args += [option, value]
+    result = runner.invoke(main, args)
+    assert_clean_exit(result, 2)
+    assert f"Invalid value for '{option}'" in result.output
+    assert not out.exists()

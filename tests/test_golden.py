@@ -1,0 +1,51 @@
+"""Golden outputs: the sha256 of a reference episode log and sweep CSV.
+
+The hashes were taken from the CLI before any trial-loop optimization, so
+a change that alters a single byte of either output turns these red.
+Regenerate them only for a deliberate output change, and say so in
+CHANGES.md.
+"""
+import hashlib
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from aprior.cli import main
+from conftest import mixed_scenario_doc, three_node_doc
+
+# seed 42, 10k trials, mixed scenario, eps=0.3, c=0.02, auto n (n*=2)
+RUN_ARGS = ["run", "--kb", "kb.json", "--scenario", "scenario.json", "--seed", "42",
+            "--trials", "10000", "--epsilon", "0.3", "--cost", "0.02"]
+RUN_SHA256 = "3d36475e6029dffd4f303b5c154197ff79fcd7faa4af69d386ca527d551fab21"
+
+SWEEP_ARGS = ["sweep", "--kb", "kb.json", "--node", "11", "--epsilon", "0.3",
+              "--cost", "0.02", "--n-max", "15", "--mode", "exact"]
+SWEEP_SHA256 = "8a027c93b71ef298c723cf28c360eb759da4846db2fbe934b1699778db718748"
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    # the log header records the KB and scenario paths, so they are relative
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kb.json").write_text(json.dumps(three_node_doc()), encoding="utf-8")
+    (tmp_path / "scenario.json").write_text(json.dumps(mixed_scenario_doc()), encoding="utf-8")
+    return tmp_path
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_reference_run_log(workdir, strict):
+    extra = ["--strict"] if strict else []
+    result = CliRunner().invoke(main, RUN_ARGS + ["--out", "log.jsonl", *extra])
+    assert result.exit_code == 0, result.output
+    assert sha256((workdir / "log.jsonl").read_bytes()) == RUN_SHA256
+
+
+def test_reference_exact_sweep_csv(workdir):
+    result = CliRunner().invoke(main, SWEEP_ARGS)
+    assert result.exit_code == 0, result.output
+    assert sha256(result.stdout_bytes) == SWEEP_SHA256

@@ -12,6 +12,7 @@ from aprior.perception import (
     UNRECOGNIZED,
     ChannelParams,
     InvalidCount,
+    MeasurementResult,
     corrupt,
     identify,
     majority_fold,
@@ -183,3 +184,32 @@ def test_measure_outcome_probability_matches_enumeration(kb, params):
 def test_measure_noiseless_equals_identify(kb, noiseless, n, x, seed):
     res = measure(kb, x, n, noiseless, SplitMix64(seed))
     assert res.outcome == identify(kb, x)
+
+
+def test_memo_holds_the_identify_outcome_of_every_vector(kb, params):
+    memo = {}
+    rng = SplitMix64(5)
+    for _ in range(20):
+        for x in ALL_VECTORS:
+            measure(kb, x, 5, params, rng, memo)
+    assert memo == {v: identify(kb, v) for v in ALL_VECTORS}
+
+
+def identify_every_time(kb, x, n, params, rng):
+    # measure as written before the memo: one identify per vector, every call
+    observations = [corrupt(x, params, rng) for _ in range(n)]
+    denoised = majority_fold(observations)
+    outcome = identify(kb, denoised)
+    hits = sum(1 for obs in observations if identify(kb, obs).node == outcome.node)
+    return MeasurementResult(denoised, outcome, hits / n, n)
+
+
+def test_shared_memo_gives_the_results_of_a_fresh_memo(kb, params):
+    shared = {}
+    for seed in range(30):
+        for n in (1, 2, 3, 8):
+            for x in ALL_VECTORS:
+                with_shared = measure(kb, x, n, params, SplitMix64(seed), shared)
+                assert with_shared == measure(kb, x, n, params, SplitMix64(seed), {})
+                assert with_shared == measure(kb, x, n, params, SplitMix64(seed))
+                assert with_shared == identify_every_time(kb, x, n, params, SplitMix64(seed))
