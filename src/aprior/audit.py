@@ -9,6 +9,7 @@ containment, and reflex gating.
 from __future__ import annotations
 
 import json
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 from .kb import KnowledgeBase
@@ -162,27 +163,39 @@ def assert_reflex(trials: list[dict], program) -> CheckResult:
     The recurrence count includes the current trial, so the earliest
     legal fire is the trial of the k-th recognition itself.
     """
-    k = program.reflex_threshold
-    recognitions = 0
+    return _reflex_checks(trials, (program,))[0]
+
+
+def _reflex_checks(trials: list[dict], programs) -> list[CheckResult]:
+    """`assert_reflex` for every program, in one walk over the trials."""
+    by_id = {p.id: p for p in programs}
+    recognitions: dict = {}  # node -> recognitions so far
+    early: dict[int, CheckResult] = {}  # program id -> its first fire below k
     for trial in trials:
-        if trial["status"] != UNRECOGNIZED and trial["node"] == program.trigger:
-            recognitions += 1
+        # an unhashable node or program id equals no sealed (integer) id
+        if trial["status"] != UNRECOGNIZED and isinstance(node := trial["node"], Hashable):
+            recognitions[node] = recognitions.get(node, 0) + 1
         action = trial.get("action")
-        if action is not None and action.get("program") == program.id:
-            if recognitions < k:
-                return CheckResult(
-                    f"reflex[{program.id}]", False, trial["t"],
-                    f"fired at recognition {recognitions} < threshold {k}",
-                )
-    return CheckResult(f"reflex[{program.id}]", True)
+        if action is None:
+            continue
+        pid = action.get("program")
+        program = by_id.get(pid) if isinstance(pid, Hashable) else None
+        if program is None or program.id in early:
+            continue
+        count = recognitions.get(program.trigger, 0)
+        if count < program.reflex_threshold:
+            early[program.id] = CheckResult(
+                f"reflex[{program.id}]", False, trial["t"],
+                f"fired at recognition {count} < threshold {program.reflex_threshold}",
+            )
+    return [early.get(p.id) or CheckResult(f"reflex[{p.id}]", True) for p in programs]
 
 
 def audit_log(header: dict, trials: list[dict], kb: KnowledgeBase | None = None) -> AuditReport:
     """Run every check; reflex gating is checked for each KB program."""
     checks = [assert_closure(header, trials), assert_statement1(header, trials, kb)]
     if kb is not None:
-        for program in kb.programs.values():
-            checks.append(assert_reflex(trials, program))
+        checks += _reflex_checks(trials, kb.programs.values())
     return AuditReport(
         checks=tuple(checks),
         digest_before=header["digest_before"],

@@ -99,7 +99,7 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
     except OSError as exc:
         click.echo(f"I/O error: {exc}", err=True)
         sys.exit(EXIT_OPERATIONAL)
-    except (world_mod.SchemaError, world_mod.TruthMismatch, json.JSONDecodeError) as exc:
+    except (world_mod.ScenarioError, world_mod.TruthMismatch, json.JSONDecodeError) as exc:
         click.echo(f"{type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_OPERATIONAL)
 

@@ -9,6 +9,7 @@ exclusive so greedy descent is deterministic.
 """
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from collections.abc import Mapping
@@ -368,9 +369,16 @@ def canonical_document(doc: dict) -> dict:
     return json.loads(build_kb(doc).canonical)
 
 
+@functools.lru_cache(maxsize=8)
+def _canonical_digest(canonical: bytes) -> int:
+    # keyed by the bytes value, not by the KB: bytes that replace a KB's
+    # canonical miss the memo and are hashed afresh
+    return fnv1a_64(canonical)
+
+
 def kb_digest(kb: KnowledgeBase) -> int:
-    """FNV-1a-64 over the canonical document bytes."""
-    return fnv1a_64(kb.canonical)
+    """FNV-1a-64 over the canonical document bytes, one pass per distinct bytes."""
+    return _canonical_digest(kb.canonical)
 
 
 def enumerate_tasks(kb: KnowledgeBase) -> list[tuple[int, tuple[tuple[int, int], ...]]]:

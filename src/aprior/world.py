@@ -9,6 +9,7 @@ against the knowledge base at load time.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .kb import KnowledgeBase
@@ -22,7 +23,7 @@ CATEGORICAL = "categorical"
 REFLEX = "reflex"
 
 
-class SchemaError(ValueError):
+class ScenarioError(ValueError):
     pass
 
 
@@ -44,10 +45,32 @@ class Scenario:
     weights: tuple[float, ...]
     repeat: int
     scoring: dict[tuple[str, int | str], float]
+    total_weight: float  # sum(weights), the scale of a categorical draw
 
 
-def _check_stimulus(kb: KnowledgeBase, vector: tuple[int, ...], truth) -> Stimulus:
-    check_vector(vector, kb.dim, kb.alphabet)
+def _finite(value) -> bool:
+    # a JSON number (not a boolean) that converts to a finite float
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _truth(value, where: str) -> int | str:
+    if value != OMEGA and type(value) is not int:
+        raise ScenarioError(f"{where}: truth must be an object id or {OMEGA!r}, got {value!r}")
+    return value
+
+
+def _check_stimulus(kb: KnowledgeBase, entry) -> Stimulus:
+    if not isinstance(entry, dict):
+        raise ScenarioError(f"entries must be objects, got {entry!r}")
+    vector = entry.get("vector")
+    if not isinstance(vector, list) or any(type(s) is not int for s in vector):
+        raise ScenarioError(f"bad stimulus vector {vector!r}")
+    vector = tuple(vector)
+    try:
+        check_vector(vector, kb.dim, kb.alphabet)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    truth = _truth(entry.get("truth"), f"stimulus {vector}")
     if truth == OMEGA:
         for oid, obj in kb.objects.items():
             if kb.is_leaf(oid) and obj.predicate.matches(vector):
@@ -66,47 +89,46 @@ def load_scenario(doc: dict, kb: KnowledgeBase) -> Scenario:
     """Validate a scenario document against the sealed KB."""
     name = doc.get("name")
     if not isinstance(name, str):
-        raise SchemaError("scenario needs a string name")
+        raise ScenarioError("scenario needs a string name")
     kind = doc.get("kind")
     if kind not in (FIXED, CATEGORICAL, REFLEX):
-        raise SchemaError(f"unknown schedule kind {kind!r}")
+        raise ScenarioError(f"unknown schedule kind {kind!r}")
 
     raw_entries = doc.get("entries")
     if not isinstance(raw_entries, list) or not raw_entries:
-        raise SchemaError("entries must be a non-empty list")
-    entries = []
-    for entry in raw_entries:
-        vector = entry.get("vector")
-        if not isinstance(vector, list):
-            raise SchemaError(f"bad stimulus vector {vector!r}")
-        entries.append(_check_stimulus(kb, tuple(vector), entry.get("truth")))
+        raise ScenarioError("entries must be a non-empty list")
+    entries = tuple(_check_stimulus(kb, entry) for entry in raw_entries)
 
     weights: tuple[float, ...] = ()
     if kind == CATEGORICAL:
         raw_weights = doc.get("weights")
         if not isinstance(raw_weights, list) or len(raw_weights) != len(entries):
-            raise SchemaError("weights must match entries")
+            raise ScenarioError("weights must match entries")
         for w in raw_weights:
-            if not isinstance(w, (int, float)) or not w > 0 or w != w or w == float("inf"):
-                raise SchemaError(f"weights must be positive and finite, got {w!r}")
+            if not (_finite(w) and w > 0):
+                raise ScenarioError(f"weights must be positive and finite, got {w!r}")
         weights = tuple(float(w) for w in raw_weights)
 
     repeat = 1
     if kind == REFLEX:
         repeat = doc.get("repeat")
-        if not isinstance(repeat, int) or repeat < 1:
-            raise SchemaError("reflex schedule needs repeat >= 1")
+        if type(repeat) is not int or repeat < 1:
+            raise ScenarioError("reflex schedule needs repeat >= 1")
 
+    raw_scoring = doc.get("scoring", [])
+    if not isinstance(raw_scoring, list):
+        raise ScenarioError("scoring must be a list")
     scoring: dict[tuple[str, int | str], float] = {}
-    for row in doc.get("scoring", []):
+    for row in raw_scoring:
+        if not isinstance(row, dict):
+            raise ScenarioError(f"scoring rows must be objects, got {row!r}")
         tag = row.get("action")
-        truth = row.get("truth")
         value = row.get("value")
-        if not isinstance(tag, str) or not isinstance(value, (int, float)):
-            raise SchemaError(f"bad scoring row {row!r}")
-        scoring[(tag, truth)] = float(value)
+        if not isinstance(tag, str) or not _finite(value):
+            raise ScenarioError(f"bad scoring row {row!r}")
+        scoring[(tag, _truth(row.get("truth"), f"scoring row {row!r}"))] = float(value)
 
-    return Scenario(name, kind, tuple(entries), weights, repeat, scoring)
+    return Scenario(name, kind, entries, weights, repeat, scoring, sum(weights))
 
 
 def next_stimulus(scenario: Scenario, t: int, rng: SplitMix64) -> Stimulus:
@@ -118,8 +140,7 @@ def next_stimulus(scenario: Scenario, t: int, rng: SplitMix64) -> Stimulus:
     if scenario.kind == REFLEX:
         return scenario.entries[(t // scenario.repeat) % len(scenario.entries)]
     # categorical: one weighted draw
-    total = sum(scenario.weights)
-    u = rng.next_float() * total
+    u = rng.next_float() * scenario.total_weight
     acc = 0.0
     for stim, w in zip(scenario.entries, scenario.weights):
         acc += w
@@ -139,5 +160,5 @@ def load_scenario_file(path, kb: KnowledgeBase) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
-        raise SchemaError("scenario document must be a JSON object")
+        raise ScenarioError("scenario document must be a JSON object")
     return load_scenario(doc, kb)

@@ -97,6 +97,22 @@ def reflex_fire_trials(recognition_schedule, k: int):
     return fires
 
 
+def first_early_fire(trials, program_id, trigger, k: int):
+    """(t, recognitions so far) of the program's first fire below k, or None.
+
+    A walk over logged trials for this one program; the count includes
+    the current trial.
+    """
+    count = 0
+    for trial in trials:
+        if trial["status"] != "unrecognized" and trial["node"] == trigger:
+            count += 1
+        action = trial.get("action")
+        if action is not None and action.get("program") == program_id and count < k:
+            return trial["t"], count
+    return None
+
+
 def canonical_document_oracle(doc: dict) -> dict:
     """The canonical form re-parsed from the raw document, arrays sorted by id.
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import aprior.kb as kb_mod
 import aprior.world as world_mod
 from aprior.agent import (
     AgentState,
@@ -30,7 +31,7 @@ from aprior.perception import (
 from aprior.rng import SplitMix64
 from aprior.world import load_scenario
 from conftest import mixed_scenario_doc, three_node_doc
-from oracles import reflex_fire_trials
+from oracles import fnv1a_oracle, reflex_fire_trials
 
 
 def make_state(kb, epsilon=0.0, fixed_n=1, seed=0, phi0=0.0, cost=0.0, n_max=9):
@@ -240,6 +241,35 @@ def test_plain_log_of_a_changed_kb_fails_the_closure_audit(tampered_kb):
     closure = next(c for c in report.checks if c.name == "closure")
     assert not closure.passed
     assert not report.passed
+
+
+def test_episodes_on_one_kb_hash_its_canonical_bytes_once(monkeypatch):
+    kb = build_kb(three_node_doc())
+    passes = []
+    original = kb_mod.fnv1a_64
+
+    def counting(data):
+        passes.append(data)
+        return original(data)
+
+    monkeypatch.setattr(kb_mod, "fnv1a_64", counting)
+    kb_mod._canonical_digest.cache_clear()
+    scenario = scenario_fixed(kb, [((0, 0), 11), ((1, 0), 2)])
+    for seed in (0, 1):
+        header = run_episode(make_state(kb, seed=seed), scenario, 5).header
+        assert header["digest_before"] == header["digest_after"] == fnv1a_oracle(kb.canonical)
+    assert passes == [kb.canonical]
+
+
+def test_replaced_canonical_bytes_are_hashed_not_recalled(tampered_kb):
+    original = tampered_kb.canonical
+    assert kb_digest(tampered_kb) == fnv1a_oracle(original)  # now memoized
+    scenario = scenario_fixed(tampered_kb, [((0, 0), 11), ((1, 0), 2)])
+    header = run_episode(make_state(tampered_kb), scenario, 20).header
+    assert tampered_kb.canonical != original
+    assert header["digest_before"] == fnv1a_oracle(original)
+    assert header["digest_after"] == fnv1a_oracle(tampered_kb.canonical)
+    assert kb_digest(tampered_kb) == fnv1a_oracle(tampered_kb.canonical)
 
 
 @pytest.mark.parametrize("fixed_n,words", [(3, 9394), (None, 6914)])

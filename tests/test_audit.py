@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 
 import pytest
 
@@ -13,8 +14,11 @@ from aprior.audit import (
     parse_log,
 )
 from aprior.decision import MeasurementEconomy
+from aprior.kb import ROOT, build_kb
 from aprior.perception import ChannelParams
 from aprior.world import load_scenario
+from conftest import three_node_doc
+from oracles import first_early_fire
 
 
 def make_log(kb, seed=7, trials=40, epsilon=0.3):
@@ -106,6 +110,42 @@ def test_reflex_fails_on_early_fire(kb):
     result = assert_reflex(tampered, kb.programs[3])
     assert not result.passed
     assert result.violating_trial == first_q2["t"]
+
+
+def test_audit_reflex_results_equal_assert_reflex_per_program():
+    doc = three_node_doc()
+    doc["programs"] += [
+        {"id": 0, "trigger": 12, "operations": [3], "k": 4, "utility": 0.2},
+        {"id": 5, "trigger": 11, "operations": [2], "k": 3, "utility": 0.9},
+        {"id": 7, "trigger": 12, "operations": [2], "k": 2, "utility": 0.1},
+        {"id": 8, "trigger": 2, "operations": [3], "k": 1, "utility": 0.3},
+    ]
+    kb = build_kb(doc)
+    nodes = [*kb.objects, ROOT, 999]
+    program_ids = [*kb.programs, 999, None]
+    outcomes = set()
+    for seed in range(12):
+        header, trials = make_log(kb, seed=seed, epsilon=0.2)
+        rnd = random.Random(seed)
+        for trial in trials:  # seed 0 stays honest
+            if seed and rnd.random() < 0.3:
+                trial["status"] = rnd.choice(["full", "partial", "unrecognized"])
+                trial["node"] = rnd.choice(nodes)
+            if seed and rnd.random() < 0.3:
+                trial["action"] = rnd.choice([None, {
+                    "program": rnd.choice(program_ids), "tags": [], "trigger": trial["node"],
+                }])
+        report = audit_log(header, trials, kb)
+        reflex = [c for c in report.checks if c.name.startswith("reflex[")]
+        assert reflex == [assert_reflex(trials, p) for p in kb.programs.values()]
+        for check, p in zip(reflex, kb.programs.values()):
+            early = first_early_fire(trials, p.id, p.trigger, p.reflex_threshold)
+            assert check.passed == (early is None)
+            if early is not None:
+                assert check.violating_trial == early[0]
+                assert check.detail.startswith(f"fired at recognition {early[1]} <")
+        outcomes |= {c.passed for c in reflex}
+    assert outcomes == {True, False}
 
 
 def test_malformed_logs():

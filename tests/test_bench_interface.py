@@ -15,7 +15,10 @@ import aprior.kb
 import aprior.perception
 import aprior.rng
 import aprior.world
-from conftest import three_node_doc
+from aprior.agent import AgentState
+from aprior.decision import MeasurementEconomy
+from aprior.perception import ChannelParams
+from conftest import mixed_scenario_doc, three_node_doc
 
 TRACING_PY = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -47,6 +50,24 @@ def test_every_trace_target_installs_and_removes():
         assert getattr(tracing._holder(owner), attr) is original, (owner, attr)
     names = {name for name, _, _, _ in tracer.spans()}
     assert {"kb.build_kb", "kb.programs_for", "kb.kb_digest"} <= names
+
+
+def test_a_traced_episode_records_its_digest_spans():
+    # a memo that bypassed the traced name would read 0 digest calls per trial
+    tracer = _tracing().Tracer()
+    tracer.install({"kb", "agent"})
+    try:
+        kb = aprior.kb.build_kb(three_node_doc())
+        state = AgentState(kb=kb, params=ChannelParams(epsilon=0.0, alphabet=3, dim=2),
+                           econ=MeasurementEconomy(value=1.0, cost=0.0, phi0=0.0, n_max=9),
+                           seed=0, fixed_n=1)
+        scenario = aprior.world.load_scenario(mixed_scenario_doc(), kb)
+        aprior.agent.run_episode(state, scenario, 3)
+    finally:
+        tracer.remove()
+    names = [name for name, _, _, _ in tracer.spans()]
+    assert names.count("agent.run_episode") == 1
+    assert names.count("kb.kb_digest") == 2
 
 
 def test_names_the_benchmark_imports_exist():

@@ -260,3 +260,47 @@ def test_non_finite_float_option_is_a_usage_error(runner, kb_file, scenario_file
     assert_clean_exit(result, 2)
     assert f"Invalid value for '{option}'" in result.output
     assert not out.exists()
+
+
+def _malformed_scenario(case: str) -> dict:
+    doc = {
+        "name": "mix", "kind": "fixed",
+        "entries": [{"vector": [0, 0], "truth": 11}, {"vector": [2, 0], "truth": "omega"}],
+        "scoring": [{"action": "pull", "truth": 11, "value": 1.0}],
+    }
+    if case == "NaN scoring value":
+        doc["scoring"][0]["value"] = float("nan")
+    elif case == "non-object entry":
+        doc["entries"].append(7)
+    elif case == "non-object scoring row":
+        doc["scoring"].append("pull")
+    elif case == "boolean vector symbols":
+        doc["entries"][0]["vector"] = [False, False]
+    elif case == "boolean repeat":
+        doc.update(kind="reflex", repeat=True)
+    elif case == "boolean weight":
+        doc.update(kind="categorical", weights=[True, 1.0])
+    elif case == "symbol outside the alphabet":
+        doc["entries"][1]["vector"] = [5, 0]
+    elif case == "boolean truth":
+        doc["entries"][0]["truth"] = True
+    elif case == "list truth":
+        doc["scoring"][0]["truth"] = [11]
+    elif case == "scoring not a list":
+        doc["scoring"] = 3
+    return doc
+
+
+@pytest.mark.parametrize("case", [
+    "NaN scoring value", "non-object entry", "non-object scoring row",
+    "boolean vector symbols", "boolean repeat", "boolean weight",
+    "symbol outside the alphabet", "boolean truth", "list truth", "scoring not a list",
+])
+def test_run_rejects_malformed_scenario_without_traceback(runner, kb_file, tmp_path, case):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_malformed_scenario(case)), encoding="utf-8")
+    out = tmp_path / "log.jsonl"
+    result = runner.invoke(main, run_args(kb_file, path, out))
+    assert_clean_exit(result, 2)
+    assert "ScenarioError" in result.output
+    assert not out.exists()

@@ -5,7 +5,7 @@ import pytest
 from aprior.rng import SplitMix64
 from aprior.world import (
     OMEGA,
-    SchemaError,
+    ScenarioError,
     TruthMismatch,
     load_scenario,
     next_stimulus,
@@ -41,15 +41,15 @@ def test_omega_requires_no_leaf_match(kb):
 
 
 def test_schema_errors(kb):
-    with pytest.raises(SchemaError):
+    with pytest.raises(ScenarioError):
         load_scenario({"name": "x", "kind": "bogus", "entries": []}, kb)
-    with pytest.raises(SchemaError):
+    with pytest.raises(ScenarioError):
         load_scenario(fixed_doc([]), kb)
-    with pytest.raises(SchemaError):
+    with pytest.raises(ScenarioError):
         load_scenario(
             {"name": "x", "kind": "categorical",
              "entries": [{"vector": [0, 0], "truth": 11}], "weights": [0.0]}, kb)
-    with pytest.raises(SchemaError):
+    with pytest.raises(ScenarioError):
         load_scenario(
             {"name": "x", "kind": "reflex",
              "entries": [{"vector": [0, 0], "truth": 11}], "repeat": 0}, kb)
