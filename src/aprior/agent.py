@@ -1,10 +1,12 @@
-"""Behavior loop: measure, remember, gate, order, pick at random, act.
+"""Behavior loop: measure, count, gate, order, pick at random, act.
 
 Each trial runs Measure -> Memory -> reflex gate -> DoWhile filter ->
-Random -> Do, in that fixed order. The recurrence counter feeding the
-reflex gate includes the current trial, so a threshold-k program first
-becomes eligible on the k-th recognition of its trigger and stays
-eligible afterwards. The knowledge base is never written.
+Random -> Do, in that fixed order. The agent's memory is a trial counter
+and one recurrence counter per recognized object, nothing per trial. The
+recurrence counter feeding the reflex gate includes the current trial,
+so a threshold-k program first becomes eligible on the k-th recognition
+of its trigger and stays eligible afterwards. The knowledge base is
+never written.
 """
 from __future__ import annotations
 
@@ -29,31 +31,12 @@ from .perception import (
 from .rng import SplitMix64, substream
 
 
-class NonMonotonicTrial(ValueError):
-    pass
-
-
-class UnknownObject(KeyError):
-    pass
-
-
 class IneligibleProgram(ValueError):
     pass
 
 
-@dataclass
-class MemoryEntry:
-    t: int
-    outcome: RecognitionOutcome
-    n: int
-    program_id: int | None = None
-    phi: float | None = None
-    action_tags: tuple[str, ...] | None = None
-
-
 @dataclass(frozen=True)
 class ActionEvent:
-    t: int
     program_id: int
     action_tags: tuple[str, ...]
     trigger: int
@@ -66,19 +49,19 @@ class AgentState:
     econ: MeasurementEconomy
     seed: int
     fixed_n: int | None = None
-    memory: list[MemoryEntry] = field(default_factory=list)
-    recurrence: dict[int, int] = field(default_factory=dict)
+    trials: int = field(default=0, init=False)
+    # recognized object id -> recognitions so far, the current trial included
+    recurrence: dict[int, int] = field(default_factory=dict, init=False)
     # vector -> its outcome on kb, filled by measure as vectors occur
-    recognition: dict[tuple[int, ...], RecognitionOutcome] = field(default_factory=dict)
-    channel_rng: SplitMix64 | None = None
-    selection_rng: SplitMix64 | None = None
-    _planned_n: int | None = None
+    recognition: dict[tuple[int, ...], RecognitionOutcome] = field(
+        default_factory=dict, init=False)
+    channel_rng: SplitMix64 = field(init=False)
+    selection_rng: SplitMix64 = field(init=False)
+    _planned_n: int | None = field(default=None, init=False)
 
     def __post_init__(self):
-        if self.channel_rng is None:
-            self.channel_rng = substream(self.seed, "channel")
-        if self.selection_rng is None:
-            self.selection_rng = substream(self.seed, "selection")
+        self.channel_rng = substream(self.seed, "channel")
+        self.selection_rng = substream(self.seed, "selection")
 
 
 def planned_n(state: AgentState) -> int:
@@ -106,28 +89,20 @@ def planned_n(state: AgentState) -> int:
     return state._planned_n
 
 
-def record(state: AgentState, entry: MemoryEntry) -> AgentState:
-    expected = state.memory[-1].t + 1 if state.memory else 0
-    if entry.t != expected:
-        raise NonMonotonicTrial(f"trial {entry.t}, expected {expected}")
-    state.memory.append(entry)
-    if entry.outcome.status != UNRECOGNIZED:
-        node = entry.outcome.node
-        state.recurrence[node] = state.recurrence.get(node, 0) + 1
-    return state
-
-
-def recurrence_count(state: AgentState, object_id: int) -> int:
-    if object_id not in state.kb.objects:
-        raise UnknownObject(object_id)
-    return state.recurrence.get(object_id, 0)
+def record(state: AgentState, outcome: RecognitionOutcome) -> int:
+    """Count one trial and, if recognized, its node's recurrence; returns its index."""
+    t = state.trials
+    state.trials = t + 1
+    if outcome.status != UNRECOGNIZED:
+        state.recurrence[outcome.node] = state.recurrence.get(outcome.node, 0) + 1
+    return t
 
 
 def eligible_programs(state: AgentState, outcome: RecognitionOutcome) -> list[Program]:
     """Programs triggered by exactly the recognized node whose reflex gate is open."""
     if outcome.status == UNRECOGNIZED:
         return []
-    count = recurrence_count(state, outcome.node)
+    count = state.recurrence.get(outcome.node, 0)
     return [
         p for p in state.kb.programs_for(outcome.node)
         if p.reflex_threshold <= count
@@ -138,21 +113,18 @@ def do_action(state: AgentState, program: Program, outcome: RecognitionOutcome) 
     """Act out a program; raises IneligibleProgram unless eligible_programs lists it."""
     sealed = state.kb.programs.get(program.id)
     if (sealed is None or outcome.status == UNRECOGNIZED or sealed.trigger != outcome.node
-            or sealed.reflex_threshold > recurrence_count(state, outcome.node)):
+            or sealed.reflex_threshold > state.recurrence.get(outcome.node, 0)):
         raise IneligibleProgram(f"program {program.id} not eligible on {outcome.node}")
     tags = tuple(state.kb.operations[pid].action_tag for pid in program.operations)
-    t = state.memory[-1].t if state.memory else 0
-    return ActionEvent(t, program.id, tags, outcome.node)
+    return ActionEvent(program.id, tags, outcome.node)
 
 
 def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
     """One full trial; returns the trial log as a plain dict."""
-    t = state.memory[-1].t + 1 if state.memory else 0
     n = planned_n(state)
     result = measure(state.kb, stimulus, n, state.params, state.channel_rng,
                      state.recognition)
-    entry = MemoryEntry(t=t, outcome=result.outcome, n=n)
-    record(state, entry)
+    t = record(state, result.outcome)
 
     candidates = eligible_programs(state, result.outcome)
     qualities = [phi_program(p, result.agreement, n, state.econ) for p in candidates]
@@ -164,9 +136,6 @@ def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
     if chosen is not None:
         action = do_action(state, state.kb.programs[chosen], result.outcome)
         phi_chosen = next(q.phi for q in ordered if q.program_id == chosen)
-        entry.program_id = chosen
-        entry.phi = phi_chosen
-        entry.action_tags = action.action_tags
 
     return {
         "t": t,
@@ -207,7 +176,6 @@ def run_episode(
     state: AgentState,
     scenario,
     trials: int,
-    scenario_rng: SplitMix64 | None = None,
     config: dict | None = None,
     strict: bool = False,
 ) -> EpisodeLog:
@@ -221,8 +189,7 @@ def run_episode(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if scenario_rng is None:
-        scenario_rng = substream(state.seed, "scenario")
+    scenario_rng = substream(state.seed, "scenario")
 
     canonical_before = state.kb.canonical
     digest_before = kb_digest(state.kb)

@@ -1,10 +1,10 @@
 """Post-hoc verification of episode logs.
 
-The auditor works only on serialized logs (plus, optionally, the sealed
-KB document for id checks); it never touches live agent state, so it
-cannot mask a violation by re-deriving state. Checks: knowledge-base
-closure, no effector on unrecognized trials, trigger locality, id
-containment, and reflex gating.
+The auditor works only on a serialized log and the sealed KB the log
+claims to run on, which it needs for the id and reflex checks; it never
+touches live agent state, so it cannot mask a violation by re-deriving
+state. Checks: knowledge-base closure, no effector on unrecognized
+trials, trigger locality, id containment, and reflex gating.
 """
 from __future__ import annotations
 
@@ -83,7 +83,7 @@ def parse_log(text: str) -> tuple[dict, list[dict]]:
     try:
         header = json.loads(lines[0])
         trials = [json.loads(line) for line in lines[1:]]
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise MalformedLog(f"bad JSON: {exc}") from exc
     if not isinstance(header, dict) or not _HEADER_KEYS <= header.keys():
         raise MalformedLog("header missing required keys")
@@ -92,6 +92,8 @@ def parse_log(text: str) -> tuple[dict, list[dict]]:
     for trial in trials:
         if not isinstance(trial, dict) or not _TRIAL_KEYS <= trial.keys():
             raise MalformedLog("trial record missing required keys")
+        if trial["action"] is not None and not isinstance(trial["action"], dict):
+            raise MalformedLog("trial action is neither null nor an object")
     return header, trials
 
 
@@ -112,7 +114,7 @@ def assert_closure(header: dict, trials: list[dict]) -> CheckResult:
     return CheckResult("closure", True)
 
 
-def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase | None = None) -> CheckResult:
+def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> CheckResult:
     """No effector on unrecognized trials; trigger locality; sealed ids only."""
     known_tasks = {tid for tid, _ in
                    ((row[0], row[1]) for row in header["tasks_before"])}
@@ -128,32 +130,26 @@ def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase | None
                     "statement1", False, trial["t"],
                     f"trigger {action.get('trigger')} != recognized node {trial['node']}",
                 )
-            if kb is not None:
-                prog = kb.programs.get(action.get("program"))
-                if prog is None:
-                    return CheckResult(
-                        "statement1", False, trial["t"],
-                        f"program {action.get('program')} outside sealed KB",
-                    )
-                sealed_tags = {kb.operations[pid].action_tag for pid in prog.operations}
-                if any(tag not in sealed_tags for tag in action.get("tags", [])):
-                    return CheckResult(
-                        "statement1", False, trial["t"], "action tag outside sealed KB"
-                    )
-                if prog.trigger not in kb.objects:
-                    return CheckResult(
-                        "statement1", False, trial["t"], "trigger outside sealed KB"
-                    )
-                if kb.operations[prog.operations[0]].task not in known_tasks:
-                    return CheckResult(
-                        "statement1", False, trial["t"], "task outside sealed set"
-                    )
-        if kb is not None and trial["status"] != UNRECOGNIZED:
-            if trial["node"] not in kb.objects:
+            prog = kb.programs.get(action.get("program"))
+            if prog is None:
                 return CheckResult(
                     "statement1", False, trial["t"],
-                    f"recognized node {trial['node']} outside sealed KB",
+                    f"program {action.get('program')} outside sealed KB",
                 )
+            sealed_tags = {kb.operations[pid].action_tag for pid in prog.operations}
+            if any(tag not in sealed_tags for tag in action.get("tags", [])):
+                return CheckResult(
+                    "statement1", False, trial["t"], "action tag outside sealed KB"
+                )
+            if kb.operations[prog.operations[0]].task not in known_tasks:
+                return CheckResult(
+                    "statement1", False, trial["t"], "task outside sealed set"
+                )
+        if trial["status"] != UNRECOGNIZED and trial["node"] not in kb.objects:
+            return CheckResult(
+                "statement1", False, trial["t"],
+                f"recognized node {trial['node']} outside sealed KB",
+            )
     return CheckResult("statement1", True)
 
 
@@ -191,11 +187,10 @@ def _reflex_checks(trials: list[dict], programs) -> list[CheckResult]:
     return [early.get(p.id) or CheckResult(f"reflex[{p.id}]", True) for p in programs]
 
 
-def audit_log(header: dict, trials: list[dict], kb: KnowledgeBase | None = None) -> AuditReport:
+def audit_log(header: dict, trials: list[dict], kb: KnowledgeBase) -> AuditReport:
     """Run every check; reflex gating is checked for each KB program."""
-    checks = [assert_closure(header, trials), assert_statement1(header, trials, kb)]
-    if kb is not None:
-        checks += _reflex_checks(trials, kb.programs.values())
+    checks = [assert_closure(header, trials), assert_statement1(header, trials, kb),
+              *_reflex_checks(trials, kb.programs.values())]
     return AuditReport(
         checks=tuple(checks),
         digest_before=header["digest_before"],

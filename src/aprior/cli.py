@@ -6,7 +6,6 @@ Exit codes: 0 ok, 1 a check or validation failed, 2 operational error
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 
@@ -54,7 +53,7 @@ def _load_kb_or_exit(path):
     except OSError as exc:
         click.echo(f"I/O error: {exc}", err=True)
         sys.exit(EXIT_OPERATIONAL)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         click.echo(f"JSON error: {exc}", err=True)
         sys.exit(EXIT_OPERATIONAL)
     except BuildError as exc:
@@ -99,7 +98,7 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
     except OSError as exc:
         click.echo(f"I/O error: {exc}", err=True)
         sys.exit(EXIT_OPERATIONAL)
-    except (world_mod.ScenarioError, world_mod.TruthMismatch, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # ScenarioError, TruthMismatch or a JSON decoding error
         click.echo(f"{type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_OPERATIONAL)
 

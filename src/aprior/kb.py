@@ -58,9 +58,6 @@ class Predicate:
     def matches(self, v: tuple[int, ...]) -> bool:
         return all(v[i] == s for i, s in self.constraints)
 
-    def indices(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.constraints)
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.constraints)
 

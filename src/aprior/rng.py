@@ -40,9 +40,6 @@ class SplitMix64:
             if u < limit:
                 return u % n
 
-    def choice(self, seq):
-        return seq[self.randbelow(len(seq))]
-
 
 def substream(master_seed: int, name: str) -> SplitMix64:
     """Derive an independent named stream from the master seed."""

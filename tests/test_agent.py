@@ -7,14 +7,10 @@ import aprior.world as world_mod
 from aprior.agent import (
     AgentState,
     IneligibleProgram,
-    MemoryEntry,
-    NonMonotonicTrial,
-    UnknownObject,
     do_action,
     eligible_programs,
     planned_n,
     record,
-    recurrence_count,
     run_episode,
     step,
 )
@@ -51,25 +47,20 @@ Q1_OUT = RecognitionOutcome(1, 1, PARTIAL)
 
 def test_record_and_recurrence(kb):
     state = make_state(kb)
-    record(state, MemoryEntry(t=0, outcome=OMEGA_OUT, n=1))
-    assert len(state.memory) == 1
-    assert recurrence_count(state, 11) == 0
-    record(state, MemoryEntry(t=1, outcome=Q11_OUT, n=1))
-    record(state, MemoryEntry(t=2, outcome=Q11_OUT, n=1))
-    assert recurrence_count(state, 11) == 2
-    with pytest.raises(NonMonotonicTrial):
-        record(state, MemoryEntry(t=2, outcome=Q11_OUT, n=1))
-    with pytest.raises(UnknownObject):
-        recurrence_count(state, 999)
+    outcomes = [OMEGA_OUT, Q11_OUT, Q1_OUT, Q11_OUT, OMEGA_OUT]
+    assert [record(state, out) for out in outcomes] == [0, 1, 2, 3, 4]
+    assert state.trials == 5
+    # unrecognized trials are counted as trials, never as recurrences
+    assert state.recurrence == {11: 2, 1: 1}
 
 
 def test_eligible_programs_locality(kb):
     state = make_state(kb)
     assert eligible_programs(state, OMEGA_OUT) == []
     # program 1 triggers on Q11 only; a partial stop at Q1 offers nothing
-    record(state, MemoryEntry(t=0, outcome=Q1_OUT, n=1))
+    record(state, Q1_OUT)
     assert eligible_programs(state, Q1_OUT) == []
-    record(state, MemoryEntry(t=1, outcome=Q11_OUT, n=1))
+    record(state, Q11_OUT)
     assert [p.id for p in eligible_programs(state, Q11_OUT)] == [1]
 
 
@@ -79,7 +70,7 @@ def test_reflex_gate_counts_current_trial(kb):
     out_q2 = RecognitionOutcome(2, 1, FULL)
     fires = []
     for t in range(5):
-        record(state, MemoryEntry(t=t, outcome=out_q2, n=1))
+        assert record(state, out_q2) == t
         fires.append(bool(eligible_programs(state, out_q2)))
     expected = reflex_fire_trials([True] * 5, k=3)
     assert [t for t, fired in enumerate(fires) if fired] == expected == [2, 3, 4]
@@ -88,7 +79,7 @@ def test_reflex_gate_counts_current_trial(kb):
 def test_do_action_order_and_eligibility(kb):
     state = make_state(kb)
     out_q12 = RecognitionOutcome(12, 2, FULL)
-    record(state, MemoryEntry(t=0, outcome=out_q12, n=1))
+    record(state, out_q12)
     event = do_action(state, kb.programs[2], out_q12)
     assert event.action_tags == ("orient", "approach")
     assert event.trigger == 12
@@ -101,7 +92,7 @@ def test_do_action_rejects_what_eligible_programs_leaves_out(kb):
     state = make_state(kb)
     out_q2 = RecognitionOutcome(2, 1, FULL)
     for t in range(3):
-        record(state, MemoryEntry(t=t, outcome=out_q2, n=1))
+        record(state, out_q2)
         if t < 2:
             with pytest.raises(IneligibleProgram):
                 do_action(state, kb.programs[3], out_q2)
@@ -270,6 +261,24 @@ def test_replaced_canonical_bytes_are_hashed_not_recalled(tampered_kb):
     assert header["digest_before"] == fnv1a_oracle(original)
     assert header["digest_after"] == fnv1a_oracle(tampered_kb.canonical)
     assert kb_digest(tampered_kb) == fnv1a_oracle(tampered_kb.canonical)
+
+
+def test_state_keeps_counters_not_a_record_per_trial(kb):
+    state = make_state(kb, epsilon=0.3, fixed_n=3, seed=11)
+    run_episode(state, load_scenario(mixed_scenario_doc(), kb), 1000)
+    assert state.trials == 1000
+    assert set(state.recurrence) <= set(kb.objects)
+    assert len(state.recognition) <= kb.alphabet ** kb.dim
+    # nothing else on the state grows with the trial count
+    for f in dataclasses.fields(state):
+        value = getattr(state, f.name)
+        if f.name != "kb" and isinstance(value, (list, dict, set, tuple)):
+            assert len(value) <= max(len(kb.objects), kb.alphabet ** kb.dim), f.name
+
+
+def test_state_is_built_from_its_inputs_only(kb):
+    init = [f.name for f in dataclasses.fields(AgentState) if f.init]
+    assert init == ["kb", "params", "econ", "seed", "fixed_n"]
 
 
 @pytest.mark.parametrize("fixed_n,words", [(3, 9394), (None, 6914)])

@@ -148,7 +148,7 @@ def test_audit_reflex_results_equal_assert_reflex_per_program():
     assert outcomes == {True, False}
 
 
-def test_malformed_logs():
+def test_malformed_logs(kb):
     with pytest.raises(MalformedLog):
         parse_log("")
     with pytest.raises(MalformedLog):
@@ -161,6 +161,9 @@ def test_malformed_logs():
             "seed": 1, "trials": 0, "digest_before": 1, "digest_after": 1,
             "tasks_before": [], "tasks_after": [],
         }) + "\n")
+    header, trials = make_log(kb, trials=1)
+    with pytest.raises(MalformedLog):
+        parse_log("\n".join(json.dumps(r) for r in [header, dict(trials[0], action="x")]))
 
 
 def test_report_json_shape(kb):

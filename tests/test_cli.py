@@ -304,3 +304,44 @@ def test_run_rejects_malformed_scenario_without_traceback(runner, kb_file, tmp_p
     assert_clean_exit(result, 2)
     assert "ScenarioError" in result.output
     assert not out.exists()
+
+
+HUGE = "9" * 5000  # over Python's 4300-digit int/str conversion limit
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "audit"])
+def test_oversized_integer_literal_is_malformed_input(runner, kb_file, scenario_file,
+                                                      tmp_path, command):
+    if command == "validate":
+        text = json.dumps(three_node_doc()).replace('"utility": 1.0', f'"utility": {HUGE}', 1)
+        assert HUGE in text
+        path = tmp_path / "kb.json"
+        path.write_text(text, encoding="utf-8")
+        args = ["validate", str(path)]
+    elif command == "run":
+        text = scenario_file.read_text().replace('"value": 1.0', f'"value": {HUGE}')
+        assert HUGE in text
+        scenario_file.write_text(text, encoding="utf-8")
+        args = run_args(kb_file, scenario_file, tmp_path / "out.jsonl")
+    else:
+        log = tmp_path / "log.jsonl"
+        assert runner.invoke(main, run_args(kb_file, scenario_file, log)).exit_code == 0
+        text = log.read_text().replace('"t":0,', f'"t":{HUGE},', 1)
+        assert HUGE in text
+        log.write_text(text)
+        args = ["audit", str(log), "--kb", str(kb_file)]
+    result = runner.invoke(main, args)
+    assert_clean_exit(result, 2)
+
+
+def test_audit_rejects_a_non_object_action(runner, kb_file, scenario_file, tmp_path):
+    out = tmp_path / "log.jsonl"
+    assert runner.invoke(main, run_args(kb_file, scenario_file, out)).exit_code == 0
+    lines = out.read_text().splitlines()
+    trial = json.loads(lines[1])
+    trial["action"] = "x"
+    lines[1] = json.dumps(trial)
+    out.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["audit", str(out), "--kb", str(kb_file)])
+    assert_clean_exit(result, 2)
+    assert "MalformedLog" in result.output
