@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from . import world as world_mod
 from .decision import (
+    EXACT,
     MeasurementEconomy,
     optimal_n,
     order_and_filter,
@@ -67,9 +68,9 @@ class AgentState:
 def planned_n(state: AgentState) -> int:
     """Measurement count for each trial, chosen from congenital knowledge.
 
-    Optimizes phi(n) for the reference leaf (smallest-id leaf that pins
-    every feature); falls back to 1 when no such leaf exists. Constant
-    across an episode, so it is computed once.
+    Optimizes phi(n) exactly, for any n_max, for the reference leaf
+    (smallest-id leaf that pins every feature); falls back to 1 when no
+    such leaf exists. Constant across an episode, so computed once.
     """
     if state.fixed_n is not None:
         return state.fixed_n
@@ -83,8 +84,7 @@ def planned_n(state: AgentState) -> int:
         if ref is None:
             state._planned_n = 1
         else:
-            rng = substream(state.seed, "plan")
-            n_star, _ = optimal_n(state.kb, ref, state.params, state.econ, rng=rng)
+            n_star, _ = optimal_n(state.kb, ref, state.params, state.econ, mode=EXACT)
             state._planned_n = n_star
     return state._planned_n
 
@@ -193,7 +193,7 @@ def run_episode(
 
     canonical_before = state.kb.canonical
     digest_before = kb_digest(state.kb)
-    tasks_before = [[tid, [list(p) for p in pairs]] for tid, pairs in enumerate_tasks(state.kb)]
+    tasks_before = enumerate_tasks(state.kb)
 
     trial_logs = []
     for t in range(trials):
@@ -221,6 +221,6 @@ def run_episode(
         "digest_before": digest_before,
         "digest_after": kb_digest(state.kb),
         "tasks_before": tasks_before,
-        "tasks_after": [[tid, [list(p) for p in pairs]] for tid, pairs in enumerate_tasks(state.kb)],
+        "tasks_after": enumerate_tasks(state.kb),
     }
     return EpisodeLog(header, trial_logs)

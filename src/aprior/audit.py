@@ -1,26 +1,21 @@
-"""Post-hoc verification of episode logs.
+"""Post-hoc verification of episode logs against the sealed KB.
 
-The auditor works only on a serialized log and the sealed KB the log
-claims to run on, which it needs for the id and reflex checks; it never
-touches live agent state, so it cannot mask a violation by re-deriving
-state. Checks: knowledge-base closure, no effector on unrecognized
-trials, trigger locality, id containment, and reflex gating.
+`parse_log` alone decides whether a log is well formed, so the checks
+trust its records. The auditor reads only the log and the sealed KB,
+never live agent state. Checks: closure; the log names the sealed KB;
+no effector on unrecognized trials, trigger locality, sealed ids and
+tags; reflex gating.
 """
 from __future__ import annotations
 
 import json
-from collections.abc import Hashable
 from dataclasses import dataclass
 
-from .kb import KnowledgeBase
-from .perception import UNRECOGNIZED
+from .kb import KnowledgeBase, enumerate_tasks, kb_digest
+from .perception import FULL, PARTIAL, UNRECOGNIZED
 
 
 class MalformedLog(ValueError):
-    pass
-
-
-class UnknownProgram(KeyError):
     pass
 
 
@@ -73,27 +68,42 @@ class AuditReport:
 
 _HEADER_KEYS = {"seed", "trials", "digest_before", "digest_after", "tasks_before", "tasks_after"}
 _TRIAL_KEYS = {"t", "n", "node", "status", "action"}
+_STATUSES = (FULL, PARTIAL, UNRECOGNIZED)
+
+
+def _is_action(action) -> bool:
+    return (isinstance(action, dict) and type(action.get("program")) is int
+            and type(action.get("trigger")) is int and isinstance(action.get("tags"), list)
+            and all(isinstance(tag, str) for tag in action["tags"]))
 
 
 def parse_log(text: str) -> tuple[dict, list[dict]]:
-    """Parse a JSON-lines episode log into (header, trials)."""
+    """Parse a JSON-lines episode log into (header, trials), rejecting ill-formed records."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise MalformedLog("empty log")
     try:
         header = json.loads(lines[0])
         trials = [json.loads(line) for line in lines[1:]]
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+    except (ValueError, RecursionError) as exc:  # also the digit limit and deep nesting
         raise MalformedLog(f"bad JSON: {exc}") from exc
     if not isinstance(header, dict) or not _HEADER_KEYS <= header.keys():
         raise MalformedLog("header missing required keys")
     if not trials:
         raise MalformedLog("log has no trials")
-    for trial in trials:
+    if header["trials"] != len(trials):
+        raise MalformedLog(f"header names {header['trials']!r} trials, log has {len(trials)}")
+    for t, trial in enumerate(trials):
         if not isinstance(trial, dict) or not _TRIAL_KEYS <= trial.keys():
             raise MalformedLog("trial record missing required keys")
-        if trial["action"] is not None and not isinstance(trial["action"], dict):
-            raise MalformedLog("trial action is neither null nor an object")
+        if type(trial["t"]) is not int or trial["t"] != t:
+            raise MalformedLog(f"record {t} has t={trial['t']!r}")
+        if type(trial["node"]) is not int:
+            raise MalformedLog(f"trial {t}: node is not an integer")
+        if trial["status"] not in _STATUSES:  # a tuple: an unhashable status is just absent
+            raise MalformedLog(f"trial {t}: unknown status {trial['status']!r}")
+        if trial["action"] is not None and not _is_action(trial["action"]):
+            raise MalformedLog(f"trial {t}: action is neither null nor a well-typed object")
     return header, trials
 
 
@@ -115,41 +125,34 @@ def assert_closure(header: dict, trials: list[dict]) -> CheckResult:
 
 
 def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> CheckResult:
-    """No effector on unrecognized trials; trigger locality; sealed ids only."""
-    known_tasks = {tid for tid, _ in
-                   ((row[0], row[1]) for row in header["tasks_before"])}
+    """No effector on unrecognized trials; trigger locality; sealed ids and tags.
+
+    The log must name the sealed KB: its digest and its task enumeration.
+    """
+    digest = kb_digest(kb)
+    if header["digest_before"] != digest:
+        return CheckResult("statement1", False, None,
+                           f"log names digest {header['digest_before']}, sealed KB has {digest}")
+    if header["tasks_before"] != [[tid, [list(p) for p in pairs]]
+                                  for tid, pairs in enumerate_tasks(kb)]:
+        return CheckResult("statement1", False, None, "task enumeration differs from sealed KB")
     for trial in trials:
-        action = trial.get("action")
-        if trial["status"] == UNRECOGNIZED and action is not None:
-            return CheckResult(
-                "statement1", False, trial["t"], "action on unrecognized trial"
-            )
+        t, node, action = trial["t"], trial["node"], trial["action"]
         if action is not None:
-            if action.get("trigger") != trial["node"]:
-                return CheckResult(
-                    "statement1", False, trial["t"],
-                    f"trigger {action.get('trigger')} != recognized node {trial['node']}",
-                )
-            prog = kb.programs.get(action.get("program"))
+            if trial["status"] == UNRECOGNIZED:
+                return CheckResult("statement1", False, t, "action on unrecognized trial")
+            if action["trigger"] != node:
+                return CheckResult("statement1", False, t,
+                                   f"trigger {action['trigger']} != recognized node {node}")
+            prog = kb.programs.get(action["program"])
             if prog is None:
-                return CheckResult(
-                    "statement1", False, trial["t"],
-                    f"program {action.get('program')} outside sealed KB",
-                )
-            sealed_tags = {kb.operations[pid].action_tag for pid in prog.operations}
-            if any(tag not in sealed_tags for tag in action.get("tags", [])):
-                return CheckResult(
-                    "statement1", False, trial["t"], "action tag outside sealed KB"
-                )
-            if kb.operations[prog.operations[0]].task not in known_tasks:
-                return CheckResult(
-                    "statement1", False, trial["t"], "task outside sealed set"
-                )
-        if trial["status"] != UNRECOGNIZED and trial["node"] not in kb.objects:
-            return CheckResult(
-                "statement1", False, trial["t"],
-                f"recognized node {trial['node']} outside sealed KB",
-            )
+                return CheckResult("statement1", False, t,
+                                   f"program {action['program']} outside sealed KB")
+            if action["tags"] != [kb.operations[pid].action_tag for pid in prog.operations]:
+                return CheckResult("statement1", False, t,
+                                   f"action tags differ from program {prog.id}'s operation tags")
+        if trial["status"] != UNRECOGNIZED and node not in kb.objects:
+            return CheckResult("statement1", False, t, f"recognized node {node} outside sealed KB")
     return CheckResult("statement1", True)
 
 
@@ -168,14 +171,12 @@ def _reflex_checks(trials: list[dict], programs) -> list[CheckResult]:
     recognitions: dict = {}  # node -> recognitions so far
     early: dict[int, CheckResult] = {}  # program id -> its first fire below k
     for trial in trials:
-        # an unhashable node or program id equals no sealed (integer) id
-        if trial["status"] != UNRECOGNIZED and isinstance(node := trial["node"], Hashable):
-            recognitions[node] = recognitions.get(node, 0) + 1
-        action = trial.get("action")
+        if trial["status"] != UNRECOGNIZED:
+            recognitions[trial["node"]] = recognitions.get(trial["node"], 0) + 1
+        action = trial["action"]
         if action is None:
             continue
-        pid = action.get("program")
-        program = by_id.get(pid) if isinstance(pid, Hashable) else None
+        program = by_id.get(action["program"])
         if program is None or program.id in early:
             continue
         count = recognitions.get(program.trigger, 0)
@@ -197,5 +198,5 @@ def audit_log(header: dict, trials: list[dict], kb: KnowledgeBase) -> AuditRepor
         digest_after=header["digest_after"],
         trials=len(trials),
         unrecognized_trials=sum(1 for t in trials if t["status"] == UNRECOGNIZED),
-        actions=sum(1 for t in trials if t.get("action") is not None),
+        actions=sum(1 for t in trials if t["action"] is not None),
     )

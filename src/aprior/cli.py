@@ -47,14 +47,16 @@ def main():
     """Simulator and auditor for congenital-program agents."""
 
 
-def _load_kb_or_exit(path):
+def _load_or_exit(load, *args):
+    """Call a file loader; unreadable or malformed input exits 2, a rejected KB 1.
+
+    ValueError covers JSON and UTF-8 decoding, the integer digit limit,
+    ScenarioError, TruthMismatch and MalformedLog; RecursionError, JSON too deep.
+    """
     try:
-        return load_kb_file(path)
-    except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
-        sys.exit(EXIT_OPERATIONAL)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-        click.echo(f"JSON error: {exc}", err=True)
+        return load(*args)
+    except (OSError, ValueError, RecursionError) as exc:
+        click.echo(f"{type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_OPERATIONAL)
     except BuildError as exc:
         click.echo(f"{type(exc).__name__}: {exc}", err=True)
@@ -65,7 +67,7 @@ def _load_kb_or_exit(path):
 @click.argument("kb_path", type=click.Path())
 def validate(kb_path):
     """Build and validate a KB document; print its digest."""
-    kb = _load_kb_or_exit(kb_path)
+    kb = _load_or_exit(load_kb_file, kb_path)
     click.echo(f"ok digest={kb_digest(kb)}")
 
 
@@ -92,15 +94,8 @@ def _csv_num(x) -> str:
 def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
         fixed_n, out_path, fmt, strict):
     """Run one episode and write its log."""
-    kb = _load_kb_or_exit(kb_path)
-    try:
-        scenario = world_mod.load_scenario_file(scenario_path, kb)
-    except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
-        sys.exit(EXIT_OPERATIONAL)
-    except ValueError as exc:  # ScenarioError, TruthMismatch or a JSON decoding error
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        sys.exit(EXIT_OPERATIONAL)
+    kb = _load_or_exit(load_kb_file, kb_path)
+    scenario = _load_or_exit(world_mod.load_scenario_file, scenario_path, kb)
 
     econ = MeasurementEconomy(value=value, cost=cost, phi0=phi0, n_max=n_max)
     params = ChannelParams(epsilon=epsilon, alphabet=kb.alphabet, dim=kb.dim)
@@ -155,7 +150,7 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
               help="CSV output path; stdout when omitted.")
 def sweep(kb_path, node, epsilon, value, cost, n_max, mode, seed, out_path):
     """Sweep measurement counts and report the phi extremum as CSV."""
-    kb = _load_kb_or_exit(kb_path)
+    kb = _load_or_exit(load_kb_file, kb_path)
     econ = MeasurementEconomy(value=value, cost=cost, phi0=0.0, n_max=n_max)
     params = ChannelParams(epsilon=epsilon, alphabet=kb.alphabet, dim=kb.dim)
     rng = substream(seed, "sweep")
@@ -185,15 +180,8 @@ def sweep(kb_path, node, epsilon, value, cost, n_max, mode, seed, out_path):
               help="Write the JSON report here (default: <log>.audit.json).")
 def audit(log_path, kb_path, report_path):
     """Audit an episode log against the sealed KB."""
-    kb = _load_kb_or_exit(kb_path)
-    try:
-        header, trials = audit_mod.load_log_file(log_path)
-    except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
-        sys.exit(EXIT_OPERATIONAL)
-    except audit_mod.MalformedLog as exc:
-        click.echo(f"MalformedLog: {exc}", err=True)
-        sys.exit(EXIT_OPERATIONAL)
+    kb = _load_or_exit(load_kb_file, kb_path)
+    header, trials = _load_or_exit(audit_mod.load_log_file, log_path)
 
     report = audit_mod.audit_log(header, trials, kb)
     if report_path is None:

@@ -165,6 +165,29 @@ def test_malformed_logs(kb):
     with pytest.raises(MalformedLog):
         parse_log("\n".join(json.dumps(r) for r in [header, dict(trials[0], action="x")]))
 
+    header, trials = make_log(kb)
+    i = next(i for i, t in enumerate(trials) if t["action"] is not None)
+    action = trials[i]["action"]
+
+    def text(records):
+        return "\n".join(json.dumps(r) for r in [header, *records])
+
+    assert parse_log(text(trials)) == (header, trials)
+    with pytest.raises(MalformedLog):
+        parse_log(text(trials[:10]))  # the header still names 40 trials
+    with pytest.raises(MalformedLog):
+        parse_log("[" * 100_000)
+    for edit in [
+        {"t": 99}, {"t": str(i)}, {"node": [11]}, {"node": "11"}, {"node": True},
+        {"status": ["full"]}, {"status": "fine"}, {"action": dict(action, program=[1])},
+        {"action": dict(action, program=None)}, {"action": dict(action, trigger=True)},
+        {"action": dict(action, tags=5)}, {"action": dict(action, tags=[[1]])},
+        {"action": {"program": 1, "trigger": 11}},
+    ]:
+        doctored = [*trials[:i], dict(trials[i], **edit), *trials[i + 1:]]
+        with pytest.raises(MalformedLog):
+            parse_log(text(doctored))
+
 
 def test_report_json_shape(kb):
     header, trials = make_log(kb)

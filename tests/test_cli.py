@@ -345,3 +345,82 @@ def test_audit_rejects_a_non_object_action(runner, kb_file, scenario_file, tmp_p
     result = runner.invoke(main, ["audit", str(out), "--kb", str(kb_file)])
     assert_clean_exit(result, 2)
     assert "MalformedLog" in result.output
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder's recursion limit
+
+
+def _honest_log_lines(runner, kb_file, scenario_file, tmp_path):
+    out = tmp_path / "log.jsonl"
+    assert runner.invoke(main, run_args(kb_file, scenario_file, out)).exit_code == 0
+    return out, out.read_text().splitlines()
+
+
+def _edit_first_action(lines, edit):
+    idx = next(i for i, line in enumerate(lines[1:], 1) if json.loads(line)["action"])
+    record = json.loads(lines[idx])
+    edit(record)
+    lines[idx] = json.dumps(record)
+
+
+MALFORMED_LOG_EDITS = {
+    "action.program a list": lambda r: r["action"].update(program=[1]),
+    "action.tags an int": lambda r: r["action"].update(tags=5),
+    "action.tags a list of lists": lambda r: r["action"].update(tags=[[1]]),
+    "node a list": lambda r: r.update(node=[11]),
+    "status a list": lambda r: r.update(status=["full"]),
+    "gap in t": lambda r: r.update(t=99),
+}
+
+
+@pytest.mark.parametrize("case", [
+    "non-UTF-8 log", "deep KB", "deep scenario", "deep log", "truncated log",
+    *MALFORMED_LOG_EDITS,
+])
+def test_malformed_input_exits_2_without_traceback(runner, kb_file, scenario_file, tmp_path,
+                                                   case):
+    if case == "deep KB":
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP, encoding="utf-8")
+        args = ["validate", str(path)]
+    elif case == "deep scenario":
+        scenario_file.write_text(DEEP, encoding="utf-8")
+        args = run_args(kb_file, scenario_file, tmp_path / "out.jsonl")
+    else:
+        log, lines = _honest_log_lines(runner, kb_file, scenario_file, tmp_path)
+        if case == "non-UTF-8 log":
+            log.write_bytes(log.read_bytes().replace(b'"full"', b'"f\xffull"', 1))
+        elif case == "deep log":
+            log.write_text(DEEP + "\n")
+        elif case == "truncated log":
+            log.write_text("\n".join(lines[:11]) + "\n")  # the header still names 30 trials
+        else:
+            _edit_first_action(lines, MALFORMED_LOG_EDITS[case])
+            log.write_text("\n".join(lines) + "\n")
+        args = ["audit", str(log), "--kb", str(kb_file)]
+    result = runner.invoke(main, args)
+    assert_clean_exit(result, 2)
+    if case == "deep scenario":
+        assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("case", ["another KB", "doctored task lists", "empty tags"])
+def test_audit_fails_statement1_on_a_log_that_does_not_match_the_kb(
+        runner, kb_file, scenario_file, tmp_path, case):
+    log, lines = _honest_log_lines(runner, kb_file, scenario_file, tmp_path)
+    kb_arg = kb_file
+    if case == "another KB":
+        doc = three_node_doc()
+        doc["programs"][2]["k"] = 1
+        kb_arg = tmp_path / "other.json"
+        kb_arg.write_text(json.dumps(doc), encoding="utf-8")
+    elif case == "doctored task lists":
+        header = json.loads(lines[0])
+        header["tasks_before"] = header["tasks_after"] = header["tasks_before"][:1]
+        lines[0] = json.dumps(header)
+    else:
+        _edit_first_action(lines, lambda r: r["action"].update(tags=[]))
+    log.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["audit", str(log), "--kb", str(kb_arg)])
+    assert_clean_exit(result, 1)
+    assert result.output.startswith("FAIL statement1")
