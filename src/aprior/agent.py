@@ -11,6 +11,7 @@ never written.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import world as world_mod
@@ -22,7 +23,7 @@ from .decision import (
     phi_program,
     select_random,
 )
-from .kb import KnowledgeBase, Program, enumerate_tasks, kb_digest
+from .kb import KnowledgeBase, Program, enumerate_tasks, finite_number, kb_digest
 from .perception import (
     UNRECOGNIZED,
     ChannelParams,
@@ -34,13 +35,6 @@ from .rng import SplitMix64, substream
 
 class IneligibleProgram(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ActionEvent:
-    program_id: int
-    action_tags: tuple[str, ...]
-    trigger: int
 
 
 @dataclass
@@ -63,6 +57,11 @@ class AgentState:
     def __post_init__(self):
         self.channel_rng = substream(self.seed, "channel")
         self.selection_rng = substream(self.seed, "selection")
+        # a program's phi = U * agreement - c * n lies within max |U| + c * n
+        n = planned_n(self)
+        bound = max((abs(p.base_utility) for p in self.kb.programs.values()), default=0.0)
+        if not (finite_number(n) and math.isfinite(bound + self.econ.cost * n)):
+            raise ValueError(f"max |U| + c * n = {bound} + {self.econ.cost} * {n} overflows")
 
 
 def planned_n(state: AgentState) -> int:
@@ -109,14 +108,11 @@ def eligible_programs(state: AgentState, outcome: RecognitionOutcome) -> list[Pr
     ]
 
 
-def do_action(state: AgentState, program: Program, outcome: RecognitionOutcome) -> ActionEvent:
-    """Act out a program; raises IneligibleProgram unless eligible_programs lists it."""
-    sealed = state.kb.programs.get(program.id)
-    if (sealed is None or outcome.status == UNRECOGNIZED or sealed.trigger != outcome.node
-            or sealed.reflex_threshold > state.recurrence.get(outcome.node, 0)):
+def do_action(state: AgentState, program: Program, outcome: RecognitionOutcome) -> Program:
+    """The sealed program if eligible_programs lists this one; else IneligibleProgram."""
+    if program not in eligible_programs(state, outcome):
         raise IneligibleProgram(f"program {program.id} not eligible on {outcome.node}")
-    tags = tuple(state.kb.operations[pid].action_tag for pid in program.operations)
-    return ActionEvent(program.id, tags, outcome.node)
+    return state.kb.programs[program.id]
 
 
 def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
@@ -132,10 +128,10 @@ def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
     chosen = select_random(ordered, state.selection_rng)
 
     action = None
-    phi_chosen = None
     if chosen is not None:
-        action = do_action(state, state.kb.programs[chosen], result.outcome)
-        phi_chosen = next(q.phi for q in ordered if q.program_id == chosen)
+        program = do_action(state, state.kb.programs[chosen.program_id], result.outcome)
+        action = {"program": program.id, "tags": list(state.kb.tags[program.id]),
+                  "trigger": program.trigger}
 
     return {
         "t": t,
@@ -148,13 +144,9 @@ def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
         "agreement": result.agreement,
         "candidates": [[q.program_id, q.phi] for q in qualities],
         "eligible": [q.program_id for q in ordered],
-        "chosen": chosen,
-        "phi_chosen": phi_chosen,
-        "action": None if action is None else {
-            "program": action.program_id,
-            "tags": list(action.action_tags),
-            "trigger": action.trigger,
-        },
+        "chosen": None if chosen is None else chosen.program_id,
+        "phi_chosen": None if chosen is None else chosen.phi,
+        "action": action,
     }
 
 

@@ -148,7 +148,7 @@ def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> Ch
             if prog is None:
                 return CheckResult("statement1", False, t,
                                    f"program {action['program']} outside sealed KB")
-            if action["tags"] != [kb.operations[pid].action_tag for pid in prog.operations]:
+            if tuple(action["tags"]) != kb.tags[prog.id]:
                 return CheckResult("statement1", False, t,
                                    f"action tags differ from program {prog.id}'s operation tags")
         if trial["status"] != UNRECOGNIZED and node not in kb.objects:

@@ -47,20 +47,33 @@ def main():
     """Simulator and auditor for congenital-program agents."""
 
 
+def _exit(exc: Exception, code: int):
+    click.echo(f"{type(exc).__name__}: {exc}", err=True)
+    sys.exit(code)
+
+
 def _load_or_exit(load, *args):
-    """Call a file loader; unreadable or malformed input exits 2, a rejected KB 1.
+    """Call a loader; unreadable or malformed input exits 2, a rejected KB 1.
 
     ValueError covers JSON and UTF-8 decoding, the integer digit limit,
-    ScenarioError, TruthMismatch and MalformedLog; RecursionError, JSON too deep.
+    ScenarioError, TruthMismatch, MalformedLog and an overflowing economy;
+    RecursionError, JSON too deep.
     """
     try:
         return load(*args)
     except (OSError, ValueError, RecursionError) as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        sys.exit(EXIT_OPERATIONAL)
+        _exit(exc, EXIT_OPERATIONAL)
     except BuildError as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        sys.exit(EXIT_CHECK_FAILED)
+        _exit(exc, EXIT_CHECK_FAILED)
+
+
+def _write_or_exit(path, payload: str) -> None:
+    """Write an output file; a path that cannot be written exits 2."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        _exit(exc, EXIT_OPERATIONAL)
 
 
 @main.command()
@@ -97,9 +110,9 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
     kb = _load_or_exit(load_kb_file, kb_path)
     scenario = _load_or_exit(world_mod.load_scenario_file, scenario_path, kb)
 
-    econ = MeasurementEconomy(value=value, cost=cost, phi0=phi0, n_max=n_max)
+    econ = _load_or_exit(MeasurementEconomy, value, cost, phi0, n_max)
     params = ChannelParams(epsilon=epsilon, alphabet=kb.alphabet, dim=kb.dim)
-    state = AgentState(kb=kb, params=params, econ=econ, seed=seed, fixed_n=fixed_n)
+    state = _load_or_exit(AgentState, kb, params, econ, seed, fixed_n)
     config = {
         "kb": str(kb_path), "scenario": str(scenario_path), "value": value,
         "cost": cost, "phi0": phi0, "n_max": n_max, "epsilon": epsilon,
@@ -124,8 +137,7 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
                 tags, _csv_num(tr["score"]),
             ]))
         payload = "\n".join(rows) + "\n"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(payload)
+    _write_or_exit(out_path, payload)
 
     recognized = sum(1 for tr in log.trials if tr["status"] != UNRECOGNIZED)
     actions = sum(1 for tr in log.trials if tr["action"] is not None)
@@ -151,14 +163,13 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
 def sweep(kb_path, node, epsilon, value, cost, n_max, mode, seed, out_path):
     """Sweep measurement counts and report the phi extremum as CSV."""
     kb = _load_or_exit(load_kb_file, kb_path)
-    econ = MeasurementEconomy(value=value, cost=cost, phi0=0.0, n_max=n_max)
+    econ = _load_or_exit(MeasurementEconomy, value, cost, 0.0, n_max)
     params = ChannelParams(epsilon=epsilon, alphabet=kb.alphabet, dim=kb.dim)
     rng = substream(seed, "sweep")
     try:
         _, rows = optimal_n(kb, node, params, econ, mode=mode, rng=rng, return_sweep=True)
     except NotLeaf as exc:
-        click.echo(f"NotLeaf: {exc}", err=True)
-        sys.exit(EXIT_CHECK_FAILED)
+        _exit(exc, EXIT_CHECK_FAILED)
 
     lines = ["n,perr,phi,is_argmax"]
     lines += [
@@ -169,8 +180,7 @@ def sweep(kb_path, node, epsilon, value, cost, n_max, mode, seed, out_path):
     if out_path is None:
         click.echo(payload, nl=False)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        _write_or_exit(out_path, payload)
 
 
 @main.command()
@@ -186,8 +196,7 @@ def audit(log_path, kb_path, report_path):
     report = audit_mod.audit_log(header, trials, kb)
     if report_path is None:
         report_path = str(log_path) + ".audit.json"
-    with open(report_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report.to_json() + "\n")
+    _write_or_exit(report_path, report.to_json() + "\n")
 
     if report.passed:
         click.echo(f"PASS trials={report.trials} actions={report.actions}")

@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .kb import KnowledgeBase, Program
+from .kb import KnowledgeBase, Program, finite_number
 from .perception import ChannelParams, InvalidCount
 from .rng import SplitMix64
 
@@ -41,20 +41,22 @@ class MeasurementEconomy:
     n_max: int
 
     def __post_init__(self):
+        # NaN is neither < 0 nor < 1, so the checks below would let it through
+        if not all(map(finite_number, (self.value, self.cost, self.phi0, self.n_max))):
+            raise ValueError("value, cost, phi0 and n_max must be finite numbers")
         if self.value < 0 or self.cost < 0:
             raise ValueError("value and cost must be >= 0")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        # every sweep phi lies within value + cost * n_max
+        if not math.isfinite(self.value + self.cost * self.n_max):
+            raise ValueError("value + cost * n_max overflows a float")
 
 
 @dataclass(frozen=True)
 class ProgramQuality:
     program_id: int
     phi: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise ValueError("phi must be finite")
 
 
 def resolve_mode(n: int, params: ChannelParams, mode: str = AUTO) -> str:
@@ -223,8 +225,8 @@ def order_and_filter(qualities, phi0: float) -> list[ProgramQuality]:
     return sorted(kept, key=lambda q: (-q.phi, q.program_id))
 
 
-def select_random(eligible, rng: SplitMix64):
+def select_random(eligible, rng: SplitMix64) -> ProgramQuality | None:
     """Uniform pick over the eligible list; None when empty."""
     if not eligible:
         return None
-    return eligible[rng.randbelow(len(eligible))].program_id
+    return eligible[rng.randbelow(len(eligible))]

@@ -102,6 +102,7 @@ class KnowledgeBase:
     operations: Mapping[int, OperationDef]
     tasks: Mapping[int, Task]
     programs: Mapping[int, Program]
+    tags: Mapping[int, tuple[str, ...]]  # program id -> its operations' tags, in order
     canonical: bytes = field(repr=False)
     _children: Mapping[int, tuple[int, ...]] = field(repr=False)
     _by_trigger: Mapping[int, tuple[Program, ...]] = field(repr=False)
@@ -155,6 +156,21 @@ def _entries(doc: dict, key: str) -> list[dict]:
     return raw
 
 
+def finite_number(value) -> bool:
+    """True for a JSON number (not a boolean) that converts to a finite float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _new_id(entry: dict, declared, kind: str) -> int:
+    """The entry's id: an integer, not a boolean, that `declared` does not hold yet."""
+    value = entry.get("id")
+    if type(value) is not int:
+        raise SchemaError(f"{kind} id {value!r} must be an integer")
+    if value in declared:
+        raise DuplicateId(f"{kind} id {value} declared twice")
+    return value
+
+
 def _ref(value, known, where: str, kind: str) -> int:
     """The id `value` if `known` holds it; true or 1.0 would otherwise find key 1."""
     if type(value) is not int:
@@ -181,8 +197,9 @@ def _siblings_exclusive(p1: Predicate, p2: Predicate) -> bool:
 def build_kb(doc: dict) -> KnowledgeBase:
     """Validate a KB document and seal it into a KnowledgeBase.
 
-    The only reader of a KB document: the canonical bytes, the child map
-    and the trigger index all derive from the sealed structures.
+    The only reader of a KB document: the canonical bytes, the child map,
+    the trigger index and the program tags all derive from the sealed
+    structures.
     Raises a BuildError subclass on the first violation found. Integers
     are checked with `type(x) is int`, because JSON true and false load as
     Python ints.
@@ -202,11 +219,9 @@ def build_kb(doc: dict) -> KnowledgeBase:
 
     objects: dict[int, InternalObject] = {}
     for entry in raw_objects:
-        oid = entry.get("id")
-        if type(oid) is not int or oid < 0:
-            raise SchemaError(f"object id {oid!r} must be a non-negative integer")
-        if oid in objects:
-            raise DuplicateId(f"object id {oid} declared twice")
+        oid = _new_id(entry, objects, "object")
+        if oid < 0:
+            raise SchemaError(f"object id {oid} must be non-negative")
         parent = entry.get("parent")
         if parent is None:
             parent = ROOT
@@ -253,20 +268,11 @@ def build_kb(doc: dict) -> KnowledgeBase:
 
     task_ids = set()
     for entry in raw_tasks:
-        tid = entry.get("id")
-        if type(tid) is not int:
-            raise SchemaError(f"task id {tid!r} must be an integer")
-        if tid in task_ids:
-            raise DuplicateId(f"task id {tid} declared twice")
-        task_ids.add(tid)
+        task_ids.add(_new_id(entry, task_ids, "task"))
 
     operations: dict[int, OperationDef] = {}
     for entry in raw_operations:
-        pid = entry.get("id")
-        if type(pid) is not int:
-            raise SchemaError(f"operation id {pid!r} must be an integer")
-        if pid in operations:
-            raise DuplicateId(f"operation id {pid} declared twice")
+        pid = _new_id(entry, operations, "operation")
         tag = entry.get("action_tag")
         if not isinstance(tag, str) or not tag:
             raise SchemaError(f"operation {pid}: action_tag must be a non-empty string")
@@ -296,11 +302,7 @@ def build_kb(doc: dict) -> KnowledgeBase:
 
     programs: dict[int, Program] = {}
     for entry in raw_programs:
-        gid = entry.get("id")
-        if type(gid) is not int:
-            raise SchemaError(f"program id {gid!r} must be an integer")
-        if gid in programs:
-            raise DuplicateId(f"program id {gid} declared twice")
+        gid = _new_id(entry, programs, "program")
         trigger = _ref(entry.get("trigger"), objects, f"program {gid}", "trigger")
         ops = entry.get("operations")
         if not isinstance(ops, list) or not ops:
@@ -316,10 +318,8 @@ def build_kb(doc: dict) -> KnowledgeBase:
         if type(k) is not int or k < 1:
             raise SchemaError(f"program {gid}: k must be a positive integer")
         utility = entry.get("utility", 0.0)
-        if type(utility) not in (int, float):
-            raise SchemaError(f"program {gid}: utility must be a number")
-        if not abs(utility) <= sys.float_info.max:  # NaN, inf, or too large for a float
-            raise SchemaError(f"program {gid}: utility must be finite")
+        if not finite_number(utility):
+            raise SchemaError(f"program {gid}: utility must be a finite number")
         programs[gid] = Program(gid, trigger, tuple(ops), k, float(utility))
 
     # sealed: read-only maps in ascending id, which is also the canonical
@@ -355,6 +355,8 @@ def build_kb(doc: dict) -> KnowledgeBase:
         operations=operations,
         tasks=tasks,
         programs=programs,
+        tags=MappingProxyType({g.id: tuple(operations[pid].action_tag for pid in g.operations)
+                               for g in programs.values()}),
         canonical=canonical,
         _children=children,
         _by_trigger=_group(programs.values(), lambda g: g.trigger),

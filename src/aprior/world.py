@@ -2,18 +2,18 @@
 
 Scenarios supply ground-truth stimuli (pre-noise) on three kinds of
 schedule: a fixed cycling list, an i.i.d. weighted categorical draw, or
-a reflex schedule that repeats each entry r times before switching.
+a reflex schedule that repeats each entry r times before switching. A
+fixed schedule is the reflex schedule with r = 1.
 Unknown patterns are declared with the omega truth marker and verified
 against the knowledge base at load time.
 """
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 
-from .kb import KnowledgeBase
-from .perception import check_vector
+from .kb import KnowledgeBase, finite_number
+from .perception import FULL, check_vector, identify
 from .rng import SplitMix64
 
 OMEGA = "omega"
@@ -48,11 +48,6 @@ class Scenario:
     total_weight: float  # sum(weights), the scale of a categorical draw
 
 
-def _finite(value) -> bool:
-    # a JSON number (not a boolean) that converts to a finite float
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def _truth(value, where: str) -> int | str:
     if value != OMEGA and type(value) is not int:
         raise ScenarioError(f"{where}: truth must be an object id or {OMEGA!r}, got {value!r}")
@@ -72,11 +67,10 @@ def _check_stimulus(kb: KnowledgeBase, entry) -> Stimulus:
         raise ScenarioError(str(exc)) from exc
     truth = _truth(entry.get("truth"), f"stimulus {vector}")
     if truth == OMEGA:
-        for oid, obj in kb.objects.items():
-            if kb.is_leaf(oid) and obj.predicate.matches(vector):
-                raise TruthMismatch(
-                    f"stimulus {vector} declared {OMEGA} but matches leaf {oid}"
-                )
+        outcome = identify(kb, vector)
+        if outcome.status == FULL:
+            raise TruthMismatch(
+                f"stimulus {vector} declared {OMEGA} but matches leaf {outcome.node}")
         return Stimulus(vector, OMEGA)
     if truth not in kb.objects:
         raise TruthMismatch(f"unknown truth object {truth!r}")
@@ -105,7 +99,7 @@ def load_scenario(doc: dict, kb: KnowledgeBase) -> Scenario:
         if not isinstance(raw_weights, list) or len(raw_weights) != len(entries):
             raise ScenarioError("weights must match entries")
         for w in raw_weights:
-            if not (_finite(w) and w > 0):
+            if not (finite_number(w) and w > 0):
                 raise ScenarioError(f"weights must be positive and finite, got {w!r}")
         weights = tuple(float(w) for w in raw_weights)
 
@@ -124,7 +118,7 @@ def load_scenario(doc: dict, kb: KnowledgeBase) -> Scenario:
             raise ScenarioError(f"scoring rows must be objects, got {row!r}")
         tag = row.get("action")
         value = row.get("value")
-        if not isinstance(tag, str) or not _finite(value):
+        if not isinstance(tag, str) or not finite_number(value):
             raise ScenarioError(f"bad scoring row {row!r}")
         scoring[(tag, _truth(row.get("truth"), f"scoring row {row!r}"))] = float(value)
 
@@ -135,9 +129,7 @@ def next_stimulus(scenario: Scenario, t: int, rng: SplitMix64) -> Stimulus:
     """Stimulus for trial t; consumes rng only on categorical schedules."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if scenario.kind == FIXED:
-        return scenario.entries[t % len(scenario.entries)]
-    if scenario.kind == REFLEX:
+    if scenario.kind != CATEGORICAL:  # fixed is reflex with repeat 1
         return scenario.entries[(t // scenario.repeat) % len(scenario.entries)]
     # categorical: one weighted draw
     u = rng.next_float() * scenario.total_weight

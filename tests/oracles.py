@@ -70,6 +70,19 @@ def brute_outcome_probability(kb, x, n: int, eps: float, a: int, node: int) -> f
     return total
 
 
+def matching_leaf(kb, v):
+    """The smallest-id leaf whose predicate v satisfies, or None.
+
+    A scan over every object, without the tree descent: a leaf is an
+    object that is no object's parent.
+    """
+    parents = {obj.parent for obj in kb.objects.values()}
+    for oid in sorted(kb.objects):
+        if oid not in parents and all(v[i] == s for i, s in kb.objects[oid].predicate.constraints):
+            return oid
+    return None
+
+
 def fnv1a_oracle(data: bytes) -> int:
     h = 14695981039346656037
     for b in data:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -80,9 +81,10 @@ def test_do_action_order_and_eligibility(kb):
     state = make_state(kb)
     out_q12 = RecognitionOutcome(12, 2, FULL)
     record(state, out_q12)
-    event = do_action(state, kb.programs[2], out_q12)
-    assert event.action_tags == ("orient", "approach")
-    assert event.trigger == 12
+    program = do_action(state, kb.programs[2], out_q12)
+    assert program is kb.programs[2]
+    assert kb.tags[program.id] == ("orient", "approach")
+    assert program.trigger == 12
     with pytest.raises(IneligibleProgram):
         do_action(state, kb.programs[1], out_q12)
 
@@ -96,12 +98,23 @@ def test_do_action_rejects_what_eligible_programs_leaves_out(kb):
         if t < 2:
             with pytest.raises(IneligibleProgram):
                 do_action(state, kb.programs[3], out_q2)
-    assert do_action(state, kb.programs[3], out_q2).action_tags == ("approach",)
+    assert kb.tags[do_action(state, kb.programs[3], out_q2).id] == ("approach",)
     with pytest.raises(IneligibleProgram):
         do_action(state, kb.programs[3], RecognitionOutcome(2, 1, UNRECOGNIZED))
     foreign = dataclasses.replace(kb.programs[3], id=99)
     with pytest.raises(IneligibleProgram):
         do_action(state, foreign, out_q2)
+
+
+def test_do_action_rejects_a_copy_with_other_operations(kb):
+    # acting out the copy would give ("orient",), not the sealed ("orient", "approach")
+    state = make_state(kb)
+    out_q12 = RecognitionOutcome(12, 2, FULL)
+    record(state, out_q12)
+    copy = dataclasses.replace(kb.programs[2], operations=(2,))
+    with pytest.raises(IneligibleProgram):
+        do_action(state, copy, out_q12)
+    assert do_action(state, dataclasses.replace(kb.programs[2]), out_q12) is kb.programs[2]
 
 
 def test_step_unrecognized_leaves_kb_untouched(kb):
@@ -191,6 +204,18 @@ def test_run_episode_closure_and_tasks(kb):
             assert trial["action"] is None
         if trial["action"]:
             assert trial["action"]["trigger"] == trial["node"]
+
+
+@pytest.mark.parametrize("fixed_n,utility", [(20, 1.0), (3, 1.7e308)])
+def test_state_rejects_a_phi_that_overflows(fixed_n, utility):
+    # the economy's bound, 1 + 1e307 * 9, is finite; n=20 or a utility of
+    # 1.7e308 takes |utility| + cost * n past the largest float
+    doc = three_node_doc()
+    doc["programs"][0]["utility"] = utility
+    message = f"max |U| + c * n = {utility} + 1e+307 * {fixed_n} overflows"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_state(build_kb(doc), fixed_n=fixed_n, cost=1e307)
+    make_state(build_kb(doc), fixed_n=fixed_n, cost=1e306)
 
 
 def test_run_episode_rejects_zero_trials(kb):

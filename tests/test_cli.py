@@ -424,3 +424,39 @@ def test_audit_fails_statement1_on_a_log_that_does_not_match_the_kb(
     result = runner.invoke(main, ["audit", str(log), "--kb", str(kb_arg)])
     assert_clean_exit(result, 1)
     assert result.output.startswith("FAIL statement1")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "audit"])
+def test_output_path_in_a_missing_directory_exits_2(runner, kb_file, scenario_file, tmp_path,
+                                                   command):
+    missing = tmp_path / "missing" / "out"
+    if command == "run":
+        args = run_args(kb_file, scenario_file, missing)
+    elif command == "sweep":
+        args = sweep_args(kb_file, out=missing, n_max=9)
+    else:
+        log, _ = _honest_log_lines(runner, kb_file, scenario_file, tmp_path)
+        args = ["audit", str(log), "--kb", str(kb_file), "--report", str(missing)]
+    result = runner.invoke(main, args)
+    assert_clean_exit(result, 2)
+    assert result.output.startswith("FileNotFoundError: ")
+    assert len(result.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("run", ["--cost", "1e308"]),  # the economy: 1 + 1e308 * 9
+    ("run", ["--cost", "1e307", "--fixed-n", "20"]),  # the episode: 1 + 1e307 * 20
+    ("run", ["--fixed-n", "1" + "0" * 400]),  # an n past the floats, with cost 0.02
+    ("sweep", ["--cost", "1e308"]),
+])
+def test_overflowing_economy_exits_2(runner, kb_file, scenario_file, tmp_path, command, extra):
+    out = tmp_path / "out.txt"
+    args = (run_args(kb_file, scenario_file, out) if command == "run"
+            else sweep_args(kb_file, out=out, n_max=9))
+    for option, value in zip(extra[::2], extra[1::2]):
+        args[args.index(option) + 1] = value
+    result = runner.invoke(main, args)
+    assert_clean_exit(result, 2)
+    assert result.output.startswith("ValueError: ")
+    assert "overflows" in result.output
+    assert not out.exists()

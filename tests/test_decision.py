@@ -147,6 +147,17 @@ def test_sweep_matches_brute_oracle(kb, params, econ):
     assert phi_star > sweep[0].phi and phi_star > sweep[-1].phi
 
 
+@pytest.mark.parametrize("fields", [
+    {"value": math.nan}, {"cost": math.nan}, {"phi0": math.nan}, {"cost": math.inf},
+    {"n_max": 10 ** 400}, {"cost": 1e308}, {"value": 1e308, "cost": 1e307},
+], ids=["nan value", "nan cost", "nan phi0", "inf cost", "n_max past the floats",
+        "cost * n_max overflows", "value + cost * n_max overflows"])
+def test_economy_rejects_non_finite_numbers_and_an_overflowing_bound(fields):
+    # NaN fails `< 0`, so only a finiteness check stops it; 1 + 1e308 * 9 is inf
+    with pytest.raises(ValueError, match="finite|overflows"):
+        MeasurementEconomy(**{"value": 1.0, "cost": 0.0, "phi0": 0.0, "n_max": 9, **fields})
+
+
 def test_phi_program_values(kb, econ):
     prog = kb.programs[1]
     free = MeasurementEconomy(value=1.0, cost=0.0, phi0=0.0, n_max=9)
@@ -189,14 +200,14 @@ def test_select_random_edges():
     rng = SplitMix64(0)
     assert select_random([], rng) is None
     only = [ProgramQuality(7, 1.0)]
-    assert all(select_random(only, rng) == 7 for _ in range(20))
+    assert all(select_random(only, rng) is only[0] for _ in range(20))
 
 
 def test_select_random_uniform_law():
     qs = [ProgramQuality(1, 0.5), ProgramQuality(2, 0.5)]
     rng = SplitMix64(2718)
     n = 10_000
-    ones = sum(1 for _ in range(n) if select_random(qs, rng) == 1)
+    ones = sum(1 for _ in range(n) if select_random(qs, rng).program_id == 1)
     sigma = math.sqrt(n * 0.25)
     assert abs(ones - n / 2) < 3 * sigma
 

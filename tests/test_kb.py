@@ -257,6 +257,26 @@ def test_sealed_containers_are_read_only(kb):
     assert isinstance(kb.programs_for(12), tuple)
 
 
+@pytest.mark.parametrize("make", [three_node_doc, minimal_doc])
+def test_sealed_tags_are_the_operation_tags_in_order(make):
+    doc = make()
+    op = doc["operations"][0]["id"]
+    trigger = doc["programs"][0]["trigger"]
+    doc["operations"].append({"id": 9, "action_tag": "last", "task": doc["tasks"][0]["id"],
+                              "applicable_objects": [trigger]})
+    doc["programs"].append({"id": 9, "trigger": trigger, "operations": [9, op, 9]})
+    kb = build_kb(doc)
+    tag_of = {o["id"]: o["action_tag"] for o in doc["operations"]}
+    for raw in doc["programs"]:
+        assert kb.tags[raw["id"]] == tuple(tag_of[pid] for pid in raw["operations"])
+    assert kb.tags[9] == ("last", tag_of[op], "last")
+    with pytest.raises(TypeError):
+        kb.tags[9] = ("other",)
+    with pytest.raises(TypeError):
+        del kb.tags[9]
+    assert kb.tags[9] == ("last", tag_of[op], "last")
+
+
 def _respell(doc: dict, rnd, omit_defaults: bool) -> dict:
     """The same KB in another spelling: arrays shuffled, defaults left out."""
     for key in ("objects", "operations", "tasks", "programs"):

@@ -1,7 +1,11 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aprior.kb import build_kb
 from aprior.rng import SplitMix64
 from aprior.world import (
     OMEGA,
@@ -11,6 +15,7 @@ from aprior.world import (
     next_stimulus,
     score,
 )
+from oracles import matching_leaf
 
 
 def fixed_doc(entries, scoring=None):
@@ -38,6 +43,59 @@ def test_omega_requires_no_leaf_match(kb):
     # (0,2) matches internal Q1 but no leaf, so omega is allowed
     sc = load_scenario(fixed_doc([{"vector": [0, 2], "truth": OMEGA}]), kb)
     assert sc.entries[0].truth == OMEGA
+
+
+def assert_omega_check_agrees_with_leaf_scan(kb):
+    for v in itertools.product(range(kb.alphabet), repeat=kb.dim):
+        leaf = matching_leaf(kb, v)
+        doc = fixed_doc([{"vector": list(v), "truth": OMEGA}])
+        if leaf is None:
+            assert load_scenario(doc, kb).entries[0].truth == OMEGA
+        else:
+            with pytest.raises(TruthMismatch, match=rf"matches leaf {leaf}$"):
+                load_scenario(doc, kb)
+
+
+def test_omega_check_agrees_with_leaf_scan_on_every_vector(kb):
+    assert_omega_check_agrees_with_leaf_scan(kb)
+
+
+@st.composite
+def tree_docs(draw):
+    """A KB document holding only a random recognition tree.
+
+    Each node's children pin one more free feature to distinct symbols,
+    which makes siblings exclusive, and may pin further free features.
+    """
+    a, d = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    objects = []
+
+    def grow(parent, pinned: dict):
+        free = [i for i in range(d) if i not in pinned]
+        if not free:
+            return
+        split = draw(st.sampled_from(free))
+        symbols = draw(st.lists(st.integers(0, a - 1), unique=True,
+                                min_size=1 if parent is None else 0, max_size=a))
+        for s in symbols:
+            own = {**pinned, split: s}
+            for i in free:
+                if i != split and draw(st.integers(0, 3)) == 0:
+                    own[i] = draw(st.integers(0, a - 1))
+            oid = len(objects)
+            objects.append({"id": oid, "parent": parent,
+                            "predicate": [[i, own[i]] for i in sorted(own)]})
+            grow(oid, own)
+
+    grow(None, {})
+    return {"d": d, "alphabet": a, "objects": objects, "operations": [], "tasks": [],
+            "programs": []}
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_docs())
+def test_omega_check_agrees_with_leaf_scan_on_random_trees(doc):
+    assert_omega_check_agrees_with_leaf_scan(build_kb(doc))
 
 
 def test_schema_errors(kb):
