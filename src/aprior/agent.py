@@ -7,6 +7,12 @@ recurrence counter feeding the reflex gate includes the current trial,
 so a threshold-k program first becomes eligible on the k-th recognition
 of its trigger and stays eligible afterwards. The knowledge base is
 never written.
+
+`step` and `run_episode` share one trial kernel. Gate, phi and order
+depend only on the node, the count of agreeing observations and the gate
+state min(recurrence, largest k among the node's programs), so their
+results are kept per episode in a decision table with that key, along
+with the log members they determine.
 """
 from __future__ import annotations
 
@@ -18,6 +24,7 @@ from . import world as world_mod
 from .decision import (
     EXACT,
     MeasurementEconomy,
+    ProgramQuality,
     optimal_n,
     order_and_filter,
     phi_program,
@@ -28,7 +35,7 @@ from .perception import (
     UNRECOGNIZED,
     ChannelParams,
     RecognitionOutcome,
-    measure,
+    observe,
 )
 from .rng import SplitMix64, substream
 
@@ -49,6 +56,9 @@ class AgentState:
     recurrence: dict[int, int] = field(default_factory=dict, init=False)
     # vector -> its outcome on kb, filled by measure as vectors occur
     recognition: dict[tuple[int, ...], RecognitionOutcome] = field(
+        default_factory=dict, init=False)
+    # node -> (largest k among its programs, {(hits, gate state): _Decision})
+    decisions: dict[int, tuple[int, dict[tuple[int, int], _Decision]]] = field(
         default_factory=dict, init=False)
     channel_rng: SplitMix64 = field(init=False)
     selection_rng: SplitMix64 = field(init=False)
@@ -115,53 +125,130 @@ def do_action(state: AgentState, program: Program, outcome: RecognitionOutcome) 
     return state.kb.programs[program.id]
 
 
-def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
-    """One full trial; returns the trial log as a plain dict."""
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _members(**fields) -> str:
+    """The fields as JSON object members in sorted key order, each followed by a comma."""
+    return _ENCODER.encode(fields)[1:-1] + ","
+
+
+class _Choice:
+    """One pick from a decision: the sealed program (None: no action) and its log members.
+
+    head holds the members before "denoised", and mid those from
+    "eligible" through "phi_chosen", in the log's sorted key order.
+    """
+
+    __slots__ = ("program", "program_id", "phi", "tags", "head", "mid")
+
+    def __init__(self, state: AgentState, outcome: RecognitionOutcome, decision: _Decision,
+                 chosen: ProgramQuality | None, n: int):
+        self.program = None
+        self.program_id = self.phi = None
+        self.tags: tuple[str, ...] = ()
+        if chosen is not None:
+            self.program = do_action(state, state.kb.programs[chosen.program_id], outcome)
+            self.program_id, self.phi = chosen.program_id, chosen.phi
+            self.tags = state.kb.tags[self.program_id]
+        text = _ENCODER.encode({
+            "action": self.action(), "agreement": decision.agreement,
+            "candidates": decision.candidates(), "chosen": self.program_id,
+            "eligible": decision.eligible(), "n": n, "node": outcome.node,
+            "phi_chosen": self.phi,
+        })
+        # a '"' inside a string value is escaped, so only the member boundary matches
+        split = text.index(',"eligible":') + 1
+        self.head, self.mid = text[:split], text[split:-1] + ","
+
+    def action(self) -> dict | None:
+        if self.program is None:
+            return None
+        return {"program": self.program_id, "tags": list(self.tags),
+                "trigger": self.program.trigger}
+
+
+class _Decision:
+    """What eligible_programs, phi_program and order_and_filter give for one table key."""
+
+    __slots__ = ("agreement", "qualities", "ordered", "choices")
+
+    def __init__(self, state: AgentState, outcome: RecognitionOutcome, hits: int, n: int):
+        self.agreement = hits / n
+        self.qualities = [phi_program(p, self.agreement, n, state.econ)
+                          for p in eligible_programs(state, outcome)]
+        self.ordered = order_and_filter(self.qualities, state.econ.phi0)
+        self.choices: dict[int | None, _Choice] = {}  # chosen program id -> its choice
+
+    def candidates(self) -> list[list]:
+        return [[q.program_id, q.phi] for q in self.qualities]
+
+    def eligible(self) -> list[int]:
+        return [q.program_id for q in self.ordered]
+
+
+def _decision(state: AgentState, outcome: RecognitionOutcome, hits: int, n: int) -> _Decision:
+    """The decision table entry for this trial; a miss builds it from the gate rule."""
+    node = outcome.node
+    table = state.decisions.get(node)
+    if table is None:
+        k_max = max((p.reflex_threshold for p in state.kb.programs_for(node)), default=0)
+        table = state.decisions[node] = (k_max, {})
+    k_max, entries = table
+    # counts past the largest k open no further gate, so they share one entry
+    key = (hits, min(state.recurrence.get(node, 0), k_max))
+    decision = entries.get(key)
+    if decision is None:
+        decision = entries[key] = _Decision(state, outcome, hits, n)
+    return decision
+
+
+def _trial(state: AgentState, stimulus: tuple[int, ...]):
+    """The trial kernel: measure, count, gate, order, pick; stimulus is not checked."""
     n = planned_n(state)
-    result = measure(state.kb, stimulus, n, state.params, state.channel_rng,
-                     state.recognition)
-    t = record(state, result.outcome)
-
-    candidates = eligible_programs(state, result.outcome)
-    qualities = [phi_program(p, result.agreement, n, state.econ) for p in candidates]
-    ordered = order_and_filter(qualities, state.econ.phi0)
-    chosen = select_random(ordered, state.selection_rng)
-
-    action = None
-    if chosen is not None:
-        program = do_action(state, state.kb.programs[chosen.program_id], result.outcome)
-        action = {"program": program.id, "tags": list(state.kb.tags[program.id]),
-                  "trigger": program.trigger}
-
-    return {
+    denoised, outcome, hits = observe(state.kb, stimulus, n, state.params, state.channel_rng,
+                                      state.recognition)
+    t = record(state, outcome)
+    decision = _decision(state, outcome, hits, n)
+    chosen = select_random(decision.ordered, state.selection_rng)
+    choice = decision.choices.get(None if chosen is None else chosen.program_id)
+    if choice is None:
+        choice = _Choice(state, outcome, decision, chosen, n)
+        decision.choices[choice.program_id] = choice
+    trial = {
         "t": t,
         "stimulus": list(stimulus),
         "n": n,
-        "denoised": list(result.denoised),
-        "node": result.outcome.node,
-        "depth": result.outcome.depth,
-        "status": result.outcome.status,
-        "agreement": result.agreement,
-        "candidates": [[q.program_id, q.phi] for q in qualities],
-        "eligible": [q.program_id for q in ordered],
-        "chosen": None if chosen is None else chosen.program_id,
-        "phi_chosen": None if chosen is None else chosen.phi,
-        "action": action,
+        "denoised": list(denoised),
+        "node": outcome.node,
+        "depth": outcome.depth,
+        "status": outcome.status,
+        "agreement": decision.agreement,
+        "candidates": decision.candidates(),
+        "eligible": decision.eligible(),
+        "chosen": choice.program_id,
+        "phi_chosen": choice.phi,
+        "action": choice.action(),
     }
+    return trial, denoised, outcome, choice
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
+    """One full trial; returns the trial log as a plain dict.
+
+    The stimulus is not checked: load_scenario checks every scenario's.
+    """
+    return _trial(state, stimulus)[0]
 
 
 @dataclass
 class EpisodeLog:
     header: dict
     trials: list[dict]
+    lines: list[str]  # each trial's JSON line, as the encoder writes its dict
 
     def to_jsonl(self) -> str:
-        lines = [_ENCODER.encode(self.header)]
-        lines += [_ENCODER.encode(trial) for trial in self.trials]
-        return "\n".join(lines) + "\n"
+        return "\n".join([_ENCODER.encode(self.header), *self.lines]) + "\n"
 
 
 def run_episode(
@@ -187,24 +274,39 @@ def run_episode(
     digest_before = kb_digest(state.kb)
     tasks_before = enumerate_tasks(state.kb)
 
-    trial_logs = []
-    for t in range(trials):
-        stim = world_mod.next_stimulus(scenario, t, scenario_rng)
-        log = step(state, stim.vector)
+    next_stimulus = world_mod.next_stimulus
+    # log members kept per folded vector, per stimulus, per (program, status, truth)
+    folded: dict[tuple[int, ...], str] = {}
+    shown: dict[world_mod.Stimulus, tuple[str, str]] = {}
+    tails: dict[tuple[int | None, str, int | str], tuple[float, str]] = {}
+    trial_logs, lines = [], []
+    for i in range(trials):
+        stim = next_stimulus(scenario, i, scenario_rng)
+        log, denoised, outcome, choice = _trial(state, stim.vector)
+        key = (choice.program_id, outcome.status, stim.truth)
+        tail = tails.get(key)
+        if tail is None:
+            score = 0.0
+            if choice.program is not None:
+                score = sum(world_mod.score(scenario, tag, stim.truth) for tag in choice.tags)
+            tail = tails[key] = score, _members(score=score, status=outcome.status)
         log["truth"] = stim.truth
-        if log["action"]:
-            log["score"] = sum(
-                world_mod.score(scenario, tag, stim.truth)
-                for tag in log["action"]["tags"]
-            )
-        else:
-            log["score"] = 0.0
+        log["score"] = tail[0]
         if strict:
             if state.kb.canonical != canonical_before:
-                raise AssertionError(f"trial {t}: knowledge base canonical bytes changed")
-            if log["status"] == UNRECOGNIZED and log["action"] is not None:
-                raise AssertionError(f"trial {t}: action on unrecognized stimulus")
+                raise AssertionError(f"trial {i}: knowledge base canonical bytes changed")
+            if outcome.status == UNRECOGNIZED and choice.program is not None:
+                raise AssertionError(f"trial {i}: action on unrecognized stimulus")
         trial_logs.append(log)
+
+        vector = folded.get(denoised)
+        if vector is None:
+            vector = folded[denoised] = _members(denoised=list(denoised), depth=outcome.depth)
+        around = shown.get(stim)
+        if around is None:
+            around = shown[stim] = (_members(stimulus=list(stim.vector)) + '"t":',
+                                    "," + _members(truth=stim.truth)[:-1] + "}")
+        lines.append(f"{choice.head}{vector}{choice.mid}{tail[1]}{around[0]}{log['t']}{around[1]}")
 
     header = {
         "seed": state.seed,
@@ -215,4 +317,4 @@ def run_episode(
         "tasks_before": tasks_before,
         "tasks_after": enumerate_tasks(state.kb),
     }
-    return EpisodeLog(header, trial_logs)
+    return EpisodeLog(header, trial_logs, lines)

@@ -4,14 +4,14 @@
 trust its records. The auditor reads only the log and the sealed KB,
 never live agent state. Checks: closure; the log names the sealed KB;
 no effector on unrecognized trials, trigger locality, sealed ids and
-tags; reflex gating.
+tags, a pick that agrees with its own record; reflex gating.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 
-from .kb import KnowledgeBase, enumerate_tasks, kb_digest
+from .kb import KnowledgeBase, enumerate_tasks, finite_number, kb_digest
 from .perception import FULL, PARTIAL, UNRECOGNIZED
 
 
@@ -67,7 +67,8 @@ class AuditReport:
 
 
 _HEADER_KEYS = {"seed", "trials", "digest_before", "digest_after", "tasks_before", "tasks_after"}
-_TRIAL_KEYS = {"t", "n", "node", "status", "action"}
+_TRIAL_KEYS = {"t", "n", "node", "status", "action", "candidates", "eligible", "chosen",
+               "phi_chosen"}
 _STATUSES = (FULL, PARTIAL, UNRECOGNIZED)
 
 
@@ -75,6 +76,18 @@ def _is_action(action) -> bool:
     return (isinstance(action, dict) and type(action.get("program")) is int
             and type(action.get("trigger")) is int and isinstance(action.get("tags"), list)
             and all(isinstance(tag, str) for tag in action["tags"]))
+
+
+def _is_decision(trial: dict) -> bool:
+    """candidates are [id, phi] pairs, eligible ids, chosen an id or null, phi_chosen a phi or null."""
+    candidates, eligible, chosen, phi = (
+        trial["candidates"], trial["eligible"], trial["chosen"], trial["phi_chosen"])
+    return (type(candidates) is list
+            and all(type(c) is list and len(c) == 2 and type(c[0]) is int
+                    and finite_number(c[1]) for c in candidates)
+            and type(eligible) is list and all(type(pid) is int for pid in eligible)
+            and (chosen is None or type(chosen) is int)
+            and (phi is None or finite_number(phi)))
 
 
 def parse_log(text: str) -> tuple[dict, list[dict]]:
@@ -104,6 +117,8 @@ def parse_log(text: str) -> tuple[dict, list[dict]]:
             raise MalformedLog(f"trial {t}: unknown status {trial['status']!r}")
         if trial["action"] is not None and not _is_action(trial["action"]):
             raise MalformedLog(f"trial {t}: action is neither null nor a well-typed object")
+        if not _is_decision(trial):
+            raise MalformedLog(f"trial {t}: ill-typed candidates, eligible, chosen or phi_chosen")
     return header, trials
 
 
@@ -128,6 +143,10 @@ def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> Ch
     """No effector on unrecognized trials; trigger locality; sealed ids and tags.
 
     The log must name the sealed KB: its digest and its task enumeration.
+    Each trial's pick must agree with its own record: chosen is null
+    exactly when action is, chosen is the action's program, chosen is in
+    eligible, eligible lies within the candidate ids, and phi_chosen is
+    the chosen candidate's phi (null with no pick).
     """
     digest = kb_digest(kb)
     if header["digest_before"] != digest:
@@ -153,7 +172,33 @@ def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> Ch
                                    f"action tags differ from program {prog.id}'s operation tags")
         if trial["status"] != UNRECOGNIZED and node not in kb.objects:
             return CheckResult("statement1", False, t, f"recognized node {node} outside sealed KB")
+        pick = _pick_mismatch(trial)
+        if pick:
+            return CheckResult("statement1", False, t, pick)
     return CheckResult("statement1", True)
+
+
+def _pick_mismatch(trial: dict) -> str:
+    """Why the trial's chosen program disagrees with its own record, or ""."""
+    chosen, action, eligible = trial["chosen"], trial["action"], trial["eligible"]
+    phi = dict(trial["candidates"])  # candidate id -> its phi
+    if not phi.keys() >= set(eligible):
+        return f"eligible {eligible} not within the candidate ids"
+    if chosen is None:
+        if action is not None:
+            return "action with no chosen program"
+        if trial["phi_chosen"] is not None:
+            return f"phi_chosen {trial['phi_chosen']} with no chosen program"
+        return ""
+    if action is None:
+        return f"chosen {chosen} with no action"
+    if chosen != action["program"]:
+        return f"chosen {chosen} != action program {action['program']}"
+    if chosen not in eligible:
+        return f"chosen {chosen} not in eligible {eligible}"
+    if trial["phi_chosen"] != phi[chosen]:
+        return f"phi_chosen {trial['phi_chosen']} != candidate {chosen}'s phi {phi[chosen]}"
+    return ""
 
 
 def assert_reflex(trials: list[dict], program) -> CheckResult:

@@ -105,7 +105,7 @@ def _exact_feature_accuracy(n: int, eps: float, a: int, true_symbol: int) -> flo
 def _mc_feature_accuracy(
     n: int, params: ChannelParams, true_symbol: int, rng: SplitMix64, samples: int
 ) -> float:
-    # draw pattern matches perception.corrupt_symbol: one corruption word,
+    # draw pattern matches perception.channel: one corruption word,
     # then one rejection-sampled replacement when corrupted
     a = params.alphabet
     threshold = params.threshold

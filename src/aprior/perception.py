@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .kb import ROOT, KnowledgeBase
-from .rng import SplitMix64
+from .rng import GAMMA, MASK64, MIX1, MIX2, SplitMix64
 
 FULL = "full"
 PARTIAL = "partial"
@@ -87,24 +87,81 @@ def identify(kb: KnowledgeBase, v: tuple[int, ...]) -> RecognitionOutcome:
     return RecognitionOutcome(node, depth, status)
 
 
-def corrupt_symbol(symbol: int, params: ChannelParams, rng: SplitMix64) -> int:
-    """One channel use: keep with prob 1-eps, else a uniform other symbol."""
-    if rng.next_u64() >= params.threshold:
-        return symbol
-    j = rng.randbelow(params.alphabet - 1)
-    return j if j < symbol else j + 1
+def channel(
+    x: tuple[int, ...], n: int, params: ChannelParams, rng: SplitMix64
+) -> list[tuple[int, ...]]:
+    """n observations of x through the channel; x and n are not checked.
+
+    Each channel use keeps its symbol with prob 1-eps, else replaces it
+    by a uniform other symbol. It draws one word, and a corrupted use then
+    draws rng.randbelow(alphabet - 1) by rejection. The splitmix64 steps of
+    SplitMix64.next_u64 run here on local variables, in the same order, and
+    the stream's state is written back at the end.
+    """
+    threshold = params.threshold
+    others = params.alphabet - 1
+    limit = (1 << 64) // others * others  # randbelow's rejection bound
+    gamma, mask, mix1, mix2 = GAMMA, MASK64, MIX1, MIX2
+    s = rng.state
+    observations = []
+    for _ in range(n):
+        obs = []
+        for sym in x:
+            s = (s + gamma) & mask
+            z = ((s ^ (s >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            if z ^ (z >> 31) < threshold:
+                u = limit
+                while u >= limit:
+                    s = (s + gamma) & mask
+                    z = ((s ^ (s >> 30)) * mix1) & mask
+                    z = ((z ^ (z >> 27)) * mix2) & mask
+                    u = z ^ (z >> 31)
+                j = u % others
+                sym = j if j < sym else j + 1
+            obs.append(sym)
+        observations.append(tuple(obs))
+    rng.state = s
+    return observations
 
 
 def corrupt(v: tuple[int, ...], params: ChannelParams, rng: SplitMix64) -> tuple[int, ...]:
-    return tuple(corrupt_symbol(s, params, rng) for s in v)
+    """One observation of v through the channel."""
+    return channel(v, 1, params, rng)[0]
 
 
 def majority_fold(observations) -> tuple[int, ...]:
     """Per-feature modal symbol; ties broken by lowest symbol value."""
     if not observations:
         raise InvalidCount("need at least one observation")
-    # max keeps the first of equal counts, and the candidates ascend
-    return tuple(max(sorted(set(col)), key=col.count) for col in zip(*observations))
+    half = len(observations) // 2
+    # a strict majority is the only mode; otherwise max keeps the first of
+    # equal counts, and the candidates ascend
+    return tuple(col[0] if col.count(col[0]) > half else max(sorted(set(col)), key=col.count)
+                 for col in zip(*observations))
+
+
+def observe(
+    kb: KnowledgeBase,
+    x: tuple[int, ...],
+    n: int,
+    params: ChannelParams,
+    rng: SplitMix64,
+    memo: dict[tuple[int, ...], RecognitionOutcome],
+) -> tuple[tuple[int, ...], RecognitionOutcome, int]:
+    """measure without its checks: (folded vector, its outcome, agreeing observations).
+
+    memo maps vectors to their outcomes on kb; each vector missing from it
+    is identified once and added.
+    """
+    observations = channel(x, n, params, rng)
+    denoised = majority_fold(observations)
+    for v in (denoised, *observations):
+        if v not in memo:
+            memo[v] = identify(kb, v)
+    outcome = memo[denoised]
+    node = outcome.node
+    return denoised, outcome, sum(1 for obs in observations if memo[obs].node == node)
 
 
 def measure(
@@ -126,13 +183,5 @@ def measure(
     if n < 1:
         raise InvalidCount("n must be >= 1")
     check_vector(x, params.dim, params.alphabet)
-    if memo is None:
-        memo = {}
-    observations = [corrupt(x, params, rng) for _ in range(n)]
-    denoised = majority_fold(observations)
-    for v in (denoised, *observations):
-        if v not in memo:
-            memo[v] = identify(kb, v)
-    outcome = memo[denoised]
-    hits = sum(1 for obs in observations if memo[obs].node == outcome.node)
+    denoised, outcome, hits = observe(kb, x, n, params, rng, {} if memo is None else memo)
     return MeasurementResult(denoised, outcome, hits / n, n)

@@ -9,21 +9,23 @@ from __future__ import annotations
 
 from .digest import fnv1a_64
 
-_MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15  # added to the state once per word
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
     """Deterministic 64-bit PRNG (splitmix64)."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self.state = seed & MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        self.state = (self.state + GAMMA) & MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * MIX2) & MASK64
         return z ^ (z >> 31)
 
     def next_float(self) -> float:
@@ -43,4 +45,4 @@ class SplitMix64:
 
 def substream(master_seed: int, name: str) -> SplitMix64:
     """Derive an independent named stream from the master seed."""
-    return SplitMix64((master_seed & _MASK64) ^ fnv1a_64(name.encode("utf-8")))
+    return SplitMix64((master_seed & MASK64) ^ fnv1a_64(name.encode("utf-8")))

@@ -1,11 +1,17 @@
 import copy
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import strategies as st
 
+import aprior.world
+from aprior.agent import run_episode
 from aprior.decision import MeasurementEconomy
 from aprior.kb import build_kb
 from aprior.perception import ChannelParams
+from aprior.rng import substream
+from oracles import words_drawn
 
 
 def three_node_doc() -> dict:
@@ -90,3 +96,56 @@ def variant(doc, **overrides):
     out = copy.deepcopy(doc)
     out.update(overrides)
     return out
+
+
+@st.composite
+def tree_docs(draw):
+    """A KB document holding only a random recognition tree.
+
+    Each node's children pin one more free feature to distinct symbols,
+    which makes siblings exclusive, and may pin further free features.
+    """
+    a, d = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    objects = []
+
+    def grow(parent, pinned: dict):
+        free = [i for i in range(d) if i not in pinned]
+        if not free:
+            return
+        split = draw(st.sampled_from(free))
+        symbols = draw(st.lists(st.integers(0, a - 1), unique=True,
+                                min_size=1 if parent is None else 0, max_size=a))
+        for s in symbols:
+            own = {**pinned, split: s}
+            for i in free:
+                if i != split and draw(st.integers(0, 3)) == 0:
+                    own[i] = draw(st.integers(0, a - 1))
+            oid = len(objects)
+            objects.append({"id": oid, "parent": parent,
+                            "predicate": [[i, own[i]] for i in sorted(own)]})
+            grow(oid, own)
+
+    grow(None, {})
+    return {"d": d, "alphabet": a, "objects": objects, "operations": [], "tasks": [],
+            "programs": []}
+
+
+def episode_with_words(state, scenario, trials: int, config: dict | None = None):
+    """run_episode's log and the words it drew from each named stream.
+
+    The counts come from each stream's state before and after, so they
+    hold however the library draws its words.
+    """
+    schedule = []
+    next_stimulus = aprior.world.next_stimulus
+
+    def recording(scenario, t, rng):
+        schedule.append(rng)
+        return next_stimulus(scenario, t, rng)
+
+    with mock.patch.object(aprior.world, "next_stimulus", recording):
+        log = run_episode(state, scenario, trials, config=config)
+    ends = {"channel": state.channel_rng, "selection": state.selection_rng,
+            "scenario": schedule[-1]}
+    return log, {name: words_drawn(substream(state.seed, name).state, rng.state)
+                 for name, rng in ends.items()}

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import re
+from pathlib import Path
 
 import pytest
 
@@ -25,9 +27,8 @@ from aprior.perception import (
     ChannelParams,
     RecognitionOutcome,
 )
-from aprior.rng import SplitMix64
 from aprior.world import load_scenario
-from conftest import mixed_scenario_doc, three_node_doc
+from conftest import episode_with_words, mixed_scenario_doc, three_node_doc
 from oracles import fnv1a_oracle, reflex_fire_trials
 
 
@@ -40,6 +41,8 @@ def make_state(kb, epsilon=0.0, fixed_n=1, seed=0, phi0=0.0, cost=0.0, n_max=9):
         fixed_n=fixed_n,
     )
 
+
+DEEPKB_PY = Path(__file__).resolve().parent.parent / "perfbench" / "deepkb.py"
 
 OMEGA_OUT = RecognitionOutcome(ROOT, 0, UNRECOGNIZED)
 Q11_OUT = RecognitionOutcome(11, 2, FULL)
@@ -306,18 +309,30 @@ def test_state_is_built_from_its_inputs_only(kb):
     assert init == ["kb", "params", "econ", "seed", "fixed_n"]
 
 
+# words per named stream at seed 11, counted through SplitMix64.next_u64
+# calls before the channel drew its words on local variables
+PINNED_WORDS = {3: {"channel": 7820, "selection": 574, "scenario": 1000},
+                None: {"channel": 5227, "selection": 687, "scenario": 1000}}
+
+
 @pytest.mark.parametrize("fixed_n,words", [(3, 9394), (None, 6914)])
-def test_episode_draws_a_pinned_number_of_words(kb, monkeypatch, fixed_n, words):
-    # totals taken before the recognition memo: one word per channel use and
-    # at least one per corruption, plus the scenario and selection draws
-    count = [0]
-    original = SplitMix64.next_u64
-
-    def counting(self):
-        count[0] += 1
-        return original(self)
-
-    monkeypatch.setattr(SplitMix64, "next_u64", counting)
+def test_episode_draws_a_pinned_number_of_words(kb, fixed_n, words):
     state = make_state(kb, epsilon=0.3, fixed_n=fixed_n, seed=11, cost=0.02)
-    run_episode(state, load_scenario(mixed_scenario_doc(), kb), 1000)
-    assert count[0] == words
+    _, drawn = episode_with_words(state, load_scenario(mixed_scenario_doc(), kb), 1000)
+    assert drawn == PINNED_WORDS[fixed_n]
+    assert sum(drawn.values()) == words
+
+
+def test_deep_kb_reflex_episode_draws_a_pinned_number_of_words():
+    # the benchmark's seeded deep tree: 152 programs, reflex schedule, planned n = 8
+    spec = importlib.util.spec_from_file_location("perfbench_deepkb", DEEPKB_PY)
+    deepkb = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(deepkb)
+    kb_doc, scenario_doc = deepkb.generate(0)
+    kb = build_kb(kb_doc)
+    state = AgentState(kb=kb, params=ChannelParams(epsilon=0.2, alphabet=kb.alphabet, dim=kb.dim),
+                       econ=MeasurementEconomy(value=1.0, cost=0.01, phi0=0.0, n_max=9),
+                       seed=0, fixed_n=None)
+    log, drawn = episode_with_words(state, load_scenario(scenario_doc, kb), 144)
+    assert log.trials[0]["n"] == 8
+    assert drawn == {"channel": 5495, "selection": 105, "scenario": 0}

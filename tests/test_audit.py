@@ -95,6 +95,39 @@ def test_statement1_fails_on_foreign_program(kb):
     assert not assert_statement1(header, tampered, kb).passed
 
 
+def _add_candidate(trial):
+    # a second pick with the chosen phi, so only chosen != action.program breaks
+    trial["candidates"].append([99, trial["phi_chosen"]])
+    trial["eligible"].append(99)
+    trial["chosen"] = 99
+
+
+PICK_EDITS = {
+    "action with no chosen program": (True, lambda r: r.update(chosen=None, phi_chosen=None)),
+    "chosen 1 with no action": (True, lambda r: r.update(action=None)),
+    "chosen 99 != action program 1": (True, _add_candidate),
+    "chosen 1 not in eligible []": (True, lambda r: r.update(eligible=[], phi_chosen=-5)),
+    "eligible [1, 999] not within the candidate ids": (True, lambda r: r["eligible"].append(999)),
+    "phi_chosen -5 != candidate 1's phi": (True, lambda r: r.update(phi_chosen=-5)),
+    "phi_chosen 0.5 with no chosen program": (False, lambda r: r.update(phi_chosen=0.5)),
+}
+
+
+@pytest.mark.parametrize("detail", PICK_EDITS)
+def test_statement1_fails_when_the_pick_disagrees_with_its_record(kb, detail):
+    acting, edit = PICK_EDITS[detail]
+    header, trials = make_log(kb)
+    assert assert_statement1(header, trials, kb).passed
+    tampered = copy.deepcopy(trials)
+    victim = next(t for t in tampered
+                  if (t["action"] is not None) == acting and t["node"] in (11, ROOT))
+    edit(victim)
+    result = assert_statement1(header, tampered, kb)
+    assert (result.passed, result.violating_trial) == (False, victim["t"])
+    assert result.detail.startswith(detail)
+    assert not audit_log(header, tampered, kb).passed
+
+
 def test_reflex_pass_and_thresholds(kb):
     header, trials = make_log(kb, epsilon=0.0)
     # k=3 program on Q2 and k=1 program on Q11 both behave in a clean run

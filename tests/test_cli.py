@@ -370,6 +370,12 @@ MALFORMED_LOG_EDITS = {
     "node a list": lambda r: r.update(node=[11]),
     "status a list": lambda r: r.update(status=["full"]),
     "gap in t": lambda r: r.update(t=99),
+    "chosen a string": lambda r: r.update(chosen="1"),
+    "chosen a boolean": lambda r: r.update(chosen=True),
+    "eligible a list of strings": lambda r: r.update(eligible=["1"]),
+    "candidates a bare id": lambda r: r.update(candidates=[[1]]),
+    "candidate phi a string": lambda r: r.update(candidates=[[1, "0.5"]]),
+    "phi_chosen a string": lambda r: r.update(phi_chosen="0.5"),
 }
 
 
@@ -404,7 +410,8 @@ def test_malformed_input_exits_2_without_traceback(runner, kb_file, scenario_fil
         assert not (tmp_path / "out.jsonl").exists()
 
 
-@pytest.mark.parametrize("case", ["another KB", "doctored task lists", "empty tags"])
+@pytest.mark.parametrize("case", ["another KB", "doctored task lists", "empty tags",
+                                  "chosen outside eligible"])
 def test_audit_fails_statement1_on_a_log_that_does_not_match_the_kb(
         runner, kb_file, scenario_file, tmp_path, case):
     log, lines = _honest_log_lines(runner, kb_file, scenario_file, tmp_path)
@@ -418,8 +425,10 @@ def test_audit_fails_statement1_on_a_log_that_does_not_match_the_kb(
         header = json.loads(lines[0])
         header["tasks_before"] = header["tasks_after"] = header["tasks_before"][:1]
         lines[0] = json.dumps(header)
-    else:
+    elif case == "empty tags":
         _edit_first_action(lines, lambda r: r["action"].update(tags=[]))
+    else:
+        _edit_first_action(lines, lambda r: r.update(eligible=[], phi_chosen=-5))
     log.write_text("\n".join(lines) + "\n")
     result = runner.invoke(main, ["audit", str(log), "--kb", str(kb_arg)])
     assert_clean_exit(result, 1)

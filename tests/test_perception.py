@@ -19,7 +19,7 @@ from aprior.perception import (
     measure,
 )
 from aprior.rng import SplitMix64
-from oracles import brute_feature_accuracy, brute_outcome_probability
+from oracles import brute_feature_accuracy, brute_outcome_probability, words_drawn
 
 ALL_VECTORS = [(i, j) for i in range(3) for j in range(3)]
 
@@ -145,19 +145,14 @@ def test_measure_deterministic(kb, params):
     assert r1 == r2
 
 
-def test_measure_consumes_one_symbol_draw_per_feature(kb, params, monkeypatch):
-    import aprior.perception as perception
-
-    calls = {"n": 0}
-    original = perception.corrupt_symbol
-
-    def counting(symbol, p, rng):
-        calls["n"] += 1
-        return original(symbol, p, rng)
-
-    monkeypatch.setattr(perception, "corrupt_symbol", counting)
-    measure(kb, (0, 0), 5, params, SplitMix64(1))
-    assert calls["n"] == 5 * 2
+def test_measure_consumes_one_symbol_draw_per_feature(kb):
+    # one word per channel use, plus one per corruption: alphabet 3 never
+    # rejects, because 2 divides 2**64
+    for epsilon, words_per_use in ((0.0, 1), (1.0, 2)):
+        rng = SplitMix64(1)
+        start = rng.state
+        measure(kb, (0, 0), 5, ChannelParams(epsilon=epsilon, alphabet=3, dim=2), rng)
+        assert words_drawn(start, rng.state) == 5 * 2 * words_per_use
 
 
 def test_measure_outcome_probability_matches_enumeration(kb, params):

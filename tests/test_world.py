@@ -3,7 +3,6 @@ import math
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from aprior.kb import build_kb
 from aprior.rng import SplitMix64
@@ -15,6 +14,7 @@ from aprior.world import (
     next_stimulus,
     score,
 )
+from conftest import tree_docs
 from oracles import matching_leaf
 
 
@@ -58,38 +58,6 @@ def assert_omega_check_agrees_with_leaf_scan(kb):
 
 def test_omega_check_agrees_with_leaf_scan_on_every_vector(kb):
     assert_omega_check_agrees_with_leaf_scan(kb)
-
-
-@st.composite
-def tree_docs(draw):
-    """A KB document holding only a random recognition tree.
-
-    Each node's children pin one more free feature to distinct symbols,
-    which makes siblings exclusive, and may pin further free features.
-    """
-    a, d = draw(st.integers(2, 4)), draw(st.integers(1, 4))
-    objects = []
-
-    def grow(parent, pinned: dict):
-        free = [i for i in range(d) if i not in pinned]
-        if not free:
-            return
-        split = draw(st.sampled_from(free))
-        symbols = draw(st.lists(st.integers(0, a - 1), unique=True,
-                                min_size=1 if parent is None else 0, max_size=a))
-        for s in symbols:
-            own = {**pinned, split: s}
-            for i in free:
-                if i != split and draw(st.integers(0, 3)) == 0:
-                    own[i] = draw(st.integers(0, a - 1))
-            oid = len(objects)
-            objects.append({"id": oid, "parent": parent,
-                            "predicate": [[i, own[i]] for i in sorted(own)]})
-            grow(oid, own)
-
-    grow(None, {})
-    return {"d": d, "alphabet": a, "objects": objects, "operations": [], "tasks": [],
-            "programs": []}
 
 
 @settings(max_examples=60, deadline=None)
