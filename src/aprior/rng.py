@@ -11,6 +11,8 @@ from .digest import fnv1a_64
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15  # added to the state once per word
+# the two mixing multipliers; next_u64 spells them as literals, which load
+# faster than module names
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 
@@ -24,8 +26,8 @@ class SplitMix64:
     def next_u64(self) -> int:
         self.state = (self.state + GAMMA) & MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * MIX2) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
 
     def next_float(self) -> float:

@@ -19,7 +19,7 @@ from aprior.kb import build_kb
 from aprior.perception import ChannelParams
 from aprior.world import load_scenario
 from conftest import episode_with_words, three_node_doc, tree_docs
-from oracles import _descend, reference_episode
+from episode_oracle import _descend, reference_episode
 
 TAGS = ("pull", "orient", "approach", "grasp", "échapper")
 UTILITIES = (-1.0, -0.25, -0.0, 0.0, 0.3, 0.8, 1.0, 2)
