@@ -41,7 +41,7 @@ def _named_stream(seed: int, name: str) -> _Stream:
     return _Stream((seed & _MASK64) ^ fnv1a_oracle(name.encode("utf-8")))
 
 
-def _descend(objects, v):
+def descend(objects, v):
     """(node, depth, status) of greedy descent; objects maps id -> (parent, pairs)."""
     node, depth = -1, 0
     while True:
@@ -161,8 +161,8 @@ def reference_episode(kb_doc: dict, scenario_doc: dict, seed: int, config: dict)
                 obs.append(s)
             observations.append(obs)
         denoised = _fold(observations, a)
-        node, depth, status = _descend(objects, denoised)
-        hits = sum(1 for obs in observations if _descend(objects, obs)[0] == node)
+        node, depth, status = descend(objects, denoised)
+        hits = sum(1 for obs in observations if descend(objects, obs)[0] == node)
         agreement = hits / n
 
         candidates = []

@@ -19,7 +19,7 @@ from aprior.kb import build_kb
 from aprior.perception import ChannelParams
 from aprior.world import load_scenario
 from conftest import episode_with_words, three_node_doc, tree_docs
-from episode_oracle import _descend, reference_episode
+from episode_oracle import descend, reference_episode
 
 TAGS = ("pull", "orient", "approach", "grasp", "échapper")
 UTILITIES = (-1.0, -0.25, -0.0, 0.0, 0.3, 0.8, 1.0, 2)
@@ -48,7 +48,7 @@ def episode_cases(draw):
     entries = []
     for _ in range(draw(st.integers(1, 5))):
         vector = draw(st.lists(st.integers(0, a - 1), min_size=d, max_size=d))
-        node, _, status = _descend(objects, vector)
+        node, _, status = descend(objects, vector)
         truth = {"full": node, "partial": draw(st.sampled_from([node, "omega"])),
                  "unrecognized": "omega"}[status]
         entries.append({"vector": vector, "truth": truth})
