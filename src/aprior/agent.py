@@ -10,9 +10,10 @@ never written.
 
 `step` and `run_episode` share one trial kernel. Gate, phi and order
 depend only on the node, the count of agreeing observations and the gate
-state min(recurrence, largest k among the node's programs), so their
-results are kept per episode in a decision table with that key, along
-with the log members they determine.
+state min(recurrence, largest k among the node's programs), given n and
+the economy's phi0 and cost. Their results, and the log members they
+determine, are kept in a decision table with that key, one per sealed KB
+and (n, phi0, cost with its sign), which every state on that KB shares.
 """
 from __future__ import annotations
 
@@ -54,12 +55,9 @@ class AgentState:
     trials: int = field(default=0, init=False)
     # recognized object id -> recognitions so far, the current trial included
     recurrence: dict[int, int] = field(default_factory=dict, init=False)
-    # vector -> its outcome on kb, filled by measure as vectors occur
-    recognition: dict[tuple[int, ...], RecognitionOutcome] = field(
-        default_factory=dict, init=False)
-    # node -> (largest k among its programs, {(hits, gate state): _Decision})
-    decisions: dict[int, tuple[int, dict[tuple[int, int], _Decision]]] = field(
-        default_factory=dict, init=False)
+    # node -> (largest k among its programs, {(hits, gate state): _Decision}),
+    # the KB's table for this state's n and economy
+    decisions: dict[int, tuple[int, dict[tuple[int, int], _Decision]]] = field(init=False)
     channel_rng: SplitMix64 = field(init=False)
     selection_rng: SplitMix64 = field(init=False)
     _planned_n: int | None = field(default=None, init=False)
@@ -72,6 +70,10 @@ class AgentState:
         bound = max((abs(p.base_utility) for p in self.kb.programs.values()), default=0.0)
         if not (finite_number(n) and math.isfinite(bound + self.econ.cost * n)):
             raise ValueError(f"max |U| + c * n = {bound} + {self.econ.cost} * {n} overflows")
+        # 0.0 == -0.0, but a zero cost's sign reaches the logged phis
+        cost = self.econ.cost
+        self.decisions = self.kb._decisions.setdefault(
+            (n, self.econ.phi0, cost, math.copysign(1.0, cost)), {})
 
 
 def planned_n(state: AgentState) -> int:
@@ -206,8 +208,8 @@ def _decision(state: AgentState, outcome: RecognitionOutcome, hits: int, n: int)
 def _trial(state: AgentState, stimulus: tuple[int, ...]):
     """The trial kernel: measure, count, gate, order, pick; stimulus is not checked."""
     n = planned_n(state)
-    denoised, outcome, hits = observe(state.kb, stimulus, n, state.params, state.channel_rng,
-                                      state.recognition)
+    denoised, (outcome, members), hits = observe(state.kb, stimulus, n, state.params,
+                                                 state.channel_rng)
     t = record(state, outcome)
     decision = _decision(state, outcome, hits, n)
     chosen = select_random(decision.ordered, state.selection_rng)
@@ -230,7 +232,7 @@ def _trial(state: AgentState, stimulus: tuple[int, ...]):
         "phi_chosen": choice.phi,
         "action": choice.action(),
     }
-    return trial, denoised, outcome, choice
+    return trial, outcome, members, choice
 
 
 def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
@@ -275,14 +277,13 @@ def run_episode(
     tasks_before = enumerate_tasks(state.kb)
 
     next_stimulus = world_mod.next_stimulus
-    # log members kept per folded vector, per stimulus, per (program, status, truth)
-    folded: dict[tuple[int, ...], str] = {}
+    # log members kept per stimulus, per (program, status, truth)
     shown: dict[world_mod.Stimulus, tuple[str, str]] = {}
     tails: dict[tuple[int | None, str, int | str], tuple[float, str]] = {}
     trial_logs, lines = [], []
     for i in range(trials):
         stim = next_stimulus(scenario, i, scenario_rng)
-        log, denoised, outcome, choice = _trial(state, stim.vector)
+        log, outcome, members, choice = _trial(state, stim.vector)
         key = (choice.program_id, outcome.status, stim.truth)
         tail = tails.get(key)
         if tail is None:
@@ -299,14 +300,11 @@ def run_episode(
                 raise AssertionError(f"trial {i}: action on unrecognized stimulus")
         trial_logs.append(log)
 
-        vector = folded.get(denoised)
-        if vector is None:
-            vector = folded[denoised] = _members(denoised=list(denoised), depth=outcome.depth)
         around = shown.get(stim)
         if around is None:
             around = shown[stim] = (_members(stimulus=list(stim.vector)) + '"t":',
                                     "," + _members(truth=stim.truth)[:-1] + "}")
-        lines.append(f"{choice.head}{vector}{choice.mid}{tail[1]}{around[0]}{log['t']}{around[1]}")
+        lines.append(f"{choice.head}{members}{choice.mid}{tail[1]}{around[0]}{log['t']}{around[1]}")
 
     header = {
         "seed": state.seed,

@@ -3,6 +3,7 @@
 `parse_log` alone decides whether a log is well formed, so the checks
 trust its records. The auditor reads only the log and the sealed KB,
 never live agent state. Checks: closure; the log names the sealed KB;
+each trial's node, depth and status re-derived from its denoised vector,
 no effector on unrecognized trials, trigger locality, sealed ids and
 tags, a pick that agrees with its own record; reflex gating.
 """
@@ -12,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .kb import KnowledgeBase, enumerate_tasks, finite_number, kb_digest
-from .perception import FULL, PARTIAL, UNRECOGNIZED
+from .perception import FULL, PARTIAL, UNRECOGNIZED, recognized
 
 
 class MalformedLog(ValueError):
@@ -67,8 +68,8 @@ class AuditReport:
 
 
 _HEADER_KEYS = {"seed", "trials", "digest_before", "digest_after", "tasks_before", "tasks_after"}
-_TRIAL_KEYS = {"t", "n", "node", "status", "action", "candidates", "eligible", "chosen",
-               "phi_chosen"}
+_TRIAL_KEYS = {"t", "n", "denoised", "node", "depth", "status", "action", "candidates",
+               "eligible", "chosen", "phi_chosen"}
 _STATUSES = (FULL, PARTIAL, UNRECOGNIZED)
 
 
@@ -111,8 +112,11 @@ def parse_log(text: str) -> tuple[dict, list[dict]]:
             raise MalformedLog("trial record missing required keys")
         if type(trial["t"]) is not int or trial["t"] != t:
             raise MalformedLog(f"record {t} has t={trial['t']!r}")
-        if type(trial["node"]) is not int:
-            raise MalformedLog(f"trial {t}: node is not an integer")
+        if type(trial["node"]) is not int or type(trial["depth"]) is not int:
+            raise MalformedLog(f"trial {t}: node or depth is not an integer")
+        denoised = trial["denoised"]
+        if type(denoised) is not list or not all(type(s) is int for s in denoised):
+            raise MalformedLog(f"trial {t}: denoised is not a list of integers")
         if trial["status"] not in _STATUSES:  # a tuple: an unhashable status is just absent
             raise MalformedLog(f"trial {t}: unknown status {trial['status']!r}")
         if trial["action"] is not None and not _is_action(trial["action"]):
@@ -140,10 +144,12 @@ def assert_closure(header: dict, trials: list[dict]) -> CheckResult:
 
 
 def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> CheckResult:
-    """No effector on unrecognized trials; trigger locality; sealed ids and tags.
+    """Re-derived recognition; no effector on unrecognized; trigger locality; sealed ids, tags.
 
     The log must name the sealed KB: its digest and its task enumeration.
-    Each trial's pick must agree with its own record: chosen is null
+    Each trial's denoised vector must be one of the KB's vectors, and its
+    node, depth and status that vector's outcome in the KB's recognition
+    table. Each trial's pick must agree with its own record: chosen is null
     exactly when action is, chosen is the action's program, chosen is in
     eligible, eligible lies within the candidate ids, and phi_chosen is
     the chosen candidate's phi (null with no pick).
@@ -157,6 +163,9 @@ def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> Ch
         return CheckResult("statement1", False, None, "task enumeration differs from sealed KB")
     for trial in trials:
         t, node, action = trial["t"], trial["node"], trial["action"]
+        miss = _recognition_mismatch(trial, kb)
+        if miss:
+            return CheckResult("statement1", False, t, miss)
         if action is not None:
             if trial["status"] == UNRECOGNIZED:
                 return CheckResult("statement1", False, t, "action on unrecognized trial")
@@ -170,12 +179,23 @@ def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> Ch
             if tuple(action["tags"]) != kb.tags[prog.id]:
                 return CheckResult("statement1", False, t,
                                    f"action tags differ from program {prog.id}'s operation tags")
-        if trial["status"] != UNRECOGNIZED and node not in kb.objects:
-            return CheckResult("statement1", False, t, f"recognized node {node} outside sealed KB")
         pick = _pick_mismatch(trial)
         if pick:
             return CheckResult("statement1", False, t, pick)
     return CheckResult("statement1", True)
+
+
+def _recognition_mismatch(trial: dict, kb: KnowledgeBase) -> str:
+    """Why the trial's node, depth and status are not its denoised vector's outcome, or ""."""
+    try:
+        out = recognized(kb, tuple(trial["denoised"]))[0]
+    except ValueError as exc:  # not one of the KB's vectors
+        return f"denoised {trial['denoised']}: {exc}"
+    if (trial["node"], trial["depth"], trial["status"]) != (out.node, out.depth, out.status):
+        return (f"node {trial['node']}, depth {trial['depth']}, status {trial['status']} != "
+                f"denoised {trial['denoised']}'s node {out.node}, depth {out.depth}, "
+                f"status {out.status}")
+    return ""
 
 
 def _pick_mismatch(trial: dict) -> str:

@@ -53,7 +53,7 @@ class MeasurementEconomy:
             raise ValueError("value + cost * n_max overflows a float")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProgramQuality:
     program_id: int
     phi: float

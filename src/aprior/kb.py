@@ -1,8 +1,11 @@
 """Congenital knowledge base: objects, operations, tasks, programs.
 
 The knowledge base is built once from a JSON document, validated, and
-sealed. No mutating API exists after construction, and every container
-reachable from a sealed KB is read-only; that absence is the point.
+sealed. No mutating API exists after construction, and every map of the
+sealed KB is read-only; that absence is the point. The only writable
+containers are two memo tables of functions of the sealed KB, filled as
+their inputs occur; they are not part of its canonical bytes, digest,
+equality or repr.
 Recognition objects form a tree rooted at a virtual root with an
 empty predicate (id ROOT), and sibling predicates are mutually
 exclusive so greedy descent is deterministic.
@@ -94,7 +97,12 @@ class Program:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """A sealed KB: every map is read-only and iterates in ascending id."""
+    """A sealed KB: every map is read-only and iterates in ascending id.
+
+    _recognition maps a vector to its recognition entry (perception.recognized)
+    and _decisions maps (n, phi0, cost, sign of cost) to the agent's decision
+    table; both live exactly as long as the KB.
+    """
 
     dim: int
     alphabet: int
@@ -106,6 +114,8 @@ class KnowledgeBase:
     canonical: bytes = field(repr=False)
     _children: Mapping[int, tuple[int, ...]] = field(repr=False)
     _by_trigger: Mapping[int, tuple[Program, ...]] = field(repr=False)
+    _recognition: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _decisions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def children(self, object_id: int) -> tuple[int, ...]:
         return self._children.get(object_id, ())

@@ -3,7 +3,9 @@
 A stimulus vector passes through a memoryless symbol-corruption channel
 n times; the repetitions are folded per feature by majority vote (ties
 to the lowest symbol) and the folded vector is identified by greedy
-descent of the recognition tree.
+descent of the recognition tree. Identification is a fixed function of
+the sealed KB, so each distinct vector is identified once per KB and kept
+in its recognition table.
 """
 from __future__ import annotations
 
@@ -141,27 +143,41 @@ def majority_fold(observations) -> tuple[int, ...]:
                  for col in zip(*observations))
 
 
+def recognized(kb: KnowledgeBase, v: tuple[int, ...]) -> tuple[RecognitionOutcome, str]:
+    """v's entry in kb's recognition table: its outcome and its log members.
+
+    The members are the trial log's "denoised" and "depth" fields, as its
+    JSON encoder writes them, each followed by a comma. A vector missing
+    from the table is checked (ValueError unless it is kb.dim symbols in
+    [0, kb.alphabet)), identified once per KB and added, so the table
+    holds only the KB's own vectors.
+    """
+    entry = kb._recognition.get(v)
+    if entry is None:
+        check_vector(v, kb.dim, kb.alphabet)
+        outcome = identify(kb, v)
+        members = f'"denoised":[{",".join(map(str, v))}],"depth":{outcome.depth},'
+        entry = kb._recognition[v] = outcome, members
+    return entry
+
+
 def observe(
     kb: KnowledgeBase,
     x: tuple[int, ...],
     n: int,
     params: ChannelParams,
     rng: SplitMix64,
-    memo: dict[tuple[int, ...], RecognitionOutcome],
-) -> tuple[tuple[int, ...], RecognitionOutcome, int]:
-    """measure without its checks: (folded vector, its outcome, agreeing observations).
-
-    memo maps vectors to their outcomes on kb; each vector missing from it
-    is identified once and added.
-    """
+) -> tuple[tuple[int, ...], tuple[RecognitionOutcome, str], int]:
+    """measure without its checks: (folded vector, its recognized entry, agreeing observations)."""
     observations = channel(x, n, params, rng)
     denoised = majority_fold(observations)
+    table = kb._recognition
     for v in (denoised, *observations):
-        if v not in memo:
-            memo[v] = identify(kb, v)
-    outcome = memo[denoised]
-    node = outcome.node
-    return denoised, outcome, sum(1 for obs in observations if memo[obs].node == node)
+        if v not in table:
+            recognized(kb, v)
+    entry = table[denoised]
+    node = entry[0].node
+    return denoised, entry, sum(1 for obs in observations if table[obs][0].node == node)
 
 
 def measure(
@@ -170,18 +186,15 @@ def measure(
     n: int,
     params: ChannelParams,
     rng: SplitMix64,
-    memo: dict[tuple[int, ...], RecognitionOutcome] | None = None,
 ) -> MeasurementResult:
     """Observe x through the channel n times, fold, and identify.
 
     agreement is the fraction of the n raw observations whose own
-    identification lands on the folded outcome's node. memo maps vectors
-    to their outcomes on this kb; each vector missing from it is
-    identified once and added. Pass one memo per kb to keep it across
-    calls; without one, a fresh memo serves this call only.
+    identification lands on the folded outcome's node. Outcomes come from
+    kb's recognition table, so each distinct vector is identified once per KB.
     """
     if n < 1:
         raise InvalidCount("n must be >= 1")
     check_vector(x, params.dim, params.alphabet)
-    denoised, outcome, hits = observe(kb, x, n, params, rng, {} if memo is None else memo)
+    denoised, (outcome, _), hits = observe(kb, x, n, params, rng)
     return MeasurementResult(denoised, outcome, hits / n, n)

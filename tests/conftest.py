@@ -130,7 +130,8 @@ def tree_docs(draw):
             "programs": []}
 
 
-def episode_with_words(state, scenario, trials: int, config: dict | None = None):
+def episode_with_words(state, scenario, trials: int, config: dict | None = None,
+                       strict: bool = False):
     """run_episode's log and the words it drew from each named stream.
 
     The counts come from each stream's state before and after, so they
@@ -144,7 +145,7 @@ def episode_with_words(state, scenario, trials: int, config: dict | None = None)
         return next_stimulus(scenario, t, rng)
 
     with mock.patch.object(aprior.world, "next_stimulus", recording):
-        log = run_episode(state, scenario, trials, config=config)
+        log = run_episode(state, scenario, trials, config=config, strict=strict)
     ends = {"channel": state.channel_rng, "selection": state.selection_rng,
             "scenario": schedule[-1]}
     return log, {name: words_drawn(substream(state.seed, name).state, rng.state)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import aprior.kb as kb_mod
+import aprior.perception
 import aprior.world as world_mod
 from aprior.agent import (
     AgentState,
@@ -296,12 +297,49 @@ def test_state_keeps_counters_not_a_record_per_trial(kb):
     run_episode(state, load_scenario(mixed_scenario_doc(), kb), 1000)
     assert state.trials == 1000
     assert set(state.recurrence) <= set(kb.objects)
-    assert len(state.recognition) <= kb.alphabet ** kb.dim
+    assert len(kb._recognition) <= kb.alphabet ** kb.dim
     # nothing else on the state grows with the trial count
     for f in dataclasses.fields(state):
         value = getattr(state, f.name)
         if f.name != "kb" and isinstance(value, (list, dict, set, tuple)):
             assert len(value) <= max(len(kb.objects), kb.alphabet ** kb.dim), f.name
+
+
+def c1_state(kb, seed):
+    # the C1 corpus configuration: eps 0.3, fixed n 3, cost 0.02
+    return make_state(kb, epsilon=0.3, fixed_n=3, seed=seed, cost=0.02)
+
+
+def test_tables_are_shared_per_kb_and_bounded(monkeypatch):
+    kb = build_kb(three_node_doc())
+    scenario = load_scenario(mixed_scenario_doc(), kb)
+    states = [c1_state(kb, seed) for seed in range(20)]
+    for state in states:
+        run_episode(state, scenario, 1000)
+    assert all(state.decisions is states[0].decisions for state in states)
+    assert 0 < len(kb._recognition) <= kb.alphabet ** kb.dim
+    assert list(kb._decisions) == [(3, 0.0, 0.02, 1.0)]
+    for node, (k_max, entries) in states[0].decisions.items():
+        assert k_max == max((p.reflex_threshold for p in kb.programs_for(node)), default=0)
+        assert len(entries) <= (3 + 1) * (k_max + 1)
+
+    seen = set(kb._recognition)
+    identified = []
+    original = aprior.perception.identify
+
+    def counting(kb, v):
+        identified.append(v)
+        return original(kb, v)
+
+    monkeypatch.setattr(aprior.perception, "identify", counting)
+    run_episode(c1_state(kb, 20), scenario, 1000)
+    assert not seen & set(identified)
+
+    # the tables are no part of what the KB is
+    fresh = build_kb(three_node_doc())
+    assert fresh._recognition == {} and fresh._decisions == {}
+    assert fresh == kb and repr(fresh) == repr(kb)
+    assert fresh.canonical == kb.canonical and kb_digest(fresh) == kb_digest(kb)
 
 
 def test_state_is_built_from_its_inputs_only(kb):

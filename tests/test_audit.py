@@ -75,16 +75,40 @@ def test_statement1_fails_on_action_on_unrecognized(kb):
 
 
 def test_statement1_fails_on_nonlocal_trigger(kb):
-    # a Q11 program firing on a trial whose outcome stopped at Q1
+    # a Q12 program firing on a trial recognized as Q11
     header, trials = make_log(kb)
     tampered = copy.deepcopy(trials)
-    victim = next(t for t in tampered if t["status"] != "unrecognized")
-    victim["status"] = "partial"
-    victim["node"] = 1
-    victim["action"] = {"program": 1, "tags": ["pull"], "trigger": 11}
+    victim = next(t for t in tampered if t["node"] == 11)
+    victim["action"] = {"program": 2, "tags": ["orient", "approach"], "trigger": 12}
     result = assert_statement1(header, tampered, kb)
-    assert not result.passed
-    assert result.violating_trial == victim["t"]
+    assert (result.passed, result.violating_trial) == (False, victim["t"])
+    assert result.detail == "trigger 12 != recognized node 11"
+
+
+RECOGNITION_EDITS = {
+    # an unrecognized trial passed off as a full recognition of Q11
+    "node 11, depth 2, status full != denoised [2, 0]'s node -1, depth 0, status unrecognized": (
+        [2, 0], lambda r: r.update(node=11, depth=2, status="full")),
+    "node 11, depth 3, status full != denoised [0, 0]'s node 11, depth 2, status full": (
+        [0, 0], lambda r: r.update(depth=3)),
+    "node 11, depth 2, status full != denoised [1, 0]'s node 2, depth 1, status full": (
+        [0, 0], lambda r: r.update(denoised=[1, 0])),
+    "denoised [3, 0]: vector (3, 0) has symbols outside [0, 3)": (
+        [2, 0], lambda r: r.update(denoised=[3, 0])),
+    "denoised [0, 0, 0]: vector length 3 != 2": ([0, 0], lambda r: r.update(denoised=[0, 0, 0])),
+}
+
+
+@pytest.mark.parametrize("detail", RECOGNITION_EDITS)
+def test_statement1_rederives_each_trials_recognition(kb, detail):
+    denoised, edit = RECOGNITION_EDITS[detail]
+    header, trials = make_log(kb, epsilon=0.0)
+    tampered = copy.deepcopy(trials)
+    victim = next(t for t in tampered if t["denoised"] == denoised)
+    edit(victim)
+    result = assert_statement1(header, tampered, kb)
+    assert (result.passed, result.violating_trial, result.detail) == (False, victim["t"], detail)
+    assert not audit_log(header, tampered, kb).passed
 
 
 def test_statement1_fails_on_foreign_program(kb):
@@ -215,7 +239,9 @@ def test_malformed_logs(kb):
         {"status": ["full"]}, {"status": "fine"}, {"action": dict(action, program=[1])},
         {"action": dict(action, program=None)}, {"action": dict(action, trigger=True)},
         {"action": dict(action, tags=5)}, {"action": dict(action, tags=[[1]])},
-        {"action": {"program": 1, "trigger": 11}},
+        {"action": {"program": 1, "trigger": 11}}, {"denoised": "20"}, {"denoised": None},
+        {"denoised": [2, "0"]}, {"denoised": [True, 0]}, {"denoised": [2.0, 0]},
+        {"depth": "2"}, {"depth": True}, {"depth": None},
     ]:
         doctored = [*trials[:i], dict(trials[i], **edit), *trials[i + 1:]]
         with pytest.raises(MalformedLog):

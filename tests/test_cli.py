@@ -364,6 +364,9 @@ def _edit_first_action(lines, edit):
 
 
 MALFORMED_LOG_EDITS = {
+    "denoised a string": lambda r: r.update(denoised="00"),
+    "denoised a list of booleans": lambda r: r.update(denoised=[False, False]),
+    "depth a string": lambda r: r.update(depth="2"),
     "action.program a list": lambda r: r["action"].update(program=[1]),
     "action.tags an int": lambda r: r["action"].update(tags=5),
     "action.tags a list of lists": lambda r: r["action"].update(tags=[[1]]),
@@ -433,6 +436,21 @@ def test_audit_fails_statement1_on_a_log_that_does_not_match_the_kb(
     result = runner.invoke(main, ["audit", str(log), "--kb", str(kb_arg)])
     assert_clean_exit(result, 1)
     assert result.output.startswith("FAIL statement1")
+
+
+def test_audit_names_the_trial_whose_recognition_was_rewritten(
+        runner, kb_file, scenario_file, tmp_path):
+    log, lines = _honest_log_lines(runner, kb_file, scenario_file, tmp_path)
+    idx = next(i for i, line in enumerate(lines[1:], 1)
+               if json.loads(line)["denoised"] == [2, 0])
+    record = json.loads(lines[idx])
+    assert (record["node"], record["status"]) == (-1, "unrecognized")
+    record.update(status="full", node=11, depth=2)
+    lines[idx] = json.dumps(record)
+    log.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["audit", str(log), "--kb", str(kb_file)])
+    assert_clean_exit(result, 1)
+    assert result.output.startswith(f"FAIL statement1 trial={record['t']}: node 11, depth 2,")
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "audit"])

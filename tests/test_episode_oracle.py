@@ -2,10 +2,12 @@
 
 Random KBs (a in 2..4, d in 1..4, k in 1..5, negative utilities),
 scenarios of all three kinds, epsilon at 0, 1 and between, fixed or
-planned n, and phi0 values that keep or empty the eligible list. The
-log must match the library-free reference episode byte for byte, each
-named stream must have drawn the oracle's number of words, and each line
-built from cached members must be the JSON of its trial's dict.
+planned n, costs of either zero sign, and phi0 values that keep or empty
+the eligible list. Two or three episodes run back to back on one sealed
+KB, so later ones read the recognition and decision tables earlier ones
+filled. Each log must match the library-free reference episode byte for
+byte, each named stream must have drawn the oracle's number of words, and
+each line built from cached members must be the JSON of its trial's dict.
 """
 import copy
 import json
@@ -23,6 +25,8 @@ from episode_oracle import descend, reference_episode
 
 TAGS = ("pull", "orient", "approach", "grasp", "échapper")
 UTILITIES = (-1.0, -0.25, -0.0, 0.0, 0.3, 0.8, 1.0, 2)
+COSTS = (0.0, -0.0, 0.01, 0.3)
+PHI0S = (-1.0, 0.0, 0.2, 5.0)
 
 
 @st.composite
@@ -68,24 +72,47 @@ def episode_cases(draw):
         "trials": draw(st.integers(1, 40)),
         "epsilon": draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))),
         "value": draw(st.sampled_from([0.0, 1.0, 2.5])),
-        "cost": draw(st.sampled_from([0.0, 0.01, 0.3])),
-        "phi0": draw(st.sampled_from([-1.0, 0.0, 0.2, 5.0])),
+        "cost": draw(st.sampled_from(COSTS)),
+        "phi0": draw(st.sampled_from(PHI0S)),
         "n_max": draw(st.integers(1, 6)),
         "fixed_n": draw(st.one_of(st.none(), st.integers(1, 5))),
     }
     return kb_doc, scenario_doc, draw(st.integers(0, 2 ** 64 - 1)), config
 
 
-def library_episode(kb_doc, scenario_doc, seed, config):
-    """run_episode's state, log and the words it drew from each named stream."""
-    kb = build_kb(copy.deepcopy(kb_doc))
+@st.composite
+def episode_series(draw):
+    """A KB, a scenario and 2-3 (seed, config, strict) runs on it.
+
+    The first run is plain; each later one is a strict replay of it or a
+    new run with its own seed, n, cost, phi0 and strictness.
+    """
+    kb_doc, scenario_doc, seed, config = draw(episode_cases())
+    runs = [(seed, config, False)]
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            runs.append((seed, config, True))
+        else:
+            other = dict(config, cost=draw(st.sampled_from(COSTS)),
+                         phi0=draw(st.sampled_from(PHI0S)),
+                         fixed_n=draw(st.one_of(st.none(), st.integers(1, 5))))
+            runs.append((draw(st.integers(0, 2 ** 64 - 1)), other, draw(st.booleans())))
+    return kb_doc, scenario_doc, runs
+
+
+def library_episode(kb_doc, scenario_doc, seed, config, kb=None, strict=False):
+    """run_episode's state, log and the words it drew from each named stream.
+
+    Runs on kb if given, else on a KB built afresh from kb_doc.
+    """
+    kb = build_kb(copy.deepcopy(kb_doc)) if kb is None else kb
     scenario = load_scenario(copy.deepcopy(scenario_doc), kb)
     state = AgentState(
         kb=kb, params=ChannelParams(config["epsilon"], kb.alphabet, kb.dim),
         econ=MeasurementEconomy(config["value"], config["cost"], config["phi0"],
                                 config["n_max"]),
         seed=seed, fixed_n=config["fixed_n"])
-    log, words = episode_with_words(state, scenario, config["trials"], config)
+    log, words = episode_with_words(state, scenario, config["trials"], config, strict)
     return state, log, words
 
 
@@ -104,12 +131,15 @@ def assert_no_float_keys(state):
 
 
 @settings(max_examples=150, deadline=None)
-@given(episode_cases())
-def test_run_episode_matches_the_reference_episode(case):
-    expected_text, expected_words = reference_episode(*case)
-    _, log, words = library_episode(*case)
-    assert log.to_jsonl() == expected_text
-    assert words == expected_words
+@given(episode_series())
+def test_run_episode_matches_the_reference_episode(series):
+    kb_doc, scenario_doc, runs = series
+    kb = build_kb(copy.deepcopy(kb_doc))
+    for seed, config, strict in runs:
+        expected_text, expected_words = reference_episode(kb_doc, scenario_doc, seed, config)
+        _, log, words = library_episode(kb_doc, scenario_doc, seed, config, kb, strict)
+        assert log.to_jsonl() == expected_text
+        assert words == expected_words
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,3 +169,22 @@ def test_zero_phis_keep_their_sign():
     assert text == reference_episode(kb_doc, scenario_doc, 3, config)[0]
     assert_lines_are_the_trials_json(log)
     assert_no_float_keys(state)
+
+
+def test_a_zero_cost_keeps_its_sign_on_a_shared_kb():
+    # 0.0 == -0.0 and both hash alike, yet they log different phis: with
+    # utility -1 at agreement 0, phi is -0.0 - 0.0 = -0.0 but -0.0 - -0.0 = 0.0
+    kb_doc = three_node_doc()
+    kb_doc["programs"][0]["utility"] = -1.0
+    scenario_doc = {"name": "q11", "kind": "fixed", "entries": [{"vector": [0, 0], "truth": 11}]}
+    config = {"trials": 300, "epsilon": 0.6, "value": 1.0, "cost": 0.0, "phi0": -5.0,
+              "n_max": 9, "fixed_n": 3}
+    kb = build_kb(copy.deepcopy(kb_doc))
+    texts = []
+    for cost in (0.0, -0.0):
+        signed = dict(config, cost=cost)
+        _, shared, _ = library_episode(kb_doc, scenario_doc, 3, signed, kb)
+        _, fresh, _ = library_episode(kb_doc, scenario_doc, 3, signed)
+        assert shared.to_jsonl() == fresh.to_jsonl()
+        texts.append(shared.to_jsonl())
+    assert '"phi_chosen":-0.0,' in texts[0] and '"phi_chosen":0.0,' in texts[1]

@@ -1,11 +1,12 @@
 import itertools
+import json
 import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aprior.kb import ROOT, Predicate
+from aprior.kb import ROOT, Predicate, build_kb
 from aprior.perception import (
     FULL,
     PARTIAL,
@@ -17,6 +18,7 @@ from aprior.perception import (
     identify,
     majority_fold,
     measure,
+    recognized,
 )
 from aprior.rng import SplitMix64
 from oracles import brute_feature_accuracy, brute_outcome_probability, words_drawn
@@ -182,12 +184,17 @@ def test_measure_noiseless_equals_identify(kb, noiseless, n, x, seed):
 
 
 def test_memo_holds_the_identify_outcome_of_every_vector(kb, params):
-    memo = {}
+    # the memo is the KB's recognition table: each vector's outcome and log members
+    assert kb._recognition == {}
     rng = SplitMix64(5)
     for _ in range(20):
         for x in ALL_VECTORS:
-            measure(kb, x, 5, params, rng, memo)
-    assert memo == {v: identify(kb, v) for v in ALL_VECTORS}
+            measure(kb, x, 5, params, rng)
+    assert kb._recognition == {
+        v: (identify(kb, v), json.dumps({"denoised": list(v), "depth": identify(kb, v).depth},
+                                        sort_keys=True, separators=(",", ":"))[1:-1] + ",")
+        for v in ALL_VECTORS}
+    assert recognized(kb, (0, 0)) is kb._recognition[(0, 0)]
 
 
 def identify_every_time(kb, x, n, params, rng):
@@ -199,12 +206,11 @@ def identify_every_time(kb, x, n, params, rng):
     return MeasurementResult(denoised, outcome, hits / n, n)
 
 
-def test_shared_memo_gives_the_results_of_a_fresh_memo(kb, params):
-    shared = {}
+def test_shared_memo_gives_the_results_of_a_fresh_memo(doc, kb, params):
+    # kb's table warms up across calls; a KB built afresh starts with an empty one
     for seed in range(30):
         for n in (1, 2, 3, 8):
             for x in ALL_VECTORS:
-                with_shared = measure(kb, x, n, params, SplitMix64(seed), shared)
-                assert with_shared == measure(kb, x, n, params, SplitMix64(seed), {})
-                assert with_shared == measure(kb, x, n, params, SplitMix64(seed))
+                with_shared = measure(kb, x, n, params, SplitMix64(seed))
+                assert with_shared == measure(build_kb(doc), x, n, params, SplitMix64(seed))
                 assert with_shared == identify_every_time(kb, x, n, params, SplitMix64(seed))
