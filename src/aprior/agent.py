@@ -12,8 +12,10 @@ never written.
 depend only on the node, the count of agreeing observations and the gate
 state min(recurrence, largest k among the node's programs), given n and
 the economy's phi0 and cost. Their results, and the log members they
-determine, are kept in a decision table with that key, one per sealed KB
-and (n, phi0, cost with its sign), which every state on that KB shares.
+determine, are kept in a decision table with that key. A sealed KB holds
+one such table, for the (n, phi0, cost with its sign) of the latest state
+built on it, and every state built with the same four shares it; a state
+keeps its table when a later state's economy replaces the KB's.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .perception import (
     UNRECOGNIZED,
     ChannelParams,
     RecognitionOutcome,
+    check_vector,
     observe,
 )
 from .rng import SplitMix64, substream
@@ -56,7 +59,7 @@ class AgentState:
     # recognized object id -> recognitions so far, the current trial included
     recurrence: dict[int, int] = field(default_factory=dict, init=False)
     # node -> (largest k among its programs, {(hits, gate state): _Decision}),
-    # the KB's table for this state's n and economy
+    # shared with every state on kb with this state's n and economy
     decisions: dict[int, tuple[int, dict[tuple[int, int], _Decision]]] = field(init=False)
     channel_rng: SplitMix64 = field(init=False)
     selection_rng: SplitMix64 = field(init=False)
@@ -72,8 +75,12 @@ class AgentState:
             raise ValueError(f"max |U| + c * n = {bound} + {self.econ.cost} * {n} overflows")
         # 0.0 == -0.0, but a zero cost's sign reaches the logged phis
         cost = self.econ.cost
-        self.decisions = self.kb._decisions.setdefault(
-            (n, self.econ.phi0, cost, math.copysign(1.0, cost)), {})
+        key = (n, self.econ.phi0, cost, math.copysign(1.0, cost))
+        tables = self.kb._decisions
+        if key not in tables:  # the KB keeps the latest economy's table only
+            tables.clear()
+            tables[key] = {}
+        self.decisions = tables[key]
 
 
 def planned_n(state: AgentState) -> int:
@@ -208,8 +215,7 @@ def _decision(state: AgentState, outcome: RecognitionOutcome, hits: int, n: int)
 def _trial(state: AgentState, stimulus: tuple[int, ...]):
     """The trial kernel: measure, count, gate, order, pick; stimulus is not checked."""
     n = planned_n(state)
-    denoised, (outcome, members), hits = observe(state.kb, stimulus, n, state.params,
-                                                 state.channel_rng)
+    denoised, outcome, hits = observe(state.kb, stimulus, n, state.params, state.channel_rng)
     t = record(state, outcome)
     decision = _decision(state, outcome, hits, n)
     chosen = select_random(decision.ordered, state.selection_rng)
@@ -232,14 +238,16 @@ def _trial(state: AgentState, stimulus: tuple[int, ...]):
         "phi_chosen": choice.phi,
         "action": choice.action(),
     }
-    return trial, outcome, members, choice
+    return trial, denoised, outcome, choice
 
 
 def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
     """One full trial; returns the trial log as a plain dict.
 
-    The stimulus is not checked: load_scenario checks every scenario's.
+    ValueError, before any draw, unless the stimulus is params.dim int
+    symbols in [0, params.alphabet).
     """
+    check_vector(stimulus, state.params.dim, state.params.alphabet)
     return _trial(state, stimulus)[0]
 
 
@@ -277,13 +285,14 @@ def run_episode(
     tasks_before = enumerate_tasks(state.kb)
 
     next_stimulus = world_mod.next_stimulus
-    # log members kept per stimulus, per (program, status, truth)
+    # log members kept per folded vector, per stimulus, per (program, status, truth)
+    folded: dict[tuple[int, ...], str] = {}
     shown: dict[world_mod.Stimulus, tuple[str, str]] = {}
     tails: dict[tuple[int | None, str, int | str], tuple[float, str]] = {}
     trial_logs, lines = [], []
     for i in range(trials):
         stim = next_stimulus(scenario, i, scenario_rng)
-        log, outcome, members, choice = _trial(state, stim.vector)
+        log, denoised, outcome, choice = _trial(state, stim.vector)
         key = (choice.program_id, outcome.status, stim.truth)
         tail = tails.get(key)
         if tail is None:
@@ -300,11 +309,14 @@ def run_episode(
                 raise AssertionError(f"trial {i}: action on unrecognized stimulus")
         trial_logs.append(log)
 
+        vector = folded.get(denoised)
+        if vector is None:
+            vector = folded[denoised] = _members(denoised=list(denoised), depth=outcome.depth)
         around = shown.get(stim)
         if around is None:
             around = shown[stim] = (_members(stimulus=list(stim.vector)) + '"t":',
                                     "," + _members(truth=stim.truth)[:-1] + "}")
-        lines.append(f"{choice.head}{members}{choice.mid}{tail[1]}{around[0]}{log['t']}{around[1]}")
+        lines.append(f"{choice.head}{vector}{choice.mid}{tail[1]}{around[0]}{log['t']}{around[1]}")
 
     header = {
         "seed": state.seed,

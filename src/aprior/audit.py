@@ -188,7 +188,7 @@ def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> Ch
 def _recognition_mismatch(trial: dict, kb: KnowledgeBase) -> str:
     """Why the trial's node, depth and status are not its denoised vector's outcome, or ""."""
     try:
-        out = recognized(kb, tuple(trial["denoised"]))[0]
+        out = recognized(kb, tuple(trial["denoised"]))
     except ValueError as exc:  # not one of the KB's vectors
         return f"denoised {trial['denoised']}: {exc}"
     if (trial["node"], trial["depth"], trial["status"]) != (out.node, out.depth, out.status):

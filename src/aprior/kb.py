@@ -99,9 +99,10 @@ class Program:
 class KnowledgeBase:
     """A sealed KB: every map is read-only and iterates in ascending id.
 
-    _recognition maps a vector to its recognition entry (perception.recognized)
-    and _decisions maps (n, phi0, cost, sign of cost) to the agent's decision
-    table; both live exactly as long as the KB.
+    _recognition maps a vector to its outcome (perception.recognized), at
+    most alphabet ** dim entries. _decisions maps the (n, phi0, cost, sign
+    of cost) of the latest agent state built on the KB to its decision
+    table, one entry at most. Both live exactly as long as the KB.
     """
 
     dim: int

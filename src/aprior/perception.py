@@ -61,8 +61,9 @@ class MeasurementResult:
 def check_vector(v: tuple[int, ...], dim: int, alphabet: int) -> None:
     if len(v) != dim:
         raise ValueError(f"vector length {len(v)} != {dim}")
-    if any(not 0 <= s < alphabet for s in v):
-        raise ValueError(f"vector {v} has symbols outside [0, {alphabet})")
+    # 1.0 and True equal 1 as keys, so only ints stand for symbols
+    if any(type(s) is not int or not 0 <= s < alphabet for s in v):
+        raise ValueError(f"vector {v} has symbols that are not ints in [0, {alphabet})")
 
 
 def identify(kb: KnowledgeBase, v: tuple[int, ...]) -> RecognitionOutcome:
@@ -143,22 +144,18 @@ def majority_fold(observations) -> tuple[int, ...]:
                  for col in zip(*observations))
 
 
-def recognized(kb: KnowledgeBase, v: tuple[int, ...]) -> tuple[RecognitionOutcome, str]:
-    """v's entry in kb's recognition table: its outcome and its log members.
+def recognized(kb: KnowledgeBase, v: tuple[int, ...]) -> RecognitionOutcome:
+    """v's outcome in kb's recognition table.
 
-    The members are the trial log's "denoised" and "depth" fields, as its
-    JSON encoder writes them, each followed by a comma. A vector missing
-    from the table is checked (ValueError unless it is kb.dim symbols in
-    [0, kb.alphabet)), identified once per KB and added, so the table
-    holds only the KB's own vectors.
+    A vector missing from the table is checked (ValueError unless it is
+    kb.dim int symbols in [0, kb.alphabet)), identified once per KB and
+    added, so the table holds only the KB's own vectors.
     """
-    entry = kb._recognition.get(v)
-    if entry is None:
+    outcome = kb._recognition.get(v)
+    if outcome is None:
         check_vector(v, kb.dim, kb.alphabet)
-        outcome = identify(kb, v)
-        members = f'"denoised":[{",".join(map(str, v))}],"depth":{outcome.depth},'
-        entry = kb._recognition[v] = outcome, members
-    return entry
+        outcome = kb._recognition[v] = identify(kb, v)
+    return outcome
 
 
 def observe(
@@ -167,17 +164,17 @@ def observe(
     n: int,
     params: ChannelParams,
     rng: SplitMix64,
-) -> tuple[tuple[int, ...], tuple[RecognitionOutcome, str], int]:
-    """measure without its checks: (folded vector, its recognized entry, agreeing observations)."""
+) -> tuple[tuple[int, ...], RecognitionOutcome, int]:
+    """measure without its checks: (folded vector, its outcome, agreeing observations)."""
     observations = channel(x, n, params, rng)
     denoised = majority_fold(observations)
     table = kb._recognition
     for v in (denoised, *observations):
         if v not in table:
             recognized(kb, v)
-    entry = table[denoised]
-    node = entry[0].node
-    return denoised, entry, sum(1 for obs in observations if table[obs][0].node == node)
+    outcome = table[denoised]
+    node = outcome.node
+    return denoised, outcome, sum(1 for obs in observations if table[obs].node == node)
 
 
 def measure(
@@ -196,5 +193,5 @@ def measure(
     if n < 1:
         raise InvalidCount("n must be >= 1")
     check_vector(x, params.dim, params.alphabet)
-    denoised, (outcome, _), hits = observe(kb, x, n, params, rng)
+    denoised, outcome, hits = observe(kb, x, n, params, rng)
     return MeasurementResult(denoised, outcome, hits / n, n)

@@ -58,7 +58,7 @@ def _check_stimulus(kb: KnowledgeBase, entry) -> Stimulus:
     if not isinstance(entry, dict):
         raise ScenarioError(f"entries must be objects, got {entry!r}")
     vector = entry.get("vector")
-    if not isinstance(vector, list) or any(type(s) is not int for s in vector):
+    if not isinstance(vector, list):
         raise ScenarioError(f"bad stimulus vector {vector!r}")
     vector = tuple(vector)
     try:

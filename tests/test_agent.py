@@ -342,6 +342,40 @@ def test_tables_are_shared_per_kb_and_bounded(monkeypatch):
     assert fresh.canonical == kb.canonical and kb_digest(fresh) == kb_digest(kb)
 
 
+def c1_log(kb, seed, trials=300, cost=0.02):
+    scenario = load_scenario(mixed_scenario_doc(), kb)
+    return run_episode(make_state(kb, epsilon=0.3, fixed_n=3, seed=seed, cost=cost),
+                       scenario, trials).to_jsonl()
+
+
+@pytest.mark.parametrize("stimulus", [(1.0, 0.0), (True, 0), (3, 0), (0,)])
+def test_step_rejects_an_invalid_stimulus_before_any_draw(stimulus):
+    kb = build_kb(three_node_doc())
+    state = c1_state(kb, 0)
+    words = (state.channel_rng.state, state.selection_rng.state)
+    with pytest.raises(ValueError):
+        step(state, stimulus)
+    assert (state.channel_rng.state, state.selection_rng.state, state.trials) == (*words, 0)
+    assert kb._recognition == {}
+    assert c1_log(kb, 1) == c1_log(build_kb(three_node_doc()), 1)
+
+
+def test_a_new_economy_replaces_the_kbs_decision_table():
+    kb = build_kb(three_node_doc())
+    first = c1_state(kb, 0)
+    second = make_state(kb, epsilon=0.3, fixed_n=3, seed=0, cost=0.01)
+    assert list(kb._decisions) == [(3, 0.0, 0.01, 1.0)]
+    assert second.decisions is kb._decisions[(3, 0.0, 0.01, 1.0)]
+    assert first.decisions is not second.decisions
+    # each state keeps its own table, and its log is the one a fresh KB gives
+    scenario = load_scenario(mixed_scenario_doc(), kb)
+    for state, cost in ((first, 0.02), (second, 0.01)):
+        fresh = build_kb(three_node_doc())
+        assert (run_episode(state, scenario, 300).to_jsonl()
+                == c1_log(fresh, 0, cost=cost))
+    assert first.decisions and second.decisions
+
+
 def test_state_is_built_from_its_inputs_only(kb):
     init = [f.name for f in dataclasses.fields(AgentState) if f.init]
     assert init == ["kb", "params", "econ", "seed", "fixed_n"]

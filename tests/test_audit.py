@@ -93,7 +93,7 @@ RECOGNITION_EDITS = {
         [0, 0], lambda r: r.update(depth=3)),
     "node 11, depth 2, status full != denoised [1, 0]'s node 2, depth 1, status full": (
         [0, 0], lambda r: r.update(denoised=[1, 0])),
-    "denoised [3, 0]: vector (3, 0) has symbols outside [0, 3)": (
+    "denoised [3, 0]: vector (3, 0) has symbols that are not ints in [0, 3)": (
         [2, 0], lambda r: r.update(denoised=[3, 0])),
     "denoised [0, 0, 0]: vector length 3 != 2": ([0, 0], lambda r: r.update(denoised=[0, 0, 0])),
 }

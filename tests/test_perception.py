@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import pytest
@@ -184,17 +183,24 @@ def test_measure_noiseless_equals_identify(kb, noiseless, n, x, seed):
 
 
 def test_memo_holds_the_identify_outcome_of_every_vector(kb, params):
-    # the memo is the KB's recognition table: each vector's outcome and log members
+    # the memo is the KB's recognition table
     assert kb._recognition == {}
     rng = SplitMix64(5)
     for _ in range(20):
         for x in ALL_VECTORS:
             measure(kb, x, 5, params, rng)
-    assert kb._recognition == {
-        v: (identify(kb, v), json.dumps({"denoised": list(v), "depth": identify(kb, v).depth},
-                                        sort_keys=True, separators=(",", ":"))[1:-1] + ",")
-        for v in ALL_VECTORS}
+    assert kb._recognition == {v: identify(kb, v) for v in ALL_VECTORS}
     assert recognized(kb, (0, 0)) is kb._recognition[(0, 0)]
+
+
+@pytest.mark.parametrize("vector", [(1.0, 0.0), (True, 0), (1, 0.0)])
+def test_symbols_that_only_equal_ints_never_enter_the_table(kb, noiseless, vector):
+    # 1.0 and True compare and hash as 1, so as keys they would stand for (1, 0)
+    with pytest.raises(ValueError, match="not ints"):
+        measure(kb, vector, 1, noiseless, SplitMix64(0))
+    with pytest.raises(ValueError, match="not ints"):
+        recognized(kb, vector)
+    assert kb._recognition == {}
 
 
 def identify_every_time(kb, x, n, params, rng):
