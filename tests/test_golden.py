@@ -1,4 +1,4 @@
-"""Golden outputs: the sha256 of a reference episode log and sweep CSV.
+"""Golden outputs: the sha256 of a reference episode log, its CSV and a sweep CSV.
 
 The hashes were taken from the CLI before any trial-loop optimization, so
 a change that alters a single byte of either output turns these red.
@@ -18,6 +18,8 @@ from conftest import mixed_scenario_doc, three_node_doc
 RUN_ARGS = ["run", "--kb", "kb.json", "--scenario", "scenario.json", "--seed", "42",
             "--trials", "10000", "--epsilon", "0.3", "--cost", "0.02"]
 RUN_SHA256 = "3d36475e6029dffd4f303b5c154197ff79fcd7faa4af69d386ca527d551fab21"
+RUN_CSV_SHA256 = "0e7841c66d22c0f16d7288416543183a3b133e80153ab21aa2c881579501d826"
+RUN_SUMMARY = "trials=10000 recognized=88.8% actions=6773 mean_score=0.162600\n"
 
 SWEEP_ARGS = ["sweep", "--kb", "kb.json", "--node", "11", "--epsilon", "0.3",
               "--cost", "0.02", "--n-max", "15", "--mode", "exact"]
@@ -37,12 +39,14 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("strict", [False, True])
-def test_reference_run_log(workdir, strict):
-    extra = ["--strict"] if strict else []
-    result = CliRunner().invoke(main, RUN_ARGS + ["--out", "log.jsonl", *extra])
+@pytest.mark.parametrize("extra,expected", [([], RUN_SHA256), (["--strict"], RUN_SHA256),
+                                            (["--format", "csv"], RUN_CSV_SHA256)],
+                         ids=["False", "True", "csv"])
+def test_reference_run_log(workdir, extra, expected):
+    result = CliRunner().invoke(main, RUN_ARGS + ["--out", "log", *extra])
     assert result.exit_code == 0, result.output
-    assert sha256((workdir / "log.jsonl").read_bytes()) == RUN_SHA256
+    assert result.stdout == RUN_SUMMARY
+    assert sha256((workdir / "log").read_bytes()) == expected
 
 
 def test_reference_exact_sweep_csv(workdir):
