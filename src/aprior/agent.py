@@ -66,6 +66,9 @@ class AgentState:
     _planned_n: int | None = field(default=None, init=False)
 
     def __post_init__(self):
+        if (self.params.alphabet, self.params.dim) != (self.kb.alphabet, self.kb.dim):
+            raise ValueError(f"channel alphabet {self.params.alphabet} and dim {self.params.dim} "
+                             f"differ from the KB's {self.kb.alphabet} and {self.kb.dim}")
         self.channel_rng = substream(self.seed, "channel")
         self.selection_rng = substream(self.seed, "selection")
         # a program's phi = U * agreement - c * n lies within max |U| + c * n
@@ -223,7 +226,18 @@ def _trial(state: AgentState, stimulus: tuple[int, ...]):
     if choice is None:
         choice = _Choice(state, outcome, decision, chosen, n)
         decision.choices[choice.program_id] = choice
-    trial = {
+    return t, n, denoised, outcome, decision, choice
+
+
+def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
+    """One full trial; returns the trial log as a plain dict.
+
+    ValueError, before any draw, unless the stimulus is params.dim int
+    symbols in [0, params.alphabet).
+    """
+    check_vector(stimulus, state.params.dim, state.params.alphabet)
+    t, n, denoised, outcome, decision, choice = _trial(state, stimulus)
+    return {
         "t": t,
         "stimulus": list(stimulus),
         "n": n,
@@ -238,24 +252,15 @@ def _trial(state: AgentState, stimulus: tuple[int, ...]):
         "phi_chosen": choice.phi,
         "action": choice.action(),
     }
-    return trial, denoised, outcome, choice
-
-
-def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
-    """One full trial; returns the trial log as a plain dict.
-
-    ValueError, before any draw, unless the stimulus is params.dim int
-    symbols in [0, params.alphabet).
-    """
-    check_vector(stimulus, state.params.dim, state.params.alphabet)
-    return _trial(state, stimulus)[0]
 
 
 @dataclass
 class EpisodeLog:
     header: dict
-    trials: list[dict]
-    lines: list[str]  # each trial's JSON line, as the encoder writes its dict
+    lines: list[str]  # each trial's JSON line: step's dict with truth and score
+    recognized: int  # trials whose stimulus was recognized
+    actions: int  # trials that ran a program
+    score: float  # the trials' scores summed in trial order
 
     def to_jsonl(self) -> str:
         return "\n".join([_ENCODER.encode(self.header), *self.lines]) + "\n"
@@ -289,10 +294,11 @@ def run_episode(
     folded: dict[tuple[int, ...], str] = {}
     shown: dict[world_mod.Stimulus, tuple[str, str]] = {}
     tails: dict[tuple[int | None, str, int | str], tuple[float, str]] = {}
-    trial_logs, lines = [], []
+    lines = []
+    recognized = actions = total = 0
     for i in range(trials):
         stim = next_stimulus(scenario, i, scenario_rng)
-        log, denoised, outcome, choice = _trial(state, stim.vector)
+        t, _, denoised, outcome, _, choice = _trial(state, stim.vector)
         key = (choice.program_id, outcome.status, stim.truth)
         tail = tails.get(key)
         if tail is None:
@@ -300,14 +306,14 @@ def run_episode(
             if choice.program is not None:
                 score = sum(world_mod.score(scenario, tag, stim.truth) for tag in choice.tags)
             tail = tails[key] = score, _members(score=score, status=outcome.status)
-        log["truth"] = stim.truth
-        log["score"] = tail[0]
+        recognized += outcome.status != UNRECOGNIZED
+        actions += choice.program is not None
+        total += tail[0]
         if strict:
             if state.kb.canonical != canonical_before:
                 raise AssertionError(f"trial {i}: knowledge base canonical bytes changed")
             if outcome.status == UNRECOGNIZED and choice.program is not None:
                 raise AssertionError(f"trial {i}: action on unrecognized stimulus")
-        trial_logs.append(log)
 
         vector = folded.get(denoised)
         if vector is None:
@@ -316,7 +322,7 @@ def run_episode(
         if around is None:
             around = shown[stim] = (_members(stimulus=list(stim.vector)) + '"t":',
                                     "," + _members(truth=stim.truth)[:-1] + "}")
-        lines.append(f"{choice.head}{vector}{choice.mid}{tail[1]}{around[0]}{log['t']}{around[1]}")
+        lines.append(f"{choice.head}{vector}{choice.mid}{tail[1]}{around[0]}{t}{around[1]}")
 
     header = {
         "seed": state.seed,
@@ -327,4 +333,4 @@ def run_episode(
         "tasks_before": tasks_before,
         "tasks_after": enumerate_tasks(state.kb),
     }
-    return EpisodeLog(header, trial_logs, lines)
+    return EpisodeLog(header, lines, recognized, actions, total)

@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 a check or validation failed, 2 operational error
 """
 from __future__ import annotations
 
+import json
 import math
 import sys
 
@@ -16,7 +17,7 @@ from . import world as world_mod
 from .agent import AgentState, run_episode
 from .decision import AUTO, EXACT, MONTE_CARLO, MeasurementEconomy, NotLeaf, optimal_n
 from .kb import BuildError, kb_digest, load_kb_file
-from .perception import UNRECOGNIZED, ChannelParams
+from .perception import ChannelParams
 from .rng import substream
 
 EXIT_OK = 0
@@ -128,7 +129,7 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
         payload = log.to_jsonl()
     else:
         rows = ["t,truth,n,node,status,agreement,chosen,tags,score"]
-        for tr in log.trials:
+        for tr in map(json.loads, log.lines):
             tags = "|".join(tr["action"]["tags"]) if tr["action"] else ""
             rows.append(",".join([
                 str(tr["t"]), str(tr["truth"]), str(tr["n"]), str(tr["node"]),
@@ -139,12 +140,9 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
         payload = "\n".join(rows) + "\n"
     _write_or_exit(out_path, payload)
 
-    recognized = sum(1 for tr in log.trials if tr["status"] != UNRECOGNIZED)
-    actions = sum(1 for tr in log.trials if tr["action"] is not None)
-    mean_score = sum(tr["score"] for tr in log.trials) / trials
     click.echo(
-        f"trials={trials} recognized={100.0 * recognized / trials:.1f}% "
-        f"actions={actions} mean_score={mean_score:.6f}"
+        f"trials={trials} recognized={100.0 * log.recognized / trials:.1f}% "
+        f"actions={log.actions} mean_score={log.score / trials:.6f}"
     )
 
 

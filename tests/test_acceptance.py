@@ -77,7 +77,7 @@ def test_c2_statement1(corpus):
     bad_trigger = 0
     actions = 0
     for log in logs:
-        for trial in log.trials:
+        for trial in map(json.loads, log.lines):
             if trial["status"] == "unrecognized" and trial["action"] is not None:
                 bad_omega += 1
             if trial["action"] is not None:

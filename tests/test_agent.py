@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -181,9 +182,9 @@ def test_run_episode_single_trial(kb):
     state = make_state(kb)
     scenario = scenario_fixed(kb, [((0, 0), 11)])
     log = run_episode(state, scenario, 1)
-    assert len(log.trials) == 1
+    assert len(log.lines) == 1
     assert log.header["digest_before"] == log.header["digest_after"]
-    assert log.trials[0]["score"] == 1.0
+    assert json.loads(log.lines[0])["score"] == 1.0
 
 
 def test_run_episode_deterministic(kb):
@@ -203,7 +204,7 @@ def test_run_episode_closure_and_tasks(kb):
     assert log.header["digest_before"] == log.header["digest_after"]
     assert log.header["tasks_before"] == log.header["tasks_after"]
     assert enumerate_tasks(kb) == before_tasks
-    for trial in log.trials:
+    for trial in map(json.loads, log.lines):
         if trial["status"] == "unrecognized":
             assert trial["action"] is None
         if trial["action"]:
@@ -220,6 +221,16 @@ def test_state_rejects_a_phi_that_overflows(fixed_n, utility):
     with pytest.raises(ValueError, match=re.escape(message)):
         make_state(build_kb(doc), fixed_n=fixed_n, cost=1e307)
     make_state(build_kb(doc), fixed_n=fixed_n, cost=1e306)
+
+
+@pytest.mark.parametrize("alphabet,dim", [(5, 2), (3, 3)])
+def test_state_rejects_channel_params_that_differ_from_its_kb(kb, alphabet, dim):
+    # either mismatch used to pass construction: alphabet 5 failed partway
+    # through an episode, dim 3 ran while step rejected every stimulus
+    params = ChannelParams(epsilon=0.5, alphabet=alphabet, dim=dim)
+    message = f"channel alphabet {alphabet} and dim {dim} differ from the KB's 3 and 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AgentState(kb=kb, params=params, econ=MeasurementEconomy(1.0, 0.0, 0.0, 9), seed=0)
 
 
 def test_run_episode_rejects_zero_trials(kb):
@@ -406,5 +417,5 @@ def test_deep_kb_reflex_episode_draws_a_pinned_number_of_words():
                        econ=MeasurementEconomy(value=1.0, cost=0.01, phi0=0.0, n_max=9),
                        seed=0, fixed_n=None)
     log, drawn = episode_with_words(state, load_scenario(scenario_doc, kb), 144)
-    assert log.trials[0]["n"] == 8
+    assert json.loads(log.lines[0])["n"] == 8
     assert drawn == {"channel": 5495, "selection": 105, "scenario": 0}

@@ -7,7 +7,7 @@ the eligible list. Two or three episodes run back to back on one sealed
 KB, so later ones read the recognition and decision tables earlier ones
 filled. Each log must match the library-free reference episode byte for
 byte, each named stream must have drawn the oracle's number of words, and
-each line built from cached members must be the JSON of its trial's dict.
+each line built from cached members must parse to the dict step returns.
 """
 import copy
 import json
@@ -15,7 +15,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aprior.agent import AgentState
+from aprior.agent import AgentState, step
 from aprior.decision import MeasurementEconomy
 from aprior.kb import build_kb
 from aprior.perception import ChannelParams
@@ -34,28 +34,41 @@ def episode_cases(draw):
     kb_doc = draw(tree_docs())
     a, d = kb_doc["alphabet"], kb_doc["d"]
     ids = [o["id"] for o in kb_doc["objects"]]
+    objects = {o["id"]: (-1 if o["parent"] is None else o["parent"],
+                         [tuple(p) for p in o["predicate"]]) for o in kb_doc["objects"]}
+    entries, reached = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        vector = draw(st.lists(st.integers(0, a - 1), min_size=d, max_size=d))
+        if draw(st.integers(0, 3)):  # mostly a vector that meets a drawn node's predicate
+            for i, s in objects[draw(st.sampled_from(ids))][1]:
+                vector[i] = s
+        node, _, status = descend(objects, vector)
+        truth = {"full": node, "partial": draw(st.sampled_from([node, "omega"])),
+                 "unrecognized": "omega"}[status]
+        entries.append({"vector": vector, "truth": truth})
+        if status != "unrecognized":
+            reached.append(node)
     tags = draw(st.lists(st.sampled_from(TAGS), min_size=1, max_size=4))
     op_ids = list(range(1, len(tags) + 1))
     kb_doc["operations"] = [{"id": pid, "action_tag": tag, "task": pid, "applicable_objects": ids}
                             for pid, tag in zip(op_ids, tags)]
     kb_doc["tasks"] = [{"id": pid, "pairs": [[draw(st.sampled_from(ids)), pid]]}
                        for pid in op_ids]
+
+    def trigger():
+        # mostly a node the entries reach, so most episodes act; sometimes
+        # any node, so programs off the recognized node stay covered
+        if reached and draw(st.integers(0, 3)):
+            return draw(st.sampled_from(reached))
+        return draw(st.sampled_from(ids))
+
     kb_doc["programs"] = draw(st.permutations([
-        {"id": gid, "trigger": draw(st.sampled_from(ids)),
+        {"id": gid, "trigger": trigger(),
          "operations": draw(st.lists(st.sampled_from(op_ids), min_size=1, max_size=3)),
          "k": draw(st.integers(1, 5)), "utility": draw(st.sampled_from(UTILITIES))}
         for gid in range(1, draw(st.integers(0, 12)) + 1)
     ]))
 
-    objects = {o["id"]: (-1 if o["parent"] is None else o["parent"],
-                         [tuple(p) for p in o["predicate"]]) for o in kb_doc["objects"]}
-    entries = []
-    for _ in range(draw(st.integers(1, 5))):
-        vector = draw(st.lists(st.integers(0, a - 1), min_size=d, max_size=d))
-        node, _, status = descend(objects, vector)
-        truth = {"full": node, "partial": draw(st.sampled_from([node, "omega"])),
-                 "unrecognized": "omega"}[status]
-        entries.append({"vector": vector, "truth": truth})
     kind = draw(st.sampled_from(["fixed", "categorical", "reflex"]))
     scenario_doc = {"name": "drawn", "kind": kind, "entries": entries, "scoring": [
         {"action": draw(st.sampled_from(tags)), "truth": draw(st.sampled_from(entries))["truth"],
@@ -116,9 +129,24 @@ def library_episode(kb_doc, scenario_doc, seed, config, kb=None, strict=False):
     return state, log, words
 
 
-def assert_lines_are_the_trials_json(log):
-    assert log.lines == [json.dumps(trial, sort_keys=True, separators=(",", ":"))
-                         for trial in log.trials]
+def assert_lines_are_the_trials_json(state, log):
+    """Each line is step's dict, on a twin state shown the same stimuli, plus truth and score.
+
+    The summary counters are the counts over the parsed lines.
+    """
+    twin = AgentState(kb=state.kb, params=state.params, econ=state.econ, seed=state.seed,
+                      fixed_n=state.fixed_n)
+    records = [json.loads(line) for line in log.lines]
+    for line, record in zip(log.lines, records):
+        trial = step(twin, tuple(record["stimulus"]))
+        assert trial == {key: value for key, value in record.items()
+                         if key not in ("truth", "score")}
+        # == takes -0.0 for 0.0; the bytes keep the sign of a zero
+        assert json.dumps(dict(trial, truth=record["truth"], score=record["score"]),
+                          sort_keys=True, separators=(",", ":")) == line
+    assert log.recognized == sum(1 for r in records if r["status"] != "unrecognized")
+    assert log.actions == sum(1 for r in records if r["action"] is not None)
+    assert log.score == sum(r["score"] for r in records)
 
 
 def assert_no_float_keys(state):
@@ -146,7 +174,7 @@ def test_run_episode_matches_the_reference_episode(series):
 @given(episode_cases())
 def test_lines_built_from_cached_members_are_the_json_of_each_trial(case):
     state, log, _ = library_episode(*case)
-    assert_lines_are_the_trials_json(log)
+    assert_lines_are_the_trials_json(state, log)
     assert_no_float_keys(state)
 
 
@@ -167,7 +195,7 @@ def test_zero_phis_keep_their_sign():
     assert '"agreement":0.0,"candidates":[[1,0.0],[4,-0.0],[5,-0.0]]' in text
     assert '"phi_chosen":0.0,' in text and '"phi_chosen":-0.0,' in text
     assert text == reference_episode(kb_doc, scenario_doc, 3, config)[0]
-    assert_lines_are_the_trials_json(log)
+    assert_lines_are_the_trials_json(state, log)
     assert_no_float_keys(state)
 
 
