@@ -225,8 +225,8 @@ def test_state_rejects_a_phi_that_overflows(fixed_n, utility):
 
 @pytest.mark.parametrize("alphabet,dim", [(5, 2), (3, 3)])
 def test_state_rejects_channel_params_that_differ_from_its_kb(kb, alphabet, dim):
-    # either mismatch used to pass construction: alphabet 5 failed partway
-    # through an episode, dim 3 ran while step rejected every stimulus
+    # unchecked, alphabet 5 fails partway through an episode, after drawing
+    # words, and dim 3 runs an episode while step rejects every stimulus
     params = ChannelParams(epsilon=0.5, alphabet=alphabet, dim=dim)
     message = f"channel alphabet {alphabet} and dim {dim} differ from the KB's 3 and 2"
     with pytest.raises(ValueError, match=re.escape(message)):
