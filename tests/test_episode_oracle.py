@@ -56,7 +56,7 @@ def episode_cases(draw):
                        for pid in op_ids]
 
     def trigger():
-        # mostly a node the entries reach, so most episodes act; sometimes
+        # mostly a node the entries reach, so more episodes act; sometimes
         # any node, so programs off the recognized node stay covered
         if reached and draw(st.integers(0, 3)):
             return draw(st.sampled_from(reached))

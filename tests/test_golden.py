@@ -1,7 +1,9 @@
 """Golden outputs: the sha256 of a reference episode log, its CSV and a sweep CSV.
 
-The hashes were taken from the CLI before any trial-loop optimization, so
-a change that alters a single byte of either output turns these red.
+The log and sweep hashes were taken from the CLI before any trial-loop
+optimization, and the CSV hash and summary line before the CSV was derived
+from the log lines, so a change that alters a single byte of any of them
+turns these red.
 Regenerate them only for a deliberate output change, and say so in
 CHANGES.md.
 """
