@@ -15,7 +15,8 @@ import click
 from . import audit as audit_mod
 from . import world as world_mod
 from .agent import AgentState, run_episode
-from .decision import AUTO, EXACT, MONTE_CARLO, MeasurementEconomy, NotLeaf, optimal_n
+from .decision import (AUTO, EXACT, MONTE_CARLO, MeasurementEconomy, NotLeaf, UnderconstrainedLeaf,
+                       optimal_n)
 from .kb import BuildError, kb_digest, load_kb_file
 from .perception import ChannelParams
 from .rng import substream
@@ -166,7 +167,7 @@ def sweep(kb_path, node, epsilon, value, cost, n_max, mode, seed, out_path):
     rng = substream(seed, "sweep")
     try:
         _, rows = optimal_n(kb, node, params, econ, mode=mode, rng=rng, return_sweep=True)
-    except NotLeaf as exc:
+    except (NotLeaf, UnderconstrainedLeaf) as exc:
         _exit(exc, EXIT_CHECK_FAILED)
 
     lines = ["n,perr,phi,is_argmax"]

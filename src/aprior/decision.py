@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .kb import KnowledgeBase, Program, finite_number
-from .perception import ChannelParams, InvalidCount
+from .perception import ChannelParams, InvalidCount, channel, majority_fold
 from .rng import SplitMix64
 
 EXACT = "exact"
@@ -23,6 +23,8 @@ AUTO = "auto"
 # above this many channel sequences, auto mode falls back to Monte Carlo
 EXACT_LIMIT = 10 ** 6
 MC_SAMPLES = 10 ** 5
+# samples per channel call, which bounds the draws held at once
+MC_BATCH = 1000
 
 
 class NotLeaf(ValueError):
@@ -105,24 +107,13 @@ def _exact_feature_accuracy(n: int, eps: float, a: int, true_symbol: int) -> flo
 def _mc_feature_accuracy(
     n: int, params: ChannelParams, true_symbol: int, rng: SplitMix64, samples: int
 ) -> float:
-    # draw pattern matches perception.channel: one corruption word,
-    # then one rejection-sampled replacement when corrupted
-    a = params.alphabet
-    threshold = params.threshold
-    next_u64 = rng.next_u64
-    randbelow = rng.randbelow
+    # each sample is one observation of (true_symbol,) * n, so a batch's
+    # columns are its samples' n draws; any batch size draws the same words
+    x = (true_symbol,) * n
     hits = 0
-    for _ in range(samples):
-        counts = [0] * a
-        for _ in range(n):
-            if next_u64() >= threshold:
-                s = true_symbol
-            else:
-                j = randbelow(a - 1)
-                s = j if j < true_symbol else j + 1
-            counts[s] += 1
-        if counts.index(max(counts)) == true_symbol:
-            hits += 1
+    for start in range(0, samples, MC_BATCH):
+        batch = channel(x, min(MC_BATCH, samples - start), params, rng)
+        hits += majority_fold(list(zip(*batch))).count(true_symbol)
     return hits / samples
 
 
@@ -132,7 +123,6 @@ def feature_accuracy(
     true_symbol: int,
     mode: str = AUTO,
     rng: SplitMix64 | None = None,
-    samples: int = MC_SAMPLES,
 ) -> float:
     """P(majority-folded feature equals the true symbol) after n draws."""
     if n < 1:
@@ -146,7 +136,7 @@ def feature_accuracy(
         return _exact_feature_accuracy(n, params.epsilon, params.alphabet, true_symbol)
     if rng is None:
         raise ValueError("Monte Carlo mode requires an rng")
-    return _mc_feature_accuracy(n, params, true_symbol, rng, samples)
+    return _mc_feature_accuracy(n, params, true_symbol, rng, MC_SAMPLES)
 
 
 def recognition_error(

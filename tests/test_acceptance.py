@@ -14,7 +14,8 @@ from aprior.agent import AgentState, run_episode, step
 from aprior.audit import assert_closure, assert_reflex, assert_statement1, parse_log
 from aprior.cli import main
 from aprior.decision import (
-    AUTO, EXACT, MONTE_CARLO, MeasurementEconomy, feature_accuracy, recognition_error,
+    AUTO, EXACT, MC_SAMPLES, MONTE_CARLO, MeasurementEconomy, feature_accuracy,
+    recognition_error,
 )
 from aprior.kb import build_kb
 from aprior.perception import ChannelParams
@@ -124,10 +125,8 @@ def test_c3_measurement_numerics():
     perr = recognition_error(kb, 11, 3, params)
     ok_perr = math.isclose(perr, 1 - 0.8785 ** 2, abs_tol=1e-12)
 
-    samples = 100_000
-    mc = feature_accuracy(3, params, 0, mode=MONTE_CARLO,
-                          rng=SplitMix64(17), samples=samples)
-    sigma = math.sqrt(oracle * (1 - oracle) / samples)
+    mc = feature_accuracy(3, params, 0, mode=MONTE_CARLO, rng=SplitMix64(17))
+    sigma = math.sqrt(oracle * (1 - oracle) / MC_SAMPLES)
     ok_mc = abs(mc - acc) < 3 * sigma
 
     report("C3 measurement numerics", ok_acc and ok_perr and ok_mc,

@@ -144,11 +144,14 @@ def test_sweep_noiseless_argmax_is_one(runner, kb_file):
 
 
 def test_sweep_rejects_internal_node(runner, kb_file):
-    args = sweep_args(kb_file)
-    args[args.index("--node") + 1] = "1"
-    result = runner.invoke(main, args)
-    assert result.exit_code == 1
-    assert "NotLeaf" in result.output
+    # leaf 2 pins only feature 0, so its recognition error is undefined too
+    for node, error in (("1", "NotLeaf"), ("2", "UnderconstrainedLeaf")):
+        args = sweep_args(kb_file)
+        args[args.index("--node") + 1] = node
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output.startswith(f"{error}: ")
+        assert "Traceback" not in result.output
 
 
 def test_sweep_deterministic_with_mc_rows(runner, kb_file, tmp_path):

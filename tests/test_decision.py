@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aprior import decision
 from aprior.decision import (
     EXACT,
+    MC_SAMPLES,
     MONTE_CARLO,
     MeasurementEconomy,
     NotLeaf,
@@ -56,11 +58,19 @@ def test_feature_accuracy_matches_brute_enumeration(params, n, sym):
 
 def test_feature_accuracy_monte_carlo_agrees_with_exact(params):
     exact = feature_accuracy(3, params, 0)
-    samples = 100_000
-    mc = feature_accuracy(3, params, 0, mode=MONTE_CARLO, rng=SplitMix64(11),
-                          samples=samples)
-    sigma = math.sqrt(exact * (1 - exact) / samples)
+    mc = feature_accuracy(3, params, 0, mode=MONTE_CARLO, rng=SplitMix64(11))
+    sigma = math.sqrt(exact * (1 - exact) / MC_SAMPLES)
     assert abs(mc - exact) < 3 * sigma
+
+
+def test_mc_batch_size_does_not_change_the_draws(params, monkeypatch):
+    # 1001 samples fill neither batch; a corrupted 2 is replaced by j itself
+    runs = []
+    for batch in (7, decision.MC_BATCH):
+        monkeypatch.setattr(decision, "MC_BATCH", batch)
+        rng = SplitMix64(3)
+        runs.append((decision._mc_feature_accuracy(4, params, 2, rng, 1001), rng.state))
+    assert runs[0] == runs[1]
 
 
 def test_feature_accuracy_mode_resolution(params):

@@ -1,9 +1,10 @@
-"""Golden outputs: the sha256 of a reference episode log, its CSV and a sweep CSV.
+"""Golden outputs: the sha256 of a reference episode log, its CSV and two sweep CSVs.
 
-The log and sweep hashes were taken from the CLI before any trial-loop
-optimization, and the CSV hash and summary line before the CSV was derived
-from the log lines, so a change that alters a single byte of any of them
-turns these red.
+The log and exact sweep hashes were taken from the CLI before any trial-loop
+optimization, the CSV hash and summary line before the CSV was derived
+from the log lines, and the Monte Carlo sweep hash before that estimator
+drew through perception.channel, so a change that alters a single byte of
+any of them turns these red.
 Regenerate them only for a deliberate output change, and say so in
 CHANGES.md.
 """
@@ -26,6 +27,11 @@ RUN_SUMMARY = "trials=10000 recognized=88.8% actions=6773 mean_score=0.162600\n"
 SWEEP_ARGS = ["sweep", "--kb", "kb.json", "--node", "11", "--epsilon", "0.3",
               "--cost", "0.02", "--n-max", "15", "--mode", "exact"]
 SWEEP_SHA256 = "8a027c93b71ef298c723cf28c360eb759da4846db2fbe934b1699778db718748"
+
+# leaf 12 has true symbols 0 and 1, so both replacement branches draw
+MC_SWEEP_ARGS = ["sweep", "--kb", "kb.json", "--node", "12", "--epsilon", "0.3",
+                 "--cost", "0.02", "--n-max", "3", "--mode", "mc", "--seed", "5"]
+MC_SWEEP_SHA256 = "e4ece4442474f8248120c0108ec5031031c976a4efa3d85c2807a813872a1005"
 
 
 @pytest.fixture
@@ -55,3 +61,9 @@ def test_reference_exact_sweep_csv(workdir):
     result = CliRunner().invoke(main, SWEEP_ARGS)
     assert result.exit_code == 0, result.output
     assert sha256(result.stdout_bytes) == SWEEP_SHA256
+
+
+def test_reference_mc_sweep_csv(workdir):
+    result = CliRunner().invoke(main, MC_SWEEP_ARGS)
+    assert result.exit_code == 0, result.output
+    assert sha256(result.stdout_bytes) == MC_SWEEP_SHA256
