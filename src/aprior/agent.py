@@ -55,6 +55,7 @@ class AgentState:
     econ: MeasurementEconomy
     seed: int
     fixed_n: int | None = None
+    n: int = field(init=False)  # measurements per trial, planned once
     trials: int = field(default=0, init=False)
     # recognized object id -> recognitions so far, the current trial included
     recurrence: dict[int, int] = field(default_factory=dict, init=False)
@@ -63,16 +64,17 @@ class AgentState:
     decisions: dict[int, tuple[int, dict[tuple[int, int], _Decision]]] = field(init=False)
     channel_rng: SplitMix64 = field(init=False)
     selection_rng: SplitMix64 = field(init=False)
-    _planned_n: int | None = field(default=None, init=False)
 
     def __post_init__(self):
+        if self.fixed_n is not None and (type(self.fixed_n) is not int or self.fixed_n < 1):
+            raise ValueError(f"fixed_n must be None or an int >= 1, got {self.fixed_n!r}")
         if (self.params.alphabet, self.params.dim) != (self.kb.alphabet, self.kb.dim):
             raise ValueError(f"channel alphabet {self.params.alphabet} and dim {self.params.dim} "
                              f"differ from the KB's {self.kb.alphabet} and {self.kb.dim}")
         self.channel_rng = substream(self.seed, "channel")
         self.selection_rng = substream(self.seed, "selection")
         # a program's phi = U * agreement - c * n lies within max |U| + c * n
-        n = planned_n(self)
+        n = self.n = planned_n(self)
         bound = max((abs(p.base_utility) for p in self.kb.programs.values()), default=0.0)
         if not (finite_number(n) and math.isfinite(bound + self.econ.cost * n)):
             raise ValueError(f"max |U| + c * n = {bound} + {self.econ.cost} * {n} overflows")
@@ -91,23 +93,15 @@ def planned_n(state: AgentState) -> int:
 
     Optimizes phi(n) exactly, for any n_max, for the reference leaf
     (smallest-id leaf that pins every feature); falls back to 1 when no
-    such leaf exists. Constant across an episode, so computed once.
+    such leaf exists. AgentState plans it once, as its n.
     """
     if state.fixed_n is not None:
         return state.fixed_n
-    if state._planned_n is None:
-        ref = None
-        for oid in state.kb.objects:
-            obj = state.kb.objects[oid]
-            if state.kb.is_leaf(oid) and len(obj.predicate.constraints) == state.kb.dim:
-                ref = oid
-                break
-        if ref is None:
-            state._planned_n = 1
-        else:
-            n_star, _ = optimal_n(state.kb, ref, state.params, state.econ, mode=EXACT)
-            state._planned_n = n_star
-    return state._planned_n
+    kb = state.kb
+    for oid, obj in kb.objects.items():
+        if kb.is_leaf(oid) and len(obj.predicate.constraints) == kb.dim:
+            return optimal_n(kb, oid, state.params, state.econ, mode=EXACT)[0]
+    return 1
 
 
 def record(state: AgentState, outcome: RecognitionOutcome) -> int:
@@ -155,7 +149,7 @@ class _Choice:
     __slots__ = ("program", "program_id", "phi", "tags", "head", "mid")
 
     def __init__(self, state: AgentState, outcome: RecognitionOutcome, decision: _Decision,
-                 chosen: ProgramQuality | None, n: int):
+                 chosen: ProgramQuality | None):
         self.program = None
         self.program_id = self.phi = None
         self.tags: tuple[str, ...] = ()
@@ -166,7 +160,7 @@ class _Choice:
         text = _ENCODER.encode({
             "action": self.action(), "agreement": decision.agreement,
             "candidates": decision.candidates(), "chosen": self.program_id,
-            "eligible": decision.eligible(), "n": n, "node": outcome.node,
+            "eligible": decision.eligible(), "n": state.n, "node": outcome.node,
             "phi_chosen": self.phi,
         })
         # a '"' inside a string value is escaped, so only the member boundary matches
@@ -181,16 +175,18 @@ class _Choice:
 
 
 class _Decision:
-    """What eligible_programs, phi_program and order_and_filter give for one table key."""
+    """What eligible_programs, phi_program and order_and_filter give for one table key,
+    with one pick per entry of ordered, in its order, or idle, the no-action pick, if none."""
 
-    __slots__ = ("agreement", "qualities", "ordered", "choices")
+    __slots__ = ("agreement", "qualities", "ordered", "choices", "idle")
 
-    def __init__(self, state: AgentState, outcome: RecognitionOutcome, hits: int, n: int):
-        self.agreement = hits / n
-        self.qualities = [phi_program(p, self.agreement, n, state.econ)
+    def __init__(self, state: AgentState, outcome: RecognitionOutcome, hits: int):
+        self.agreement = hits / state.n
+        self.qualities = [phi_program(p, self.agreement, state.n, state.econ)
                           for p in eligible_programs(state, outcome)]
         self.ordered = order_and_filter(self.qualities, state.econ.phi0)
-        self.choices: dict[int | None, _Choice] = {}  # chosen program id -> its choice
+        self.choices = [_Choice(state, outcome, self, q) for q in self.ordered]
+        self.idle = None if self.ordered else _Choice(state, outcome, self, None)
 
     def candidates(self) -> list[list]:
         return [[q.program_id, q.phi] for q in self.qualities]
@@ -199,7 +195,7 @@ class _Decision:
         return [q.program_id for q in self.ordered]
 
 
-def _decision(state: AgentState, outcome: RecognitionOutcome, hits: int, n: int) -> _Decision:
+def _decision(state: AgentState, outcome: RecognitionOutcome, hits: int) -> _Decision:
     """The decision table entry for this trial; a miss builds it from the gate rule."""
     node = outcome.node
     table = state.decisions.get(node)
@@ -211,22 +207,17 @@ def _decision(state: AgentState, outcome: RecognitionOutcome, hits: int, n: int)
     key = (hits, min(state.recurrence.get(node, 0), k_max))
     decision = entries.get(key)
     if decision is None:
-        decision = entries[key] = _Decision(state, outcome, hits, n)
+        decision = entries[key] = _Decision(state, outcome, hits)
     return decision
 
 
 def _trial(state: AgentState, stimulus: tuple[int, ...]):
     """The trial kernel: measure, count, gate, order, pick; stimulus is not checked."""
-    n = planned_n(state)
-    denoised, outcome, hits = observe(state.kb, stimulus, n, state.params, state.channel_rng)
+    denoised, outcome, hits = observe(state.kb, stimulus, state.n, state.params, state.channel_rng)
     t = record(state, outcome)
-    decision = _decision(state, outcome, hits, n)
-    chosen = select_random(decision.ordered, state.selection_rng)
-    choice = decision.choices.get(None if chosen is None else chosen.program_id)
-    if choice is None:
-        choice = _Choice(state, outcome, decision, chosen, n)
-        decision.choices[choice.program_id] = choice
-    return t, n, denoised, outcome, decision, choice
+    decision = _decision(state, outcome, hits)
+    choice = select_random(decision.choices, state.selection_rng) or decision.idle
+    return t, denoised, outcome, decision, choice
 
 
 def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
@@ -236,11 +227,11 @@ def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
     symbols in [0, params.alphabet).
     """
     check_vector(stimulus, state.params.dim, state.params.alphabet)
-    t, n, denoised, outcome, decision, choice = _trial(state, stimulus)
+    t, denoised, outcome, decision, choice = _trial(state, stimulus)
     return {
         "t": t,
         "stimulus": list(stimulus),
-        "n": n,
+        "n": state.n,
         "denoised": list(denoised),
         "node": outcome.node,
         "depth": outcome.depth,
@@ -298,13 +289,11 @@ def run_episode(
     recognized = actions = total = 0
     for i in range(trials):
         stim = next_stimulus(scenario, i, scenario_rng)
-        t, _, denoised, outcome, _, choice = _trial(state, stim.vector)
+        t, denoised, outcome, _, choice = _trial(state, stim.vector)
         key = (choice.program_id, outcome.status, stim.truth)
         tail = tails.get(key)
         if tail is None:
-            score = 0.0
-            if choice.program is not None:
-                score = sum(world_mod.score(scenario, tag, stim.truth) for tag in choice.tags)
+            score = sum((world_mod.score(scenario, tag, stim.truth) for tag in choice.tags), 0.0)
             tail = tails[key] = score, _members(score=score, status=outcome.status)
         recognized += outcome.status != UNRECOGNIZED
         actions += choice.program is not None

@@ -67,7 +67,8 @@ class AuditReport:
         )
 
 
-_HEADER_KEYS = {"seed", "trials", "digest_before", "digest_after", "tasks_before", "tasks_after"}
+_HEADER_TYPES = {"seed": int, "trials": int, "digest_before": int, "digest_after": int,
+                 "tasks_before": list, "tasks_after": list}
 _TRIAL_KEYS = {"t", "n", "denoised", "node", "depth", "status", "action", "candidates",
                "eligible", "chosen", "phi_chosen"}
 _STATUSES = (FULL, PARTIAL, UNRECOGNIZED)
@@ -101,8 +102,11 @@ def parse_log(text: str) -> tuple[dict, list[dict]]:
         trials = [json.loads(line) for line in lines[1:]]
     except (ValueError, RecursionError) as exc:  # also the digit limit and deep nesting
         raise MalformedLog(f"bad JSON: {exc}") from exc
-    if not isinstance(header, dict) or not _HEADER_KEYS <= header.keys():
+    if not isinstance(header, dict) or not _HEADER_TYPES.keys() <= header.keys():
         raise MalformedLog("header missing required keys")
+    for key, kind in _HEADER_TYPES.items():
+        if type(header[key]) is not kind:  # not isinstance: a bool is no count
+            raise MalformedLog(f"header {key} {header[key]!r} is not of type {kind.__name__}")
     if not trials:
         raise MalformedLog("log has no trials")
     if header["trials"] != len(trials):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence, TypeVar
 
 from .kb import KnowledgeBase, Program, finite_number
 from .perception import ChannelParams, InvalidCount, channel, majority_fold
@@ -25,6 +26,7 @@ EXACT_LIMIT = 10 ** 6
 MC_SAMPLES = 10 ** 5
 # samples per channel call, which bounds the draws held at once
 MC_BATCH = 1000
+T = TypeVar("T")  # an item of the list select_random picks from
 
 
 class NotLeaf(ValueError):
@@ -215,8 +217,8 @@ def order_and_filter(qualities, phi0: float) -> list[ProgramQuality]:
     return sorted(kept, key=lambda q: (-q.phi, q.program_id))
 
 
-def select_random(eligible, rng: SplitMix64) -> ProgramQuality | None:
-    """Uniform pick over the eligible list; None when empty."""
-    if not eligible:
+def select_random(items: Sequence[T], rng: SplitMix64) -> T | None:
+    """A uniform pick from any list by one randbelow(len) word; None, drawing none, if empty."""
+    if not items:
         return None
-    return eligible[rng.randbelow(len(eligible))]
+    return items[rng.randbelow(len(items))]

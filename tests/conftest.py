@@ -3,10 +3,12 @@ import json
 from unittest import mock
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 import aprior.world
 from aprior.agent import run_episode
+from aprior.cli import main
 from aprior.decision import MeasurementEconomy
 from aprior.kb import build_kb
 from aprior.perception import ChannelParams
@@ -90,6 +92,22 @@ def kb_file(tmp_path, doc):
     path = tmp_path / "kb.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="session")
+def reference_sweep_output(tmp_path_factory):
+    """What `aprior sweep` prints on the reference KB: leaf 11, eps 0.3, auto to n = 15.
+
+    Its Monte Carlo rows 13-15 make it the suite's slowest command, so it
+    runs once per session and the tests that need its rows share them.
+    """
+    path = tmp_path_factory.mktemp("sweep") / "kb.json"
+    path.write_text(json.dumps(three_node_doc()), encoding="utf-8")
+    result = CliRunner().invoke(main, [
+        "sweep", "--kb", str(path), "--node", "11", "--epsilon", "0.3", "--value", "1.0",
+        "--cost", "0.02", "--n-max", "15", "--mode", "auto", "--seed", "5"])
+    assert result.exit_code == 0, result.output
+    return result.output
 
 
 def variant(doc, **overrides):

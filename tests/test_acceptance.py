@@ -140,16 +140,21 @@ def sweep_csv(runner, kb_path, epsilon, cost, n_max=15, mode=AUTO):
         "--n-max", str(n_max), "--mode", mode, "--seed", "5",
     ])
     assert result.exit_code == 0, result.output
+    return sweep_rows(result.output)
+
+
+def sweep_rows(output: str) -> list[tuple]:
     rows = []
-    for line in result.output.splitlines()[1:]:
+    for line in output.splitlines()[1:]:
         n, perr, phi, is_argmax = line.split(",")
         rows.append((int(n), float(perr), float(phi), is_argmax == "1"))
     return rows
 
 
-def test_c4_extremum(kb_file):
+def test_c4_extremum(kb_file, reference_sweep_output):
+    # the reference sweep is sweep_csv(runner, kb_file, epsilon=0.3, cost=0.02)
     runner = CliRunner()
-    rows = sweep_csv(runner, kb_file, epsilon=0.3, cost=0.02)
+    rows = sweep_rows(reference_sweep_output)
     by_n = {r[0]: r for r in rows}
     ok_phi1 = math.isclose(by_n[1][2], 0.47, abs_tol=1e-9)
     oracle_phi3 = brute_feature_accuracy(3, 0.3, 3, 0) ** 2 - 0.06

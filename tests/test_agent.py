@@ -223,6 +223,13 @@ def test_state_rejects_a_phi_that_overflows(fixed_n, utility):
     make_state(build_kb(doc), fixed_n=fixed_n, cost=1e306)
 
 
+@pytest.mark.parametrize("fixed_n", [0, -1, 2.0, True])
+def test_state_rejects_a_fixed_n_that_is_not_a_positive_int(kb, fixed_n):
+    # 0 and -1 count no measurement; 2.0 and True equal ints but are not counts
+    with pytest.raises(ValueError, match=re.escape(f"int >= 1, got {fixed_n!r}")):
+        make_state(kb, fixed_n=fixed_n)
+
+
 @pytest.mark.parametrize("alphabet,dim", [(5, 2), (3, 3)])
 def test_state_rejects_channel_params_that_differ_from_its_kb(kb, alphabet, dim):
     # unchecked, alphabet 5 fails partway through an episode, after drawing

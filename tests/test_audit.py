@@ -221,6 +221,16 @@ def test_malformed_logs(kb):
     header, trials = make_log(kb, trials=1)
     with pytest.raises(MalformedLog):
         parse_log("\n".join(json.dumps(r) for r in [header, dict(trials[0], action="x")]))
+    # one trial: True and 1.0 equal 1, so only their types tell them from a count
+    for edit in [
+        {"trials": True}, {"trials": 1.0}, {"seed": "x"}, {"seed": None}, {"seed": False},
+        {"digest_before": str(header["digest_before"]),
+         "digest_after": str(header["digest_after"])},
+        {"digest_after": float(header["digest_after"])}, {"tasks_before": {}},
+        {"tasks_before": None, "tasks_after": None},
+    ]:
+        with pytest.raises(MalformedLog):
+            parse_log("\n".join(json.dumps(r) for r in [dict(header, **edit), trials[0]]))
 
     header, trials = make_log(kb)
     i = next(i for i, t in enumerate(trials) if t["action"] is not None)

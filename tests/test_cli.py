@@ -121,10 +121,8 @@ def sweep_args(kb_file, out=None, **kw):
     return args
 
 
-def test_sweep_reference_rows(runner, kb_file):
-    result = runner.invoke(main, sweep_args(kb_file))
-    assert result.exit_code == 0
-    lines = result.output.splitlines()
+def test_sweep_reference_rows(reference_sweep_output):
+    lines = reference_sweep_output.splitlines()
     assert lines[0] == "n,perr,phi,is_argmax"
     rows = {int(line.split(",")[0]): line.split(",") for line in lines[1:]}
     assert float(rows[1][1]) == pytest.approx(0.51, abs=1e-12)
@@ -154,11 +152,10 @@ def test_sweep_rejects_internal_node(runner, kb_file):
         assert "Traceback" not in result.output
 
 
-def test_sweep_deterministic_with_mc_rows(runner, kb_file, tmp_path):
-    out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-    assert runner.invoke(main, sweep_args(kb_file, out=out1)).exit_code == 0
-    assert runner.invoke(main, sweep_args(kb_file, out=out2)).exit_code == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_sweep_deterministic_with_mc_rows(runner, kb_file, tmp_path, reference_sweep_output):
+    out = tmp_path / "s.csv"
+    assert runner.invoke(main, sweep_args(kb_file, out=out)).exit_code == 0
+    assert out.read_bytes() == reference_sweep_output.encode()
 
 
 def test_audit_honest_log(runner, kb_file, scenario_file, tmp_path):
@@ -387,7 +384,7 @@ MALFORMED_LOG_EDITS = {
 
 @pytest.mark.parametrize("case", [
     "non-UTF-8 log", "deep KB", "deep scenario", "deep log", "truncated log",
-    *MALFORMED_LOG_EDITS,
+    "string digests in the header", *MALFORMED_LOG_EDITS,
 ])
 def test_malformed_input_exits_2_without_traceback(runner, kb_file, scenario_file, tmp_path,
                                                    case):
@@ -406,6 +403,11 @@ def test_malformed_input_exits_2_without_traceback(runner, kb_file, scenario_fil
             log.write_text(DEEP + "\n")
         elif case == "truncated log":
             log.write_text("\n".join(lines[:11]) + "\n")  # the header still names 30 trials
+        elif case == "string digests in the header":
+            header = json.loads(lines[0])
+            for key in ("digest_before", "digest_after"):
+                header[key] = str(header[key])
+            log.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
         else:
             _edit_first_action(lines, MALFORMED_LOG_EDITS[case])
             log.write_text("\n".join(lines) + "\n")

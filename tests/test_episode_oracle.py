@@ -24,9 +24,20 @@ from conftest import episode_with_words, three_node_doc, tree_docs
 from episode_oracle import descend, reference_episode
 
 TAGS = ("pull", "orient", "approach", "grasp", "échapper")
-UTILITIES = (-1.0, -0.25, -0.0, 0.0, 0.3, 0.8, 1.0, 2)
+# 1.0 first: Hypothesis favours the first entry, and a positive utility can act
+UTILITIES = (1.0, -1.0, -0.25, -0.0, 0.0, 0.3, 0.8, 2)
 COSTS = (0.0, -0.0, 0.01, 0.3)
-PHI0S = (-1.0, 0.0, 0.2, 5.0)
+PHI0S = (-1.0, 0.0, 0.2, 5.0)  # no program's phi (|U| <= 2) passes 5.0
+
+
+def rarely(draw, value, otherwise):
+    """value in about one draw in ten, else a draw from otherwise.
+
+    Keeps draws that seldom or never act (no programs, phi0 = 5.0,
+    epsilon 1) in the mix without letting them crowd out the action, tag
+    and score paths. The zero draw, which Hypothesis favours, gives otherwise.
+    """
+    return value if draw(st.integers(0, 9)) == 9 else draw(otherwise)
 
 
 @st.composite
@@ -39,7 +50,7 @@ def episode_cases(draw):
     entries, reached = [], []
     for _ in range(draw(st.integers(1, 5))):
         vector = draw(st.lists(st.integers(0, a - 1), min_size=d, max_size=d))
-        if draw(st.integers(0, 3)):  # mostly a vector that meets a drawn node's predicate
+        if draw(st.integers(0, 3)) < 3:  # mostly a vector that meets a drawn node's predicate
             for i, s in objects[draw(st.sampled_from(ids))][1]:
                 vector[i] = s
         node, _, status = descend(objects, vector)
@@ -58,7 +69,7 @@ def episode_cases(draw):
     def trigger():
         # mostly a node the entries reach, so more episodes act; sometimes
         # any node, so programs off the recognized node stay covered
-        if reached and draw(st.integers(0, 3)):
+        if reached and draw(st.integers(0, 3)) < 3:
             return draw(st.sampled_from(reached))
         return draw(st.sampled_from(ids))
 
@@ -66,7 +77,7 @@ def episode_cases(draw):
         {"id": gid, "trigger": trigger(),
          "operations": draw(st.lists(st.sampled_from(op_ids), min_size=1, max_size=3)),
          "k": draw(st.integers(1, 5)), "utility": draw(st.sampled_from(UTILITIES))}
-        for gid in range(1, draw(st.integers(0, 12)) + 1)
+        for gid in range(1, rarely(draw, 0, st.integers(1, 12)) + 1)
     ]))
 
     kind = draw(st.sampled_from(["fixed", "categorical", "reflex"]))
@@ -83,10 +94,11 @@ def episode_cases(draw):
 
     config = {
         "trials": draw(st.integers(1, 40)),
-        "epsilon": draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))),
+        # at epsilon 1 every symbol is replaced, so few stimuli are recognized
+        "epsilon": rarely(draw, 1.0, st.one_of(st.just(0.0), st.floats(0.01, 0.99))),
         "value": draw(st.sampled_from([0.0, 1.0, 2.5])),
         "cost": draw(st.sampled_from(COSTS)),
-        "phi0": draw(st.sampled_from(PHI0S)),
+        "phi0": rarely(draw, 5.0, st.sampled_from(PHI0S[:-1])),
         "n_max": draw(st.integers(1, 6)),
         "fixed_n": draw(st.one_of(st.none(), st.integers(1, 5))),
     }
@@ -149,13 +161,17 @@ def assert_lines_are_the_trials_json(state, log):
     assert log.score == sum(r["score"] for r in records)
 
 
-def assert_no_float_keys(state):
+def assert_table_structure(state):
+    """No float keys, and each entry's picks are its ordered list's, in order."""
     # 0.0 == -0.0, so a float key would give both zeros one member
     for node, (k_max, entries) in state.decisions.items():
         assert type(node) is int and type(k_max) is int
         for key, decision in entries.items():
             assert [type(x) for x in key] == [int, int]
-            assert all(pid is None or type(pid) is int for pid in decision.choices)
+            assert ([c.program_id for c in decision.choices]
+                    == [q.program_id for q in decision.ordered])
+            # the no-action pick exists exactly when nothing is eligible
+            assert (decision.idle is None) == bool(decision.ordered)
 
 
 @settings(max_examples=150, deadline=None)
@@ -175,7 +191,7 @@ def test_run_episode_matches_the_reference_episode(series):
 def test_lines_built_from_cached_members_are_the_json_of_each_trial(case):
     state, log, _ = library_episode(*case)
     assert_lines_are_the_trials_json(state, log)
-    assert_no_float_keys(state)
+    assert_table_structure(state)
 
 
 def test_zero_phis_keep_their_sign():
@@ -196,7 +212,7 @@ def test_zero_phis_keep_their_sign():
     assert '"phi_chosen":0.0,' in text and '"phi_chosen":-0.0,' in text
     assert text == reference_episode(kb_doc, scenario_doc, 3, config)[0]
     assert_lines_are_the_trials_json(state, log)
-    assert_no_float_keys(state)
+    assert_table_structure(state)
 
 
 def test_a_zero_cost_keeps_its_sign_on_a_shared_kb():
