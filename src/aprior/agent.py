@@ -146,32 +146,27 @@ class _Choice:
     "eligible" through "phi_chosen", in the log's sorted key order.
     """
 
-    __slots__ = ("program", "program_id", "phi", "tags", "head", "mid")
+    __slots__ = ("program", "program_id", "tags", "head", "mid")
 
     def __init__(self, state: AgentState, outcome: RecognitionOutcome, decision: _Decision,
                  chosen: ProgramQuality | None):
-        self.program = None
-        self.program_id = self.phi = None
+        self.program = self.program_id = action = phi = None
         self.tags: tuple[str, ...] = ()
         if chosen is not None:
             self.program = do_action(state, state.kb.programs[chosen.program_id], outcome)
-            self.program_id, self.phi = chosen.program_id, chosen.phi
+            self.program_id, phi = chosen.program_id, chosen.phi
             self.tags = state.kb.tags[self.program_id]
+            action = {"program": self.program_id, "tags": list(self.tags),
+                      "trigger": self.program.trigger}
         text = _ENCODER.encode({
-            "action": self.action(), "agreement": decision.agreement,
-            "candidates": decision.candidates(), "chosen": self.program_id,
-            "eligible": decision.eligible(), "n": state.n, "node": outcome.node,
-            "phi_chosen": self.phi,
+            "action": action, "agreement": decision.agreement,
+            "candidates": [[q.program_id, q.phi] for q in decision.qualities],
+            "chosen": self.program_id, "eligible": [q.program_id for q in decision.ordered],
+            "n": state.n, "node": outcome.node, "phi_chosen": phi,
         })
         # a '"' inside a string value is escaped, so only the member boundary matches
         split = text.index(',"eligible":') + 1
         self.head, self.mid = text[:split], text[split:-1] + ","
-
-    def action(self) -> dict | None:
-        if self.program is None:
-            return None
-        return {"program": self.program_id, "tags": list(self.tags),
-                "trigger": self.program.trigger}
 
 
 class _Decision:
@@ -187,12 +182,6 @@ class _Decision:
         self.ordered = order_and_filter(self.qualities, state.econ.phi0)
         self.choices = [_Choice(state, outcome, self, q) for q in self.ordered]
         self.idle = None if self.ordered else _Choice(state, outcome, self, None)
-
-    def candidates(self) -> list[list]:
-        return [[q.program_id, q.phi] for q in self.qualities]
-
-    def eligible(self) -> list[int]:
-        return [q.program_id for q in self.ordered]
 
 
 def _decision(state: AgentState, outcome: RecognitionOutcome, hits: int) -> _Decision:
@@ -217,32 +206,20 @@ def _trial(state: AgentState, stimulus: tuple[int, ...]):
     t = record(state, outcome)
     decision = _decision(state, outcome, hits)
     choice = select_random(decision.choices, state.selection_rng) or decision.idle
-    return t, denoised, outcome, decision, choice
+    return t, denoised, outcome, choice
 
 
 def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
-    """One full trial; returns the trial log as a plain dict.
+    """One full trial; returns its log line, less truth and score, parsed.
 
     ValueError, before any draw, unless the stimulus is params.dim int
     symbols in [0, params.alphabet).
     """
     check_vector(stimulus, state.params.dim, state.params.alphabet)
-    t, denoised, outcome, decision, choice = _trial(state, stimulus)
-    return {
-        "t": t,
-        "stimulus": list(stimulus),
-        "n": state.n,
-        "denoised": list(denoised),
-        "node": outcome.node,
-        "depth": outcome.depth,
-        "status": outcome.status,
-        "agreement": decision.agreement,
-        "candidates": decision.candidates(),
-        "eligible": decision.eligible(),
-        "chosen": choice.program_id,
-        "phi_chosen": choice.phi,
-        "action": choice.action(),
-    }
+    t, denoised, outcome, choice = _trial(state, stimulus)
+    return json.loads(f"{choice.head}{_members(denoised=list(denoised), depth=outcome.depth)}"
+                      f"{choice.mid}{_members(status=outcome.status, stimulus=list(stimulus))}"
+                      f'"t":{t}}}')
 
 
 @dataclass
@@ -289,7 +266,7 @@ def run_episode(
     recognized = actions = total = 0
     for i in range(trials):
         stim = next_stimulus(scenario, i, scenario_rng)
-        t, denoised, outcome, _, choice = _trial(state, stim.vector)
+        t, denoised, outcome, choice = _trial(state, stim.vector)
         key = (choice.program_id, outcome.status, stim.truth)
         tail = tails.get(key)
         if tail is None:

@@ -69,8 +69,8 @@ class AuditReport:
 
 _HEADER_TYPES = {"seed": int, "trials": int, "digest_before": int, "digest_after": int,
                  "tasks_before": list, "tasks_after": list}
-_TRIAL_KEYS = {"t", "n", "denoised", "node", "depth", "status", "action", "candidates",
-               "eligible", "chosen", "phi_chosen"}
+_TRIAL_KEYS = {"t", "n", "denoised", "node", "depth", "status", "action", "agreement",
+               "candidates", "eligible", "chosen", "phi_chosen"}
 _STATUSES = (FULL, PARTIAL, UNRECOGNIZED)
 
 
@@ -118,6 +118,10 @@ def parse_log(text: str) -> tuple[dict, list[dict]]:
             raise MalformedLog(f"record {t} has t={trial['t']!r}")
         if type(trial["node"]) is not int or type(trial["depth"]) is not int:
             raise MalformedLog(f"trial {t}: node or depth is not an integer")
+        n, agreement = trial["n"], trial["agreement"]
+        if type(n) is not int or n < 1 or not (finite_number(agreement) and 0 <= agreement <= 1):
+            raise MalformedLog(f"trial {t}: n {n!r} is not an integer >= 1 "
+                               f"or agreement {agreement!r} not a number in [0, 1]")
         denoised = trial["denoised"]
         if type(denoised) is not list or not all(type(s) is int for s in denoised):
             raise MalformedLog(f"trial {t}: denoised is not a list of integers")

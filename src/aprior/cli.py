@@ -2,7 +2,7 @@
 
 Exit codes: 0 ok, 1 a check or validation failed, 2 operational error
 (missing file, malformed input). All randomness derives from --seed
-(env fallback APRIOR_SEED) through named substreams.
+through named substreams.
 """
 from __future__ import annotations
 
@@ -94,7 +94,7 @@ def _csv_num(x) -> str:
 @main.command()
 @click.option("--kb", "kb_path", required=True, type=click.Path())
 @click.option("--scenario", "scenario_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=0, envvar="APRIOR_SEED", show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), required=True)
 @click.option("--value", type=FiniteFloat(min=0), default=1.0, show_default=True)
 @click.option("--cost", type=FiniteFloat(min=0), default=0.0, show_default=True)
@@ -156,7 +156,7 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
 @click.option("--n-max", type=click.IntRange(min=1), default=15, show_default=True)
 @click.option("--mode", type=click.Choice([AUTO, EXACT, MONTE_CARLO]), default=AUTO,
               show_default=True)
-@click.option("--seed", type=int, default=0, envvar="APRIOR_SEED", show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="CSV output path; stdout when omitted.")
 def sweep(kb_path, node, epsilon, value, cost, n_max, mode, seed, out_path):

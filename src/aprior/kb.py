@@ -234,25 +234,20 @@ def build_kb(doc: dict) -> KnowledgeBase:
         if oid < 0:
             raise SchemaError(f"object id {oid} must be non-negative")
         parent = entry.get("parent")
-        if parent is None:
-            parent = ROOT
-        elif type(parent) is not int:
-            raise SchemaError(f"object {oid}: bad parent {parent!r}")
         pred = _parse_predicate(entry.get("predicate", []), d, a, f"object {oid}")
-        objects[oid] = InternalObject(oid, parent, pred)
+        objects[oid] = InternalObject(oid, ROOT if parent is None else parent, pred)
 
-    # parent links must exist and form a tree hanging off the virtual root
-    for obj in objects.values():
-        if obj.parent != ROOT and obj.parent not in objects:
-            raise DanglingReference(f"object {obj.id}: unknown parent {obj.parent}")
+    # parent links must name objects and form a tree hanging off the virtual root;
+    # each link is checked before it is followed, and -1.0 == ROOT is no root
     for obj in objects.values():
         seen = {obj.id}
-        cur = obj.parent
-        while cur != ROOT:
-            if cur in seen:
+        child, parent = obj.id, obj.parent
+        while type(parent) is not int or parent != ROOT:
+            _ref(parent, objects, f"object {child}", "parent")
+            if parent in seen:
                 raise CyclicTree(f"cycle through object {obj.id}")
-            seen.add(cur)
-            cur = objects[cur].parent
+            seen.add(parent)
+            child, parent = parent, objects[parent].parent
 
     # child constraints strictly extend the parent's
     for obj in objects.values():

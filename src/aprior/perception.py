@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .kb import ROOT, KnowledgeBase
+from .kb import ROOT, KnowledgeBase, finite_number
 from .rng import GAMMA, MASK64, MIX1, MIX2, SplitMix64
 
 FULL = "full"
@@ -34,12 +34,13 @@ class ChannelParams:
     threshold: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        if self.alphabet < 2:
-            raise ValueError("alphabet must be >= 2")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        # a bool is an int, and 3.0 == 3 would pass AgentState's KB check
+        if not (finite_number(self.epsilon) and 0.0 <= self.epsilon <= 1.0):
+            raise ValueError(f"epsilon must be an int or float in [0, 1], got {self.epsilon!r}")
+        if type(self.alphabet) is not int or self.alphabet < 2:
+            raise ValueError(f"alphabet must be an int >= 2, got {self.alphabet!r}")
+        if type(self.dim) is not int or self.dim < 1:
+            raise ValueError(f"dim must be an int >= 1, got {self.dim!r}")
         object.__setattr__(self, "threshold", int(self.epsilon * (1 << 64)))
 
 

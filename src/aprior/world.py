@@ -141,10 +141,8 @@ def next_stimulus(scenario: Scenario, t: int, rng: SplitMix64) -> Stimulus:
     return scenario.entries[-1]
 
 
-def score(scenario: Scenario, action_tag: str | None, truth) -> float:
+def score(scenario: Scenario, action_tag: str, truth) -> float:
     """Realized payoff of an action against the ground truth; default 0."""
-    if action_tag is None:
-        return 0.0
     return scenario.scoring.get((action_tag, truth), 0.0)
 
 

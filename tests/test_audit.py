@@ -252,10 +252,15 @@ def test_malformed_logs(kb):
         {"action": {"program": 1, "trigger": 11}}, {"denoised": "20"}, {"denoised": None},
         {"denoised": [2, "0"]}, {"denoised": [True, 0]}, {"denoised": [2.0, 0]},
         {"depth": "2"}, {"depth": True}, {"depth": None},
+        {"n": "x"}, {"n": True}, {"n": 0}, {"n": 3.0}, {"agreement": "x"}, {"agreement": 7},
+        {"agreement": -0.5}, {"agreement": True}, {"agreement": None},
     ]:
         doctored = [*trials[:i], dict(trials[i], **edit), *trials[i + 1:]]
         with pytest.raises(MalformedLog):
             parse_log(text(doctored))
+    unagreed = {key: value for key, value in trials[i].items() if key != "agreement"}
+    with pytest.raises(MalformedLog):
+        parse_log(text([*trials[:i], unagreed, *trials[i + 1:]]))
 
 
 def test_report_json_shape(kb):

@@ -98,19 +98,6 @@ def test_run_csv_format(runner, kb_file, scenario_file, tmp_path):
     assert len(lines) == 31
 
 
-def test_seed_env_fallback(runner, kb_file, scenario_file, tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    args = ["run", "--kb", str(kb_file), "--scenario", str(scenario_file),
-            "--trials", "10", "--epsilon", "0.3", "--fixed-n", "2"]
-    monkeypatch.setenv("APRIOR_SEED", "42")
-    r1 = runner.invoke(main, args + ["--out", str(out1)])
-    monkeypatch.delenv("APRIOR_SEED")
-    r2 = runner.invoke(main, args + ["--out", str(out2), "--seed", "42"])
-    assert r1.exit_code == 0 and r2.exit_code == 0
-    assert json.loads(out1.read_text().splitlines()[0])["seed"] == 42
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def sweep_args(kb_file, out=None, **kw):
     args = ["sweep", "--kb", str(kb_file), "--node", "11", "--epsilon",
             str(kw.get("epsilon", 0.3)), "--value", "1.0", "--cost",
@@ -379,6 +366,9 @@ MALFORMED_LOG_EDITS = {
     "candidates a bare id": lambda r: r.update(candidates=[[1]]),
     "candidate phi a string": lambda r: r.update(candidates=[[1, "0.5"]]),
     "phi_chosen a string": lambda r: r.update(phi_chosen="0.5"),
+    "n a string": lambda r: r.update(n="x"),
+    "agreement above 1": lambda r: r.update(agreement=7),
+    "no agreement": lambda r: r.pop("agreement"),
 }
 
 

@@ -220,3 +220,20 @@ def test_shared_memo_gives_the_results_of_a_fresh_memo(doc, kb, params):
                 with_shared = measure(kb, x, n, params, SplitMix64(seed))
                 assert with_shared == measure(build_kb(doc), x, n, params, SplitMix64(seed))
                 assert with_shared == identify_every_time(kb, x, n, params, SplitMix64(seed))
+
+
+@pytest.mark.parametrize("epsilon, alphabet, dim", [
+    (0.3, 3.0, 2), (0.3, 3, 2.0), (0.3, True, 2), (0.3, 3, True), (True, 3, 2), (False, 3, 2),
+    ("0.3", 3, 2), (None, 3, 2), (float("nan"), 3, 2), (0.3, "3", 2), (0.3, 3, None),
+], ids=["alphabet 3.0", "dim 2.0", "alphabet True", "dim True", "epsilon True",
+        "epsilon False", "epsilon a string", "epsilon None", "epsilon NaN", "alphabet a string",
+        "dim None"])
+def test_channel_params_take_only_int_sizes_and_a_numeric_epsilon(epsilon, alphabet, dim):
+    # 3.0 == 3 and True == 1, so a size of the wrong type would pass the KB's check
+    with pytest.raises(ValueError):
+        ChannelParams(epsilon, alphabet, dim)
+
+
+@pytest.mark.parametrize("epsilon", [0, 1, 0.0, 0.3, 1.0])
+def test_channel_params_take_an_int_or_float_epsilon(epsilon):
+    assert ChannelParams(epsilon, 3, 2).threshold == int(epsilon * (1 << 64))
