@@ -3,7 +3,9 @@
 A stimulus vector passes through a memoryless symbol-corruption channel
 n times; the repetitions are folded per feature by majority vote (ties
 to the lowest symbol) and the folded vector is identified by greedy
-descent of the recognition tree. Identification is a fixed function of
+descent of the recognition tree. The channel mixes its splitmix64 words
+a block at a time (rng.words), and draws as many, in the same order, as
+one next_u64 call per word would. Identification is a fixed function of
 the sealed KB, so each distinct vector is identified once per KB and kept
 in its recognition table.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .kb import ROOT, KnowledgeBase, finite_number
-from .rng import GAMMA, MASK64, MIX1, MIX2, SplitMix64
+from .rng import GAMMA, MASK64, SplitMix64, words
 
 FULL = "full"
 PARTIAL = "partial"
@@ -98,34 +100,36 @@ def channel(
 
     Each channel use keeps its symbol with prob 1-eps, else replaces it
     by a uniform other symbol. It draws one word, and a corrupted use then
-    draws rng.randbelow(alphabet - 1) by rejection. The splitmix64 steps of
-    SplitMix64.next_u64 run here on local variables, in the same order, and
-    the stream's state is written back at the end.
+    draws rng.randbelow(alphabet - 1) by rejection. The words are those
+    SplitMix64.next_u64 would return, in the same order, but mixed a block
+    at a time by rng.words: a block is the power of two above the
+    n·len(x)·(1+eps) words the call expects, at most BLOCK, and the next
+    block is mixed when one runs out, in the rejection loop too. The
+    stream's state is written back past the words used.
     """
     threshold = params.threshold
     others = params.alphabet - 1
     limit = (1 << 64) // others * others  # randbelow's rejection bound
-    gamma, mask, mix1, mix2 = GAMMA, MASK64, MIX1, MIX2
-    s = rng.state
+    start = rng.state
+    uses = n * len(x)
+    # a block above the words the call expects: one per use, and one more
+    # per corruption
+    draw = words(start, uses + (uses * threshold >> 64) + 1).__next__
+    replacements = 0  # words drawn after a use's own
     observations = []
     for _ in range(n):
         obs = []
         for sym in x:
-            s = (s + gamma) & mask
-            z = ((s ^ (s >> 30)) * mix1) & mask
-            z = ((z ^ (z >> 27)) * mix2) & mask
-            if z ^ (z >> 31) < threshold:
+            if draw() < threshold:
                 u = limit
                 while u >= limit:
-                    s = (s + gamma) & mask
-                    z = ((s ^ (s >> 30)) * mix1) & mask
-                    z = ((z ^ (z >> 27)) * mix2) & mask
-                    u = z ^ (z >> 31)
+                    u = draw()
+                    replacements += 1
                 j = u % others
                 sym = j if j < sym else j + 1
             obs.append(sym)
         observations.append(tuple(obs))
-    rng.state = s
+    rng.state = (start + (uses + replacements) * GAMMA) & MASK64
     return observations
 
 

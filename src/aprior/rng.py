@@ -3,9 +3,15 @@
 All randomness flows from a single 64-bit master seed through named
 substreams (channel, selection, scenario, ...), so components can be
 re-seeded independently. Bounded uniform integers use rejection
-sampling to avoid modulo bias.
+sampling to avoid modulo bias. words mixes a stream's words a block at
+a time, for callers that draw many.
 """
 from __future__ import annotations
+
+import struct
+from collections.abc import Iterator
+from functools import cache
+from itertools import chain
 
 from .digest import fnv1a_64
 
@@ -15,6 +21,8 @@ GAMMA = 0x9E3779B97F4A7C15  # added to the state once per word
 # faster than module names
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
+# most words one int of lanes mixes: 512 lanes of 128 bits are 8 KiB
+BLOCK = 512
 
 
 class SplitMix64:
@@ -43,6 +51,46 @@ class SplitMix64:
             u = self.next_u64()
             if u < limit:
                 return u % n
+
+
+@cache
+def _lanes(size: int):
+    """Block constants: a 1 in each 128-bit lane, (k+1)·GAMMA mod 2**64 in
+    lane k, the low 64 bits of each lane, a little-endian decoder of those
+    low halves, the block's bytes and its step to the next block."""
+    ones = sum(1 << 128 * k for k in range(size))
+    steps = sum(((k + 1) * GAMMA & MASK64) << 128 * k for k in range(size))
+    unpack = struct.Struct("<" + "Q8x" * size).unpack
+    return ones, steps, ones * MASK64, unpack, 16 * size, size * GAMMA
+
+
+def _blocks(state: int, size: int) -> Iterator[tuple[int, ...]]:
+    """Consecutive blocks of size words from state on, without end.
+
+    Lane k of a block's int starts as the state k+1 words on, and each
+    xor-shift and multiply runs on the whole int, masked back to 64 bits
+    per lane: a shift then brings nothing in from the next lane, and a
+    64-bit lane times a 64-bit multiplier fits in its 128 bits. The last
+    shift's spill lands in the high halves, which decode skips.
+    """
+    ones, steps, low, decode, nbytes, stride = _lanes(size)
+    while True:
+        z = (state * ones + steps) & low
+        z = ((z ^ (z >> 30)) & low) * MIX1 & low
+        z = ((z ^ (z >> 27)) & low) * MIX2 & low
+        yield decode((z ^ (z >> 31)).to_bytes(nbytes, "little"))
+        state = (state + stride) & MASK64
+
+
+def words(state: int, block: int) -> Iterator[int]:
+    """The words next_u64 would return from 64-bit state on, without end.
+
+    They are mixed in blocks of the power of two at or above block, at
+    most BLOCK, so at most log2(BLOCK)+1 sets of lane constants are built.
+    The caller moves its stream past the words it used.
+    """
+    size = 1 << (block - 1).bit_length()
+    return chain.from_iterable(_blocks(state, size if size < BLOCK else BLOCK))
 
 
 def substream(master_seed: int, name: str) -> SplitMix64:

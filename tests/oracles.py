@@ -189,3 +189,36 @@ def words_drawn(start: int, end: int) -> int:
     difference times GAMMA's inverse.
     """
     return (end - start) * pow(0x9E3779B97F4A7C15, -1, 2 ** 64) % 2 ** 64
+
+
+def scalar_channel(x, n: int, params, rng):
+    """n observations of x drawn one word at a time with next_u64 and randbelow."""
+    observations = []
+    for _ in range(n):
+        obs = []
+        for sym in x:
+            if rng.next_u64() < params.threshold:
+                j = rng.randbelow(params.alphabet - 1)
+                sym = j if j < sym else j + 1
+            obs.append(sym)
+        observations.append(tuple(obs))
+    return observations
+
+
+def state_drawing(word: int, index: int) -> int:
+    """The splitmix64 state whose index-th next word (from 0) is word.
+
+    Inverts the output mix: each xor-shift z ^ (z >> k) is undone by
+    xoring in every multiple of k, and each multiplier by its inverse
+    mod 2**64. The state before that word is then index+1 steps back.
+    """
+    mask = 2 ** 64 - 1
+    gamma = 0x9E3779B97F4A7C15
+
+    def unshift(z: int, k: int) -> int:  # k is 27 or more, so 3k >= 64
+        return z ^ (z >> k) ^ (z >> 2 * k)
+
+    z = unshift(word, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 2 ** 64) & mask, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64) & mask, 30)
+    return (z - (index + 1) * gamma) & mask

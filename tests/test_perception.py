@@ -13,14 +13,21 @@ from aprior.perception import (
     ChannelParams,
     InvalidCount,
     MeasurementResult,
+    channel,
     corrupt,
     identify,
     majority_fold,
     measure,
     recognized,
 )
-from aprior.rng import SplitMix64
-from oracles import brute_feature_accuracy, brute_outcome_probability, words_drawn
+from aprior.rng import BLOCK, MASK64, SplitMix64
+from oracles import (
+    brute_feature_accuracy,
+    brute_outcome_probability,
+    scalar_channel,
+    state_drawing,
+    words_drawn,
+)
 
 ALL_VECTORS = [(i, j) for i in range(3) for j in range(3)]
 
@@ -237,3 +244,67 @@ def test_channel_params_take_only_int_sizes_and_a_numeric_epsilon(epsilon, alpha
 @pytest.mark.parametrize("epsilon", [0, 1, 0.0, 0.3, 1.0])
 def test_channel_params_take_an_int_or_float_epsilon(epsilon):
     assert ChannelParams(epsilon, 3, 2).threshold == int(epsilon * (1 << 64))
+
+
+def assert_channel_is_the_scalar_walk(x, n, params, state):
+    """channel's observations and end state equal a next_u64/randbelow walk;
+    returns the observations and the words drawn."""
+    rng, reference = SplitMix64(state), SplitMix64(state)
+    observations = channel(x, n, params, rng)
+    assert observations == scalar_channel(x, n, params, reference)
+    assert rng.state == reference.state
+    return observations, words_drawn(state, rng.state)
+
+
+@pytest.mark.parametrize("index", [1, BLOCK // 2 - 1, BLOCK - 1],
+                         ids=["early in a block", "mid-block", "last of a block"])
+def test_channel_rejects_a_replacement_word_at_the_limit(index):
+    # alphabet 4: randbelow(3) rejects words >= 3 * (2**64 // 3) = 2**64 - 1.
+    # At eps=1 every use corrupts, so until a rejection the odd words are
+    # replacements; the state is chosen so that word index is 2**64 - 1.
+    # 700 uses run past the BLOCK cap, so after the last word of a block the
+    # retry is the first word of the next block, mixed inside the rejection loop.
+    state = state_drawing(MASK64, index)
+    params = ChannelParams(1.0, 4, 1)
+    _, drawn = assert_channel_is_the_scalar_walk((0,), 700, params, state)
+    assert drawn == 2 * 700 + 1
+
+
+def test_channel_rejects_at_every_place_in_a_block():
+    # blocks have an even length, so at eps=1 the single rejected word of
+    # the test above never starts one. With 2**63 + 1 other symbols
+    # randbelow rejects about half of all words, and 1200 uses make every
+    # block BLOCK words long, so rejected words fall on every place in a
+    # block, the first included.
+    params = ChannelParams(1.0, 2 ** 63 + 2, 1)
+    _, drawn = assert_channel_is_the_scalar_walk((0,), 1200, params, 5)
+    others = params.alphabet - 1
+    limit = 2 ** 64 // others * others
+    rng, index, places = SplitMix64(5), 0, set()
+    for _ in range(1200):
+        rng.next_u64()  # the use's word; every use corrupts
+        index += 1
+        while rng.next_u64() >= limit:
+            places.add(index % BLOCK)
+            index += 1
+        index += 1
+    assert drawn == index
+    assert {0, 1, BLOCK // 2, BLOCK - 1} <= places
+
+
+@pytest.mark.parametrize("x, n, epsilon", [
+    ((0,), 700, 1.0),
+    ((1,) * 13, 1000, 1.0),
+    ((1,) * 13, 1000, 0.3),
+    ((0, 2), 3, 0.3),
+], ids=["700 uses, eps 1", "Monte Carlo batch, eps 1", "Monte Carlo batch, eps 0.3", "C1 call, one small block"])
+def test_channel_refills_across_blocks(x, n, epsilon):
+    # alphabet 3 never rejects, so each use draws its word and, if corrupted,
+    # one more; a corruption always changes the symbol
+    params = ChannelParams(epsilon, 3, len(x))
+    for state in (0, 2 ** 64 - 1, 0x0123456789ABCDEF):
+        observations, drawn = assert_channel_is_the_scalar_walk(x, n, params, state)
+        corruptions = sum(a != b for obs in observations for a, b in zip(obs, x))
+        assert drawn == n * len(x) + corruptions
+        if epsilon == 1.0:
+            assert corruptions == n * len(x)

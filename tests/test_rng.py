@@ -1,6 +1,10 @@
 import math
+from itertools import islice
 
-from aprior.rng import SplitMix64, substream
+from hypothesis import given
+from hypothesis import strategies as st
+
+from aprior.rng import BLOCK, GAMMA, MASK64, SplitMix64, _lanes, substream, words
 
 
 def test_determinism():
@@ -52,3 +56,29 @@ def test_substreams_are_independent_and_stable():
     seq1 = [a1.next_u64() for _ in range(10)]
     assert seq1 == [a2.next_u64() for _ in range(10)]
     assert seq1 != [b.next_u64() for _ in range(10)]
+
+
+@st.composite
+def states_and_blocks(draw):
+    """A block size from 1 to one past BLOCK, and a state: any 64-bit one, or
+    one whose stream crosses 2**64 within that many words."""
+    block = draw(st.integers(1, BLOCK + 1))
+    steps = draw(st.integers(1, block))
+    near_wrap = (draw(st.integers(-2, 2)) - steps * GAMMA) & MASK64
+    return draw(st.one_of(st.integers(0, MASK64), st.just(near_wrap))), block
+
+
+@given(states_and_blocks())
+def test_words_are_the_next_u64_words(state_and_block):
+    # two blocks' worth and one word more, so the walk crosses a block end
+    state, block = state_and_block
+    rng = SplitMix64(state)
+    expected = [rng.next_u64() for _ in range(2 * block + 1)]
+    assert list(islice(words(state, block), 2 * block + 1)) == expected
+    assert list(islice(words(state, block), block)) == expected[:block]
+
+
+def test_words_build_one_set_of_lane_constants_per_power_of_two():
+    for block in range(1, 2 * BLOCK + 2):
+        next(words(0, block))
+    assert _lanes.cache_info().currsize == BLOCK.bit_length()
