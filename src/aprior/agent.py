@@ -140,33 +140,28 @@ def _members(**fields) -> str:
 
 
 class _Choice:
-    """One pick from a decision: the sealed program (None: no action) and its log members.
+    """One pick from a decision: the sealed program's id (None: no action) and its log members.
 
     head holds the members before "denoised", and mid those from
     "eligible" through "phi_chosen", in the log's sorted key order.
     """
 
-    __slots__ = ("program", "program_id", "tags", "head", "mid")
+    __slots__ = ("program_id", "tags", "head", "mid")
 
     def __init__(self, state: AgentState, outcome: RecognitionOutcome, decision: _Decision,
                  chosen: ProgramQuality | None):
-        self.program = self.program_id = action = phi = None
+        self.program_id = action = phi = None
         self.tags: tuple[str, ...] = ()
         if chosen is not None:
-            self.program = do_action(state, state.kb.programs[chosen.program_id], outcome)
             self.program_id, phi = chosen.program_id, chosen.phi
             self.tags = state.kb.tags[self.program_id]
             action = {"program": self.program_id, "tags": list(self.tags),
-                      "trigger": self.program.trigger}
-        text = _ENCODER.encode({
-            "action": action, "agreement": decision.agreement,
-            "candidates": [[q.program_id, q.phi] for q in decision.qualities],
-            "chosen": self.program_id, "eligible": [q.program_id for q in decision.ordered],
-            "n": state.n, "node": outcome.node, "phi_chosen": phi,
-        })
-        # a '"' inside a string value is escaped, so only the member boundary matches
-        split = text.index(',"eligible":') + 1
-        self.head, self.mid = text[:split], text[split:-1] + ","
+                      "trigger": state.kb.programs[self.program_id].trigger}
+        self.head = "{" + _members(
+            action=action, agreement=decision.agreement, chosen=self.program_id,
+            candidates=[[q.program_id, q.phi] for q in decision.qualities])
+        self.mid = _members(eligible=[q.program_id for q in decision.ordered], n=state.n,
+                            node=outcome.node, phi_chosen=phi)
 
 
 class _Decision:
@@ -273,12 +268,12 @@ def run_episode(
             score = sum((world_mod.score(scenario, tag, stim.truth) for tag in choice.tags), 0.0)
             tail = tails[key] = score, _members(score=score, status=outcome.status)
         recognized += outcome.status != UNRECOGNIZED
-        actions += choice.program is not None
+        actions += choice.program_id is not None
         total += tail[0]
         if strict:
             if state.kb.canonical != canonical_before:
                 raise AssertionError(f"trial {i}: knowledge base canonical bytes changed")
-            if outcome.status == UNRECOGNIZED and choice.program is not None:
+            if outcome.status == UNRECOGNIZED and choice.program_id is not None:
                 raise AssertionError(f"trial {i}: action on unrecognized stimulus")
 
         vector = folded.get(denoised)

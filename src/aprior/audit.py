@@ -10,7 +10,7 @@ tags, a pick that agrees with its own record; reflex gating.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .kb import KnowledgeBase, enumerate_tasks, finite_number, kb_digest
 from .perception import FULL, PARTIAL, UNRECOGNIZED, recognized
@@ -45,15 +45,7 @@ class AuditReport:
         return json.dumps(
             {
                 "passed": self.passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "passed": c.passed,
-                        "violating_trial": c.violating_trial,
-                        "detail": c.detail,
-                    }
-                    for c in self.checks
-                ],
+                "checks": [asdict(c) for c in self.checks],
                 "digest_before": self.digest_before,
                 "digest_after": self.digest_after,
                 "totals": {
@@ -139,7 +131,7 @@ def load_log_file(path) -> tuple[dict, list[dict]]:
         return parse_log(fh.read())
 
 
-def assert_closure(header: dict, trials: list[dict]) -> CheckResult:
+def assert_closure(header: dict) -> CheckResult:
     """Knowledge base unchanged: digests and task enumerations identical."""
     if header["digest_before"] != header["digest_after"]:
         return CheckResult(
@@ -229,17 +221,13 @@ def _pick_mismatch(trial: dict) -> str:
     return ""
 
 
-def assert_reflex(trials: list[dict], program) -> CheckResult:
-    """The program never fires before the k-th recognition of its trigger.
+def assert_reflex(trials: list[dict], programs) -> list[CheckResult]:
+    """Each program never fires before the k-th recognition of its trigger.
 
-    The recurrence count includes the current trial, so the earliest
-    legal fire is the trial of the k-th recognition itself.
+    One result per program, in the order given, from one walk over the
+    trials. The recurrence count includes the current trial, so the
+    earliest legal fire is the trial of the k-th recognition itself.
     """
-    return _reflex_checks(trials, (program,))[0]
-
-
-def _reflex_checks(trials: list[dict], programs) -> list[CheckResult]:
-    """`assert_reflex` for every program, in one walk over the trials."""
     by_id = {p.id: p for p in programs}
     recognitions: dict = {}  # node -> recognitions so far
     early: dict[int, CheckResult] = {}  # program id -> its first fire below k
@@ -263,8 +251,8 @@ def _reflex_checks(trials: list[dict], programs) -> list[CheckResult]:
 
 def audit_log(header: dict, trials: list[dict], kb: KnowledgeBase) -> AuditReport:
     """Run every check; reflex gating is checked for each KB program."""
-    checks = [assert_closure(header, trials), assert_statement1(header, trials, kb),
-              *_reflex_checks(trials, kb.programs.values())]
+    checks = [assert_closure(header), assert_statement1(header, trials, kb),
+              *assert_reflex(trials, kb.programs.values())]
     return AuditReport(
         checks=tuple(checks),
         digest_before=header["digest_before"],

@@ -53,14 +53,6 @@ class RecognitionOutcome:
     status: str  # full | partial | unrecognized
 
 
-@dataclass(frozen=True)
-class MeasurementResult:
-    denoised: tuple[int, ...]
-    outcome: RecognitionOutcome
-    agreement: float  # fraction of raw observations identifying to outcome.node
-    n: int
-
-
 def check_vector(v: tuple[int, ...], dim: int, alphabet: int) -> None:
     if len(v) != dim:
         raise ValueError(f"vector length {len(v)} != {dim}")
@@ -188,15 +180,14 @@ def measure(
     n: int,
     params: ChannelParams,
     rng: SplitMix64,
-) -> MeasurementResult:
-    """Observe x through the channel n times, fold, and identify.
+) -> tuple[tuple[int, ...], RecognitionOutcome, int]:
+    """observe, after checking n and x: (folded vector, its outcome, agreeing observations).
 
-    agreement is the fraction of the n raw observations whose own
-    identification lands on the folded outcome's node. Outcomes come from
-    kb's recognition table, so each distinct vector is identified once per KB.
+    The last counts the n raw observations whose own identification lands on
+    the folded outcome's node. Outcomes come from kb's recognition table, so
+    each distinct vector is identified once per KB.
     """
     if n < 1:
         raise InvalidCount("n must be >= 1")
     check_vector(x, params.dim, params.alphabet)
-    denoised, outcome, hits = observe(kb, x, n, params, rng)
-    return MeasurementResult(denoised, outcome, hits / n, n)
+    return observe(kb, x, n, params, rng)

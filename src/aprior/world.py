@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .kb import KnowledgeBase, finite_number
-from .perception import FULL, check_vector, identify
+from .perception import FULL, check_vector, recognized
 from .rng import SplitMix64
 
 OMEGA = "omega"
@@ -67,7 +67,7 @@ def _check_stimulus(kb: KnowledgeBase, entry) -> Stimulus:
         raise ScenarioError(str(exc)) from exc
     truth = _truth(entry.get("truth"), f"stimulus {vector}")
     if truth == OMEGA:
-        outcome = identify(kb, vector)
+        outcome = recognized(kb, vector)  # kept in the KB's table for the episodes
         if outcome.status == FULL:
             raise TruthMismatch(
                 f"stimulus {vector} declared {OMEGA} but matches leaf {outcome.node}")

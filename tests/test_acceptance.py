@@ -90,7 +90,7 @@ def test_c2_statement1(corpus):
 
     # negative control 1: tampered final digest
     tampered_header = dict(header, digest_after=header["digest_after"] ^ 1)
-    control1 = not assert_closure(tampered_header, trials).passed
+    control1 = not assert_closure(tampered_header).passed
 
     # negative control 2: action injected on an unrecognized trial
     tampered = copy.deepcopy(trials)
@@ -103,7 +103,7 @@ def test_c2_statement1(corpus):
     first_q2 = next(t for t in tampered
                     if t["node"] == 2 and t["status"] != "unrecognized")
     first_q2["action"] = {"program": 3, "tags": ["approach"], "trigger": 2}
-    control3 = not assert_reflex(tampered, kb.programs[3]).passed
+    control3 = not assert_reflex(tampered, [kb.programs[3]])[0].passed
 
     ok = (bad_omega == 0 and bad_trigger == 0 and actions > 0
           and control1 and control2 and control3)

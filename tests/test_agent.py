@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import aprior.agent
 import aprior.kb as kb_mod
 import aprior.perception
 import aprior.world as world_mod
@@ -358,6 +359,23 @@ def test_tables_are_shared_per_kb_and_bounded(monkeypatch):
     assert fresh._recognition == {} and fresh._decisions == {}
     assert fresh == kb and repr(fresh) == repr(kb)
     assert fresh.canonical == kb.canonical and kb_digest(fresh) == kb_digest(kb)
+
+
+def test_a_decision_table_miss_runs_the_gate_once(monkeypatch):
+    # an entry's picks come from the list its one eligible_programs call gave
+    kb = build_kb(three_node_doc())
+    calls = []
+    original = aprior.agent.eligible_programs
+
+    def counting(state, outcome):
+        calls.append(outcome)
+        return original(state, outcome)
+
+    monkeypatch.setattr(aprior.agent, "eligible_programs", counting)
+    state = c1_state(kb, 0)
+    log = run_episode(state, load_scenario(mixed_scenario_doc(), kb), 1000)
+    assert log.actions > 0
+    assert len(calls) == sum(len(entries) for _, entries in state.decisions.values())
 
 
 def c1_log(kb, seed, trials=300, cost=0.02):

@@ -53,7 +53,7 @@ def test_honest_episode_passes_everything(kb):
 def test_closure_fails_on_tampered_digest(kb):
     header, trials = make_log(kb)
     tampered = dict(header, digest_after=header["digest_after"] ^ 1)
-    result = assert_closure(tampered, trials)
+    result = assert_closure(tampered)
     assert not result.passed
     assert "digest" in result.detail
 
@@ -61,7 +61,7 @@ def test_closure_fails_on_tampered_digest(kb):
 def test_closure_fails_on_tampered_tasks(kb):
     header, trials = make_log(kb)
     tampered = dict(header, tasks_after=header["tasks_after"] + [[99, [[1, 1]]]])
-    assert not assert_closure(tampered, trials).passed
+    assert not assert_closure(tampered).passed
 
 
 def test_statement1_fails_on_action_on_unrecognized(kb):
@@ -155,8 +155,8 @@ def test_statement1_fails_when_the_pick_disagrees_with_its_record(kb, detail):
 def test_reflex_pass_and_thresholds(kb):
     header, trials = make_log(kb, epsilon=0.0)
     # k=3 program on Q2 and k=1 program on Q11 both behave in a clean run
-    assert assert_reflex(trials, kb.programs[3]).passed
-    assert assert_reflex(trials, kb.programs[1]).passed
+    assert assert_reflex(trials, [kb.programs[3]])[0].passed
+    assert assert_reflex(trials, [kb.programs[1]])[0].passed
 
 
 def test_reflex_fails_on_early_fire(kb):
@@ -164,7 +164,7 @@ def test_reflex_fails_on_early_fire(kb):
     tampered = copy.deepcopy(trials)
     first_q2 = next(t for t in tampered if t["node"] == 2)
     first_q2["action"] = {"program": 3, "tags": ["approach"], "trigger": 2}
-    result = assert_reflex(tampered, kb.programs[3])
+    result, = assert_reflex(tampered, [kb.programs[3]])
     assert not result.passed
     assert result.violating_trial == first_q2["t"]
 
@@ -194,7 +194,7 @@ def test_audit_reflex_results_equal_assert_reflex_per_program():
                 }])
         report = audit_log(header, trials, kb)
         reflex = [c for c in report.checks if c.name.startswith("reflex[")]
-        assert reflex == [assert_reflex(trials, p) for p in kb.programs.values()]
+        assert reflex == [assert_reflex(trials, [p])[0] for p in kb.programs.values()]
         for check, p in zip(reflex, kb.programs.values()):
             early = first_early_fire(trials, p.id, p.trigger, p.reflex_threshold)
             assert check.passed == (early is None)

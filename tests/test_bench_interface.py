@@ -70,6 +70,25 @@ def test_a_traced_episode_records_its_digest_spans():
     assert names.count("kb.kb_digest") == 2
 
 
+def test_a_traced_audit_runs_the_reflex_walk_under_its_traced_name():
+    kb = aprior.kb.build_kb(three_node_doc())
+    state = AgentState(kb=kb, params=ChannelParams(epsilon=0.3, alphabet=3, dim=2),
+                       econ=MeasurementEconomy(value=1.0, cost=0.02, phi0=0.0, n_max=9),
+                       seed=0, fixed_n=3)
+    scenario = aprior.world.load_scenario(mixed_scenario_doc(), kb)
+    text = aprior.agent.run_episode(state, scenario, 100).to_jsonl()
+    tracer = _tracing().Tracer()
+    tracer.install({"audit"})
+    try:
+        report = aprior.audit.audit_log(*aprior.audit.parse_log(text), kb)
+    finally:
+        tracer.remove()
+    assert report.passed
+    names = [name for name, _, _, _ in tracer.spans()]
+    assert names.count("audit.audit_log") == 1
+    assert names.count("audit.assert_reflex") == 1
+
+
 def test_names_the_benchmark_imports_exist():
     assert callable(aprior.kb.canonical_document)
     for name in ("AUTO", "EXACT", "MC_SAMPLES"):

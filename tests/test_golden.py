@@ -1,10 +1,12 @@
-"""Golden outputs: the sha256 of a reference episode log, its CSV and two sweep CSVs.
+"""Golden outputs: the sha256 of a reference episode log, its CSV, two sweep CSVs
+and two audit reports.
 
 The log and exact sweep hashes were taken from the CLI before any trial-loop
 optimization, the CSV hash and summary line before the CSV was derived
-from the log lines, and the Monte Carlo sweep hash before that estimator
-drew through perception.channel, so a change that alters a single byte of
-any of them turns these red.
+from the log lines, the Monte Carlo sweep hash before that estimator
+drew through perception.channel, and the audit report hashes before the
+report built its checks with dataclasses.asdict, so a change that alters
+a single byte of any of them turns these red.
 Regenerate them only for a deliberate output change, and say so in
 CHANGES.md.
 """
@@ -14,7 +16,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from aprior.audit import audit_log, parse_log
 from aprior.cli import main
+from aprior.kb import build_kb
 from conftest import mixed_scenario_doc, three_node_doc
 
 # seed 42, 10k trials, mixed scenario, eps=0.3, c=0.02, auto n (n*=2)
@@ -32,6 +36,15 @@ SWEEP_SHA256 = "8a027c93b71ef298c723cf28c360eb759da4846db2fbe934b1699778db718748
 MC_SWEEP_ARGS = ["sweep", "--kb", "kb.json", "--node", "12", "--epsilon", "0.3",
                  "--cost", "0.02", "--n-max", "3", "--mode", "mc", "--seed", "5"]
 MC_SWEEP_SHA256 = "e4ece4442474f8248120c0108ec5031031c976a4efa3d85c2807a813872a1005"
+
+# seed 42, 1000 trials in the C1 configuration (eps=0.3, c=0.02, n=3); the audit
+# report of its log, and of that log with digest_after changed, which fails closure
+C1_ARGS = ["run", "--kb", "kb.json", "--scenario", "scenario.json", "--seed", "42",
+           "--trials", "1000", "--epsilon", "0.3", "--cost", "0.02", "--fixed-n", "3"]
+AUDIT_SHA256 = {
+    "passing": "2fcd0f7f1e2e60bb1bea80e8dac39065ec504c09a48cde0e196bbd0fa1320c9e",
+    "digest_after": "cba758b66ee5e30fd37339e4b4b773386e4e5c65a9dfe87526c672ace6e07616",
+}
 
 
 @pytest.fixture
@@ -67,3 +80,15 @@ def test_reference_mc_sweep_csv(workdir):
     result = CliRunner().invoke(main, MC_SWEEP_ARGS)
     assert result.exit_code == 0, result.output
     assert sha256(result.stdout_bytes) == MC_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("tamper", AUDIT_SHA256)
+def test_reference_audit_report(workdir, tamper):
+    result = CliRunner().invoke(main, C1_ARGS + ["--out", "log"])
+    assert result.exit_code == 0, result.output
+    header, trials = parse_log((workdir / "log").read_text(encoding="utf-8"))
+    if tamper == "digest_after":
+        header = dict(header, digest_after=header["digest_after"] ^ 1)
+    report = audit_log(header, trials, build_kb(three_node_doc()))
+    assert report.passed == (tamper == "passing")
+    assert sha256(report.to_json().encode("utf-8")) == AUDIT_SHA256[tamper]

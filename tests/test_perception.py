@@ -12,7 +12,6 @@ from aprior.perception import (
     UNRECOGNIZED,
     ChannelParams,
     InvalidCount,
-    MeasurementResult,
     channel,
     corrupt,
     identify,
@@ -134,12 +133,11 @@ def test_majority_fold_output_is_observed_modal_symbol(obs):
 def test_measure_noiseless(kb, noiseless):
     rng = SplitMix64(0)
     for n in (1, 3, 7):
-        res = measure(kb, (0, 0), n, noiseless, rng)
-        assert res.outcome.node == 11
-        assert res.outcome.status == FULL
-        assert res.agreement == 1.0
-        assert res.denoised == (0, 0)
-        assert res.n == n
+        denoised, outcome, hits = measure(kb, (0, 0), n, noiseless, rng)
+        assert outcome.node == 11
+        assert outcome.status == FULL
+        assert hits == n
+        assert denoised == (0, 0)
 
 
 def test_measure_rejects_zero_count(kb, params):
@@ -175,7 +173,7 @@ def test_measure_outcome_probability_matches_enumeration(kb, params):
     rng = SplitMix64(31337)
     hits = sum(
         1 for _ in range(n_samples)
-        if measure(kb, (0, 0), 3, params, rng).outcome.node == 11
+        if measure(kb, (0, 0), 3, params, rng)[1].node == 11
     )
     sigma = math.sqrt(n_samples * p_exact * (1 - p_exact))
     assert abs(hits - p_exact * n_samples) < 3 * sigma
@@ -185,8 +183,8 @@ def test_measure_outcome_probability_matches_enumeration(kb, params):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(1, 9), st.sampled_from(ALL_VECTORS), st.integers(0, 2 ** 63))
 def test_measure_noiseless_equals_identify(kb, noiseless, n, x, seed):
-    res = measure(kb, x, n, noiseless, SplitMix64(seed))
-    assert res.outcome == identify(kb, x)
+    _, outcome, _ = measure(kb, x, n, noiseless, SplitMix64(seed))
+    assert outcome == identify(kb, x)
 
 
 def test_memo_holds_the_identify_outcome_of_every_vector(kb, params):
@@ -216,7 +214,7 @@ def identify_every_time(kb, x, n, params, rng):
     denoised = majority_fold(observations)
     outcome = identify(kb, denoised)
     hits = sum(1 for obs in observations if identify(kb, obs).node == outcome.node)
-    return MeasurementResult(denoised, outcome, hits / n, n)
+    return denoised, outcome, hits
 
 
 def test_shared_memo_gives_the_results_of_a_fresh_memo(doc, kb, params):

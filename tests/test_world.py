@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from aprior.kb import build_kb
+from aprior.perception import identify
 from aprior.rng import SplitMix64
 from aprior.world import (
     OMEGA,
@@ -14,7 +15,7 @@ from aprior.world import (
     next_stimulus,
     score,
 )
-from conftest import tree_docs
+from conftest import mixed_scenario_doc, tree_docs
 from oracles import matching_leaf
 
 
@@ -43,6 +44,15 @@ def test_omega_requires_no_leaf_match(kb):
     # (0,2) matches internal Q1 but no leaf, so omega is allowed
     sc = load_scenario(fixed_doc([{"vector": [0, 2], "truth": OMEGA}]), kb)
     assert sc.entries[0].truth == OMEGA
+
+
+def test_loading_keeps_each_omega_outcome_in_the_kbs_table(kb):
+    # an episode then finds the omega vectors already identified
+    doc = mixed_scenario_doc()
+    load_scenario(doc, kb)
+    omega = [tuple(e["vector"]) for e in doc["entries"] if e["truth"] == OMEGA]
+    assert len(omega) == 2
+    assert kb._recognition == {v: identify(kb, v) for v in omega}
 
 
 def assert_omega_check_agrees_with_leaf_scan(kb):
