@@ -1,26 +1,3 @@
 """Deterministic simulator for agents with sealed, congenital behavior programs."""
 
-from .kb import build_kb, enumerate_tasks, kb_digest
-from .perception import identify, majority_fold, measure
-from .decision import feature_accuracy, optimal_n, phi_measure, recognition_error
-from .agent import AgentState, run_episode, step
-from .audit import audit_log
-
-__all__ = [
-    "AgentState",
-    "audit_log",
-    "build_kb",
-    "enumerate_tasks",
-    "feature_accuracy",
-    "identify",
-    "kb_digest",
-    "majority_fold",
-    "measure",
-    "optimal_n",
-    "phi_measure",
-    "recognition_error",
-    "run_episode",
-    "step",
-]
-
 __version__ = "0.1.0"

@@ -11,11 +11,12 @@ never written.
 `step` and `run_episode` share one trial kernel. Gate, phi and order
 depend only on the node, the count of agreeing observations and the gate
 state min(recurrence, largest k among the node's programs), given n and
-the economy's phi0 and cost. Their results, and the log members they
-determine, are kept in a decision table with that key. A sealed KB holds
-one such table, for the (n, phi0, cost with its sign) of the latest state
-built on it, and every state built with the same four shares it; a state
-keeps its table when a later state's economy replaces the KB's.
+the economy's phi0 and cost. The log members they determine are kept, as
+one pick per program that may fire, in a decision table with that key. A
+sealed KB holds one such table, for the (n, phi0, cost with its sign) of
+the latest state built on it, and every state built with the same four
+shares it; a state keeps its table when a later state's economy replaces
+the KB's.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from . import world as world_mod
 from .decision import (
     EXACT,
     MeasurementEconomy,
-    ProgramQuality,
     optimal_n,
     order_and_filter,
     phi_program,
@@ -48,6 +48,10 @@ class IneligibleProgram(ValueError):
     pass
 
 
+_Pick = tuple[int | None, str, str]  # (sealed program id or None, head, mid): see _entry
+_Entry = tuple[list[_Pick], _Pick | None]  # (picks, idle)
+
+
 @dataclass
 class AgentState:
     kb: KnowledgeBase
@@ -59,9 +63,9 @@ class AgentState:
     trials: int = field(default=0, init=False)
     # recognized object id -> recognitions so far, the current trial included
     recurrence: dict[int, int] = field(default_factory=dict, init=False)
-    # node -> (largest k among its programs, {(hits, gate state): _Decision}),
+    # node -> (largest k among its programs, {(hits, gate state): (picks, idle)}),
     # shared with every state on kb with this state's n and economy
-    decisions: dict[int, tuple[int, dict[tuple[int, int], _Decision]]] = field(init=False)
+    decisions: dict[int, tuple[int, dict[tuple[int, int], _Entry]]] = field(init=False)
     channel_rng: SplitMix64 = field(init=False)
     selection_rng: SplitMix64 = field(init=False)
 
@@ -139,47 +143,35 @@ def _members(**fields) -> str:
     return _ENCODER.encode(fields)[1:-1] + ","
 
 
-class _Choice:
-    """One pick from a decision: the sealed program's id (None: no action) and its log members.
+def _entry(state: AgentState, outcome: RecognitionOutcome, hits: int) -> _Entry:
+    """A decision table entry from eligible_programs, phi_program and order_and_filter.
 
-    head holds the members before "denoised", and mid those from
-    "eligible" through "phi_chosen", in the log's sorted key order.
+    It is (picks, idle): one pick per program order_and_filter keeps, in
+    its order, and idle, the no-action pick, when it keeps none (else
+    None). A pick is (sealed program id or None, head, mid): head holds the
+    log members before "denoised", mid those from "eligible" through
+    "phi_chosen", in the log's sorted key order.
     """
+    agreement = hits / state.n
+    qualities = [phi_program(p, agreement, state.n, state.econ)
+                 for p in eligible_programs(state, outcome)]
+    ordered = order_and_filter(qualities, state.econ.phi0)
+    candidates = [[q.program_id, q.phi] for q in qualities]
+    eligible = [q.program_id for q in ordered]
+    kb = state.kb
 
-    __slots__ = ("program_id", "tags", "head", "mid")
+    def pick(pid=None, phi=None) -> _Pick:
+        action = None if pid is None else {"program": pid, "tags": list(kb.tags[pid]),
+                                           "trigger": kb.programs[pid].trigger}
+        return (pid, "{" + _members(action=action, agreement=agreement, chosen=pid,
+                                    candidates=candidates),
+                _members(eligible=eligible, n=state.n, node=outcome.node, phi_chosen=phi))
 
-    def __init__(self, state: AgentState, outcome: RecognitionOutcome, decision: _Decision,
-                 chosen: ProgramQuality | None):
-        self.program_id = action = phi = None
-        self.tags: tuple[str, ...] = ()
-        if chosen is not None:
-            self.program_id, phi = chosen.program_id, chosen.phi
-            self.tags = state.kb.tags[self.program_id]
-            action = {"program": self.program_id, "tags": list(self.tags),
-                      "trigger": state.kb.programs[self.program_id].trigger}
-        self.head = "{" + _members(
-            action=action, agreement=decision.agreement, chosen=self.program_id,
-            candidates=[[q.program_id, q.phi] for q in decision.qualities])
-        self.mid = _members(eligible=[q.program_id for q in decision.ordered], n=state.n,
-                            node=outcome.node, phi_chosen=phi)
-
-
-class _Decision:
-    """What eligible_programs, phi_program and order_and_filter give for one table key,
-    with one pick per entry of ordered, in its order, or idle, the no-action pick, if none."""
-
-    __slots__ = ("agreement", "qualities", "ordered", "choices", "idle")
-
-    def __init__(self, state: AgentState, outcome: RecognitionOutcome, hits: int):
-        self.agreement = hits / state.n
-        self.qualities = [phi_program(p, self.agreement, state.n, state.econ)
-                          for p in eligible_programs(state, outcome)]
-        self.ordered = order_and_filter(self.qualities, state.econ.phi0)
-        self.choices = [_Choice(state, outcome, self, q) for q in self.ordered]
-        self.idle = None if self.ordered else _Choice(state, outcome, self, None)
+    picks = [pick(q.program_id, q.phi) for q in ordered]
+    return picks, None if picks else pick()
 
 
-def _decision(state: AgentState, outcome: RecognitionOutcome, hits: int) -> _Decision:
+def _decision(state: AgentState, outcome: RecognitionOutcome, hits: int) -> _Entry:
     """The decision table entry for this trial; a miss builds it from the gate rule."""
     node = outcome.node
     table = state.decisions.get(node)
@@ -189,19 +181,18 @@ def _decision(state: AgentState, outcome: RecognitionOutcome, hits: int) -> _Dec
     k_max, entries = table
     # counts past the largest k open no further gate, so they share one entry
     key = (hits, min(state.recurrence.get(node, 0), k_max))
-    decision = entries.get(key)
-    if decision is None:
-        decision = entries[key] = _Decision(state, outcome, hits)
-    return decision
+    entry = entries.get(key)
+    if entry is None:
+        entry = entries[key] = _entry(state, outcome, hits)
+    return entry
 
 
 def _trial(state: AgentState, stimulus: tuple[int, ...]):
     """The trial kernel: measure, count, gate, order, pick; stimulus is not checked."""
     denoised, outcome, hits = observe(state.kb, stimulus, state.n, state.params, state.channel_rng)
     t = record(state, outcome)
-    decision = _decision(state, outcome, hits)
-    choice = select_random(decision.choices, state.selection_rng) or decision.idle
-    return t, denoised, outcome, choice
+    picks, idle = _decision(state, outcome, hits)
+    return t, denoised, outcome, select_random(picks, state.selection_rng) or idle
 
 
 def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
@@ -211,9 +202,9 @@ def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
     symbols in [0, params.alphabet).
     """
     check_vector(stimulus, state.params.dim, state.params.alphabet)
-    t, denoised, outcome, choice = _trial(state, stimulus)
-    return json.loads(f"{choice.head}{_members(denoised=list(denoised), depth=outcome.depth)}"
-                      f"{choice.mid}{_members(status=outcome.status, stimulus=list(stimulus))}"
+    t, denoised, outcome, (_, head, mid) = _trial(state, stimulus)
+    return json.loads(f"{head}{_members(denoised=list(denoised), depth=outcome.depth)}"
+                      f"{mid}{_members(status=outcome.status, stimulus=list(stimulus))}"
                       f'"t":{t}}}')
 
 
@@ -261,19 +252,20 @@ def run_episode(
     recognized = actions = total = 0
     for i in range(trials):
         stim = next_stimulus(scenario, i, scenario_rng)
-        t, denoised, outcome, choice = _trial(state, stim.vector)
-        key = (choice.program_id, outcome.status, stim.truth)
+        t, denoised, outcome, (program_id, head, mid) = _trial(state, stim.vector)
+        key = (program_id, outcome.status, stim.truth)
         tail = tails.get(key)
         if tail is None:
-            score = sum((world_mod.score(scenario, tag, stim.truth) for tag in choice.tags), 0.0)
+            tags = () if program_id is None else state.kb.tags[program_id]
+            score = sum((world_mod.score(scenario, tag, stim.truth) for tag in tags), 0.0)
             tail = tails[key] = score, _members(score=score, status=outcome.status)
         recognized += outcome.status != UNRECOGNIZED
-        actions += choice.program_id is not None
+        actions += program_id is not None
         total += tail[0]
         if strict:
             if state.kb.canonical != canonical_before:
                 raise AssertionError(f"trial {i}: knowledge base canonical bytes changed")
-            if outcome.status == UNRECOGNIZED and choice.program_id is not None:
+            if outcome.status == UNRECOGNIZED and program_id is not None:
                 raise AssertionError(f"trial {i}: action on unrecognized stimulus")
 
         vector = folded.get(denoised)
@@ -283,7 +275,7 @@ def run_episode(
         if around is None:
             around = shown[stim] = (_members(stimulus=list(stim.vector)) + '"t":',
                                     "," + _members(truth=stim.truth)[:-1] + "}")
-        lines.append(f"{choice.head}{vector}{choice.mid}{tail[1]}{around[0]}{t}{around[1]}")
+        lines.append(f"{head}{vector}{mid}{tail[1]}{around[0]}{t}{around[1]}")
 
     header = {
         "seed": state.seed,

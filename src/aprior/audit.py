@@ -86,7 +86,8 @@ def _is_decision(trial: dict) -> bool:
 
 def parse_log(text: str) -> tuple[dict, list[dict]]:
     """Parse a JSON-lines episode log into (header, trials), rejecting ill-formed records."""
-    lines = [line for line in text.splitlines() if line.strip()]
+    # not splitlines: JSON strings may hold U+2028, U+2029 and U+0085 raw
+    lines = [line for line in text.split("\n") if line.strip()]
     if not lines:
         raise MalformedLog("empty log")
     try:
@@ -253,11 +254,17 @@ def audit_log(header: dict, trials: list[dict], kb: KnowledgeBase) -> AuditRepor
     """Run every check; reflex gating is checked for each KB program."""
     checks = [assert_closure(header), assert_statement1(header, trials, kb),
               *assert_reflex(trials, kb.programs.values())]
+    unrecognized = actions = 0
+    for trial in trials:
+        if trial["status"] == UNRECOGNIZED:
+            unrecognized += 1
+        if trial["action"] is not None:
+            actions += 1
     return AuditReport(
         checks=tuple(checks),
         digest_before=header["digest_before"],
         digest_after=header["digest_after"],
         trials=len(trials),
-        unrecognized_trials=sum(1 for t in trials if t["status"] == UNRECOGNIZED),
-        actions=sum(1 for t in trials if t["action"] is not None),
+        unrecognized_trials=unrecognized,
+        actions=actions,
     )

@@ -6,6 +6,8 @@ through named substreams.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import sys
@@ -86,11 +88,6 @@ def validate(kb_path):
     click.echo(f"ok digest={kb_digest(kb)}")
 
 
-def _csv_num(x) -> str:
-    # shortest round-trip decimal
-    return repr(float(x)) if isinstance(x, float) else str(x)
-
-
 @main.command()
 @click.option("--kb", "kb_path", required=True, type=click.Path())
 @click.option("--scenario", "scenario_path", required=True, type=click.Path())
@@ -129,16 +126,15 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
     if fmt == "jsonl":
         payload = log.to_jsonl()
     else:
-        rows = ["t,truth,n,node,status,agreement,chosen,tags,score"]
+        buf = io.StringIO()
+        # quotes a tag holding , or "; writes None as "" and a float as its repr
+        rows = csv.writer(buf, lineterminator="\n")
+        rows.writerow(["t", "truth", "n", "node", "status", "agreement", "chosen", "tags", "score"])
         for tr in map(json.loads, log.lines):
             tags = "|".join(tr["action"]["tags"]) if tr["action"] else ""
-            rows.append(",".join([
-                str(tr["t"]), str(tr["truth"]), str(tr["n"]), str(tr["node"]),
-                tr["status"], _csv_num(tr["agreement"]),
-                "" if tr["chosen"] is None else str(tr["chosen"]),
-                tags, _csv_num(tr["score"]),
-            ]))
-        payload = "\n".join(rows) + "\n"
+            rows.writerow([tr["t"], tr["truth"], tr["n"], tr["node"], tr["status"],
+                           tr["agreement"], tr["chosen"], tags, tr["score"]])
+        payload = buf.getvalue()
     _write_or_exit(out_path, payload)
 
     click.echo(
@@ -172,7 +168,7 @@ def sweep(kb_path, node, epsilon, value, cost, n_max, mode, seed, out_path):
 
     lines = ["n,perr,phi,is_argmax"]
     lines += [
-        f"{row.n},{_csv_num(row.perr)},{_csv_num(row.phi)},{1 if row.is_argmax else 0}"
+        f"{row.n},{row.perr!r},{row.phi!r},{1 if row.is_argmax else 0}"
         for row in rows
     ]
     payload = "\n".join(lines) + "\n"

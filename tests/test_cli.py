@@ -1,9 +1,11 @@
 import copy
+import csv
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from aprior.audit import parse_log
 from aprior.cli import main
 from aprior.kb import build_kb, kb_digest
 from conftest import three_node_doc
@@ -96,6 +98,46 @@ def test_run_csv_format(runner, kb_file, scenario_file, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,truth,n,node,status,agreement,chosen,tags,score"
     assert len(lines) == 31
+
+
+def tagged_kb_file(tmp_path, tag):
+    """The reference KB, with operation 1 (program 1's only one) tagged tag."""
+    doc = three_node_doc()
+    doc["operations"][0]["action_tag"] = tag
+    path = tmp_path / "tagged.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_run_csv_quotes_a_tag_holding_a_comma_and_a_quote(runner, scenario_file, tmp_path):
+    kb_file = tagged_kb_file(tmp_path, 'pull,"fast"')
+    log, table = tmp_path / "log.jsonl", tmp_path / "log.csv"
+    assert runner.invoke(main, run_args(kb_file, scenario_file, log)).exit_code == 0
+    result = runner.invoke(main, run_args(kb_file, scenario_file, table, extra=["--format", "csv"]))
+    assert result.exit_code == 0
+    with open(table, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 31 and all(len(row) == 9 for row in rows)
+    actions = [json.loads(line)["action"] for line in log.read_text().splitlines()[1:]]
+    assert [row[7] for row in rows[1:]] == ["|".join(a["tags"]) if a else "" for a in actions]
+    assert 'pull,"fast"' in {row[7] for row in rows}
+
+
+def test_audit_reads_raw_line_separators_inside_strings(runner, scenario_file, tmp_path):
+    # JSON lets U+2028, U+2029 and U+0085 stand raw in a string; only "\n" ends a record
+    kb_file = tagged_kb_file(tmp_path, "pull\u2028\u2029\x85fast")
+    out = tmp_path / "log.jsonl"
+    assert runner.invoke(main, run_args(kb_file, scenario_file, out)).exit_code == 0
+    escaped = out.read_text(encoding="utf-8")
+    raw = "".join(json.dumps(json.loads(line), ensure_ascii=False, sort_keys=True,
+                             separators=(",", ":")) + "\n" for line in escaped.splitlines())
+    assert "\u2028" in raw and "\u2028" not in escaped
+    assert parse_log(raw) == parse_log(escaped)
+    # blank lines and CRLF line ends are skipped, as before
+    assert parse_log("\n" + raw.replace("\n", "\r\n\n")) == parse_log(escaped)
+    out.write_text(raw, encoding="utf-8")
+    result = runner.invoke(main, ["audit", str(out), "--kb", str(kb_file)])
+    assert result.exit_code == 0 and result.output.startswith("PASS")
 
 
 def sweep_args(kb_file, out=None, **kw):

@@ -162,16 +162,20 @@ def assert_lines_are_the_trials_json(state, log):
 
 
 def assert_table_structure(state):
-    """No float keys, and each entry's picks are its ordered list's, in order."""
+    """No float keys; each entry's pick ids are the eligible ids its picks log."""
     # 0.0 == -0.0, so a float key would give both zeros one member
     for node, (k_max, entries) in state.decisions.items():
         assert type(node) is int and type(k_max) is int
-        for key, decision in entries.items():
+        for key, (picks, idle) in entries.items():
             assert [type(x) for x in key] == [int, int]
-            assert ([c.program_id for c in decision.choices]
-                    == [q.program_id for q in decision.ordered])
+            # mid holds the members from "eligible" on, each followed by a comma
+            ids = [pid for pid, _, _ in picks]
+            for _, _, mid in picks:
+                assert json.loads("{" + mid[:-1] + "}")["eligible"] == ids
             # the no-action pick exists exactly when nothing is eligible
-            assert (decision.idle is None) == bool(decision.ordered)
+            assert (idle is None) == bool(picks)
+            if idle is not None:
+                assert idle[0] is None and json.loads("{" + idle[2][:-1] + "}")["eligible"] == []
 
 
 @settings(max_examples=150, deadline=None)

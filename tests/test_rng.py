@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import islice
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -82,3 +86,14 @@ def test_words_build_one_set_of_lane_constants_per_power_of_two():
     for block in range(1, 2 * BLOCK + 2):
         next(words(0, block))
     assert _lanes.cache_info().currsize == BLOCK.bit_length()
+
+
+def test_importing_rng_loads_only_what_it_imports():
+    # the package itself imports nothing, so `import aprior.rng` leaves the agent unloaded
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = ("import sys, aprior.rng; "
+            "print(*sorted(m for m in sys.modules if m.startswith('aprior')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["aprior", "aprior.digest", "aprior.rng"]
