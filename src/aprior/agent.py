@@ -153,11 +153,10 @@ def _entry(state: AgentState, outcome: RecognitionOutcome, hits: int) -> _Entry:
     "phi_chosen", in the log's sorted key order.
     """
     agreement = hits / state.n
-    qualities = [phi_program(p, agreement, state.n, state.econ)
-                 for p in eligible_programs(state, outcome)]
-    ordered = order_and_filter(qualities, state.econ.phi0)
-    candidates = [[q.program_id, q.phi] for q in qualities]
-    eligible = [q.program_id for q in ordered]
+    candidates = [[p.id, phi_program(p, agreement, state.n, state.econ)]
+                  for p in eligible_programs(state, outcome)]
+    ordered = order_and_filter(candidates, state.econ.phi0)
+    eligible = [pid for pid, _ in ordered]
     kb = state.kb
 
     def pick(pid=None, phi=None) -> _Pick:
@@ -167,7 +166,7 @@ def _entry(state: AgentState, outcome: RecognitionOutcome, hits: int) -> _Entry:
                                     candidates=candidates),
                 _members(eligible=eligible, n=state.n, node=outcome.node, phi_chosen=phi))
 
-    picks = [pick(q.program_id, q.phi) for q in ordered]
+    picks = [pick(pid, phi) for pid, phi in ordered]
     return picks, None if picks else pick()
 
 

@@ -57,12 +57,6 @@ class MeasurementEconomy:
             raise ValueError("value + cost * n_max overflows a float")
 
 
-@dataclass(frozen=True, slots=True)
-class ProgramQuality:
-    program_id: int
-    phi: float
-
-
 def resolve_mode(n: int, params: ChannelParams, mode: str = AUTO) -> str:
     if mode == AUTO:
         return EXACT if params.alphabet ** n <= EXACT_LIMIT else MONTE_CARLO
@@ -73,37 +67,32 @@ def resolve_mode(n: int, params: ChannelParams, mode: str = AUTO) -> str:
 
 @functools.lru_cache(maxsize=4096)
 def _exact_feature_accuracy(n: int, eps: float, a: int, true_symbol: int) -> float:
-    # sum over count vectors (c_0..c_{a-1}) of n observations; equivalent
-    # to enumerating all a^n sequences but polynomial in n
-    p_true = 1.0 - eps
-    p_other = eps / (a - 1)
-
-    def probs(counts):
-        p = math.factorial(n)
-        for c in counts:
-            p //= math.factorial(c)
-        weight = float(p)
-        for sym, c in enumerate(counts):
-            weight *= (p_true if sym == true_symbol else p_other) ** c
-        return weight
-
+    # sum over count vectors (c_0..c_{a-1}) of n observations, in lexicographic
+    # order; equivalent to enumerating all a^n sequences but polynomial in n
+    powers = [[(eps / (a - 1)) ** c for c in range(n + 1)]] * a
+    powers[true_symbol] = [(1.0 - eps) ** c for c in range(n + 1)]
+    fact = [math.factorial(c) for c in range(n + 1)]
+    counts = [0] * (a - 1) + [n]
+    top = a - 1  # the last symbol with a nonzero count
     total = 0.0
-    def rec(sym, remaining, counts):
-        nonlocal total
-        if sym == a - 1:
-            counts.append(remaining)
-            m = max(counts)
-            if counts.index(m) == true_symbol:  # lowest-symbol tie-break
-                total += probs(counts)
-            counts.pop()
-            return
-        for c in range(remaining + 1):
-            counts.append(c)
-            rec(sym + 1, remaining - c, counts)
-            counts.pop()
-
-    rec(0, n, [])
-    return total
+    while True:
+        if counts.index(max(counts)) == true_symbol:  # lowest-symbol tie-break
+            ways = fact[n]
+            for c in counts:
+                ways //= fact[c]
+            weight = float(ways)
+            for power, c in zip(powers, counts):
+                weight *= power[c]
+            total += weight
+        if top == 0:  # (n, 0, ..., 0) is the last vector
+            return total
+        # the lexicographic successor: the symbol before top gains one count,
+        # and top's other counts move to the last symbol
+        rest = counts[top] - 1
+        counts[top] = 0
+        counts[top - 1] += 1
+        counts[-1] = rest
+        top = a - 1 if rest else top - 1
 
 
 def _mc_feature_accuracy(
@@ -190,13 +179,10 @@ def optimal_n(
 ):
     """Argmax of phi_measure over n in [1, n_max]; ties to the smallest n."""
     rows = []
-    best_n, best_phi = None, None
     for n in range(1, econ.n_max + 1):
         perr = recognition_error(kb, node, n, params, mode=mode, rng=rng)
-        phi = phi_measure(n, perr, econ)
-        rows.append((n, perr, phi))
-        if best_phi is None or phi > best_phi:
-            best_n, best_phi = n, phi
+        rows.append((n, perr, phi_measure(n, perr, econ)))
+    best_n, _, best_phi = max(rows, key=lambda row: row[2])  # max keeps the first
     if return_sweep:
         sweep = [SweepRow(n, perr, phi, n == best_n) for n, perr, phi in rows]
         return (best_n, best_phi), sweep
@@ -205,16 +191,15 @@ def optimal_n(
 
 def phi_program(
     program: Program, agreement: float, n: int, econ: MeasurementEconomy
-) -> ProgramQuality:
+) -> float:
     if not 0.0 <= agreement <= 1.0:
         raise ValueError("agreement must be in [0, 1]")
-    return ProgramQuality(program.id, program.base_utility * agreement - econ.cost * n)
+    return program.base_utility * agreement - econ.cost * n
 
 
-def order_and_filter(qualities, phi0: float) -> list[ProgramQuality]:
-    """Keep phi strictly above phi0, sort by descending phi then ascending id."""
-    kept = [q for q in qualities if q.phi > phi0]
-    return sorted(kept, key=lambda q: (-q.phi, q.program_id))
+def order_and_filter(pairs: list[list], phi0: float) -> list[list]:
+    """The [id, phi] pairs with phi strictly above phi0, by descending phi then ascending id."""
+    return sorted((q for q in pairs if q[1] > phi0), key=lambda q: (-q[1], q[0]))
 
 
 def select_random(items: Sequence[T], rng: SplitMix64) -> T | None:

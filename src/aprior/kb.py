@@ -280,8 +280,10 @@ def build_kb(doc: dict) -> KnowledgeBase:
     for entry in raw_operations:
         pid = _new_id(entry, operations, "operation")
         tag = entry.get("action_tag")
-        if not isinstance(tag, str) or not tag:
-            raise SchemaError(f"operation {pid}: action_tag must be a non-empty string")
+        # a raw control character, "\r" say, would split a CSV row
+        if not isinstance(tag, str) or not tag or any(c < " " or c == "\x7f" for c in tag):
+            raise SchemaError(f"operation {pid}: action_tag must be a non-empty string "
+                              "without control characters")
         task = _ref(entry.get("task"), task_ids, f"operation {pid}", "task")
         applicable = entry.get("applicable_objects")
         if not isinstance(applicable, list) or not applicable:

@@ -140,6 +140,26 @@ def test_audit_reads_raw_line_separators_inside_strings(runner, scenario_file, t
     assert result.exit_code == 0 and result.output.startswith("PASS")
 
 
+def test_an_alphabet_past_the_recursion_limit_sweeps_and_runs(runner, tmp_path):
+    # the count-vector walk once recursed one level per symbol: 1200 raised RecursionError
+    doc = {"d": 1, "alphabet": 1200, "objects": [{"id": 1, "parent": None, "predicate": [[0, 0]]}],
+           "operations": [], "tasks": [], "programs": []}
+    kb_file, scenario = tmp_path / "kb.json", tmp_path / "scenario.json"
+    kb_file.write_text(json.dumps(doc), encoding="utf-8")
+    scenario.write_text(json.dumps({"name": "one", "kind": "fixed",
+                                    "entries": [{"vector": [0], "truth": 1}]}), encoding="utf-8")
+    result = runner.invoke(main, ["sweep", "--kb", str(kb_file), "--node", "1", "--epsilon", "0.3",
+                                  "--n-max", "1", "--mode", "exact"])
+    assert_clean_exit(result, 0)
+    assert result.output == "n,perr,phi,is_argmax\n1,0.30000000000000004,0.7,1\n"
+    out = tmp_path / "log.jsonl"
+    result = runner.invoke(main, ["run", "--kb", str(kb_file), "--scenario", str(scenario),
+                                  "--seed", "1", "--trials", "5", "--epsilon", "0.3",
+                                  "--n-max", "1", "--out", str(out)])
+    assert_clean_exit(result, 0)
+    assert [json.loads(line)["n"] for line in out.read_text().splitlines()[1:]] == [1] * 5
+
+
 def sweep_args(kb_file, out=None, **kw):
     args = ["sweep", "--kb", str(kb_file), "--node", "11", "--epsilon",
             str(kw.get("epsilon", 0.3)), "--value", "1.0", "--cost",
@@ -226,15 +246,18 @@ def assert_clean_exit(result, code):
     assert "Traceback" not in result.output
 
 
-@pytest.mark.parametrize("gap", ["non-object entry", "boolean k", "non-finite utility"])
+@pytest.mark.parametrize("gap", ["non-object entry", "boolean k", "non-finite utility",
+                                 "carriage return in a tag"])
 def test_validate_rejects_schema_gaps_without_traceback(runner, tmp_path, gap):
     doc = three_node_doc()
     if gap == "non-object entry":
         doc["objects"].append(7)
     elif gap == "boolean k":
         doc["programs"][0]["k"] = True
-    else:
+    elif gap == "non-finite utility":
         doc["programs"][0]["utility"] = float("nan")
+    else:  # a raw "\r" would end a row of run --format csv, which leaves it unquoted
+        doc["operations"][0]["action_tag"] = "pull\rfast"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     result = runner.invoke(main, ["validate", str(path)])

@@ -11,7 +11,6 @@ from aprior.decision import (
     MONTE_CARLO,
     MeasurementEconomy,
     NotLeaf,
-    ProgramQuality,
     UnderconstrainedLeaf,
     feature_accuracy,
     optimal_n,
@@ -25,6 +24,7 @@ from aprior.decision import (
 from aprior.kb import Program
 from aprior.perception import ChannelParams, InvalidCount
 from aprior.rng import SplitMix64
+from episode_oracle import _count_vector_accuracy
 from oracles import brute_feature_accuracy
 
 # frozen by the brute-force sweep oracle (see test_sweep_matches_brute_oracle):
@@ -47,6 +47,17 @@ def test_feature_accuracy_single_draw(params):
 
 def test_feature_accuracy_reference_value(params):
     assert math.isclose(feature_accuracy(3, params, 0), 0.8785, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("a,n_max", [(2, 15), (3, 15), (4, 10)])
+def test_exact_accuracy_equals_the_episode_oracle_bit_for_bit(a, n_max):
+    # the golden sweep pins only a = 3, eps = 0.3 and true symbol 0; this pins
+    # the order in which the count vectors' terms are summed everywhere else
+    for n in range(1, n_max + 1):
+        for eps in (0.1, 0.3, 0.5, 0.9, 1.0):
+            for sym in range(a):
+                exact = decision._exact_feature_accuracy(n, eps, a, sym)
+                assert exact == _count_vector_accuracy(n, eps, a, sym), (n, eps, sym)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -126,6 +137,15 @@ def test_optimal_n_noiseless_prefers_single_measurement(kb, noiseless, econ):
     assert math.isclose(phi_star, 1.0 - 0.02, abs_tol=1e-12)
 
 
+def test_optimal_n_ties_go_to_the_smallest_n(kb, noiseless):
+    # eps = 0 and c = 0: every phi equals V, so each n ties with n = 1
+    econ = MeasurementEconomy(value=1.0, cost=0.0, phi0=0.0, n_max=9)
+    (n_star, phi_star), sweep = optimal_n(kb, 11, noiseless, econ, return_sweep=True)
+    assert {row.phi for row in sweep} == {1.0}
+    assert (n_star, phi_star) == (1, 1.0)
+    assert [row.n for row in sweep if row.is_argmax] == [1]
+
+
 def test_optimal_n_free_measurements(kb, params):
     # c = 0: argmax over the sweep is n_max itself for this configuration
     econ = MeasurementEconomy(value=1.0, cost=0.0, phi0=0.0, n_max=12)
@@ -171,37 +191,37 @@ def test_economy_rejects_non_finite_numbers_and_an_overflowing_bound(fields):
 def test_phi_program_values(kb, econ):
     prog = kb.programs[1]
     free = MeasurementEconomy(value=1.0, cost=0.0, phi0=0.0, n_max=9)
-    assert phi_program(prog, 1.0, 3, free).phi == prog.base_utility
-    q = phi_program(
+    assert phi_program(prog, 1.0, 3, free) == prog.base_utility
+    phi = phi_program(
         Program(id=9, trigger=11, operations=(1,), reflex_threshold=1, base_utility=2.0),
         0.5, 3, econ)
-    assert math.isclose(q.phi, 0.94, abs_tol=1e-12)
-    assert phi_program(prog, 0.0, 4, econ).phi == pytest.approx(-0.08)
+    assert math.isclose(phi, 0.94, abs_tol=1e-12)
+    assert phi_program(prog, 0.0, 4, econ) == pytest.approx(-0.08)
 
 
 def test_order_and_filter():
     assert order_and_filter([], 0.5) == []
-    qs = [ProgramQuality(1, 0.9), ProgramQuality(2, 0.3)]
-    assert [q.program_id for q in order_and_filter(qs, 0.5)] == [1]
-    ties = [ProgramQuality(2, 0.7), ProgramQuality(1, 0.7)]
-    assert [q.program_id for q in order_and_filter(ties, 0.0)] == [1, 2]
+    qs = [[1, 0.9], [2, 0.3]]
+    assert order_and_filter(qs, 0.5) == [[1, 0.9]]
+    ties = [[2, 0.7], [1, 0.7]]
+    assert order_and_filter(ties, 0.0) == [[1, 0.7], [2, 0.7]]
     # strict threshold: equality excluded
-    assert order_and_filter([ProgramQuality(1, 0.5)], 0.5) == []
+    assert order_and_filter([[1, 0.5]], 0.5) == []
 
 
 @given(st.lists(st.tuples(st.integers(0, 50), st.floats(-5, 5, allow_nan=False)),
                 max_size=20), st.floats(-2, 2, allow_nan=False))
 def test_order_and_filter_properties(raw, phi0):
-    qs = [ProgramQuality(pid, phi) for pid, phi in raw]
+    qs = [[pid, phi] for pid, phi in raw]
     out = order_and_filter(qs, phi0)
-    assert all(q.phi > phi0 for q in out)
+    assert all(phi > phi0 for _, phi in out)
     # a permutation of a subset of the input
     remaining = list(qs)
     for q in out:
         remaining.remove(q)
     # descending phi with ascending-id ties
     for a, b in zip(out, out[1:]):
-        assert (a.phi, -a.program_id) >= (b.phi, -b.program_id)
+        assert (a[1], -a[0]) >= (b[1], -b[0])
     # idempotent
     assert order_and_filter(out, phi0) == out
 
@@ -209,15 +229,15 @@ def test_order_and_filter_properties(raw, phi0):
 def test_select_random_edges():
     rng = SplitMix64(0)
     assert select_random([], rng) is None
-    only = [ProgramQuality(7, 1.0)]
+    only = [[7, 1.0]]
     assert all(select_random(only, rng) is only[0] for _ in range(20))
 
 
 def test_select_random_uniform_law():
-    qs = [ProgramQuality(1, 0.5), ProgramQuality(2, 0.5)]
+    qs = [[1, 0.5], [2, 0.5]]
     rng = SplitMix64(2718)
     n = 10_000
-    ones = sum(1 for _ in range(n) if select_random(qs, rng).program_id == 1)
+    ones = sum(1 for _ in range(n) if select_random(qs, rng)[0] == 1)
     sigma = math.sqrt(n * 0.25)
     assert abs(ones - n / 2) < 3 * sigma
 
@@ -227,7 +247,7 @@ def test_utility_scaling_leaves_ordering_invariant(kb):
     free = MeasurementEconomy(value=1.0, cost=0.0, phi0=0.0, n_max=9)
     progs = sorted(kb.programs.values(), key=lambda p: p.id)
     base = order_and_filter(
-        [phi_program(p, 0.9, 3, free) for p in progs], 0.0)
+        [[p.id, phi_program(p, 0.9, 3, free)] for p in progs], 0.0)
     for lam in (0.5, 2.0, 10.0):
         scaled_progs = [
             Program(id=p.id, trigger=p.trigger, operations=p.operations,
@@ -236,5 +256,5 @@ def test_utility_scaling_leaves_ordering_invariant(kb):
             for p in progs
         ]
         scaled = order_and_filter(
-            [phi_program(p, 0.9, 3, free) for p in scaled_progs], 0.0)
-        assert [q.program_id for q in scaled] == [q.program_id for q in base]
+            [[p.id, phi_program(p, 0.9, 3, free)] for p in scaled_progs], 0.0)
+        assert [pid for pid, _ in scaled] == [pid for pid, _ in base]

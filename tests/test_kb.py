@@ -156,6 +156,14 @@ def test_empty_objects_rejected():
         build_kb(doc)
 
 
+@pytest.mark.parametrize("tag", ["pull\rfast", "pull\n", "\x00", "a\tb", "\x1f", "\x7f"])
+def test_tag_holding_a_control_character_rejected(tag):
+    doc = minimal_doc()
+    doc["operations"][0]["action_tag"] = tag
+    with pytest.raises(SchemaError, match="control characters"):
+        build_kb(doc)
+
+
 def test_digest_deterministic(doc):
     kb1 = build_kb(copy.deepcopy(doc))
     kb2 = build_kb(copy.deepcopy(doc))
