@@ -52,7 +52,7 @@ def main():
 
 
 def _exit(exc: Exception, code: int):
-    click.echo(f"{type(exc).__name__}: {exc}", err=True)
+    click.echo(f"{type(exc).__name__}: {str(exc) or 'out of memory'}", err=True)
     sys.exit(code)
 
 
@@ -61,11 +61,12 @@ def _load_or_exit(load, *args):
 
     ValueError covers JSON and UTF-8 decoding, the integer digit limit,
     ScenarioError, TruthMismatch, MalformedLog and an overflowing economy;
-    RecursionError, JSON too deep.
+    RecursionError, JSON too deep; OverflowError and MemoryError, an alphabet
+    of 2**62 or more, too large for the exact accuracy walk that plans n.
     """
     try:
         return load(*args)
-    except (OSError, ValueError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError, OverflowError, MemoryError) as exc:
         _exit(exc, EXIT_OPERATIONAL)
     except BuildError as exc:
         _exit(exc, EXIT_CHECK_FAILED)
@@ -165,6 +166,8 @@ def sweep(kb_path, node, epsilon, value, cost, n_max, mode, seed, out_path):
         _, rows = optimal_n(kb, node, params, econ, mode=mode, rng=rng, return_sweep=True)
     except (NotLeaf, UnderconstrainedLeaf) as exc:
         _exit(exc, EXIT_CHECK_FAILED)
+    except (OverflowError, MemoryError) as exc:  # as in _load_or_exit
+        _exit(exc, EXIT_OPERATIONAL)
 
     lines = ["n,perr,phi,is_argmax"]
     lines += [

@@ -4,8 +4,9 @@ A stimulus vector passes through a memoryless symbol-corruption channel
 n times; the repetitions are folded per feature by majority vote (ties
 to the lowest symbol) and the folded vector is identified by greedy
 descent of the recognition tree. The channel mixes its splitmix64 words
-a block at a time (rng.words), and draws as many, in the same order, as
-one next_u64 call per word would. Identification is a fixed function of
+a block at a time (rng.words), keeps a block's unused words on the stream
+for its next call, and draws as many, in the same order, as one next_u64
+call per word would. Identification is a fixed function of
 the sealed KB, so each distinct vector is identified once per KB and kept
 in its recognition table.
 """
@@ -93,20 +94,21 @@ def channel(
     Each channel use keeps its symbol with prob 1-eps, else replaces it
     by a uniform other symbol. It draws one word, and a corrupted use then
     draws rng.randbelow(alphabet - 1) by rejection. The words are those
-    SplitMix64.next_u64 would return, in the same order, but mixed a block
-    at a time by rng.words: a block is the power of two above the
-    n·len(x)·(1+eps) words the call expects, at most BLOCK, and the next
-    block is mixed when one runs out, in the rejection loop too. The
-    stream's state is written back past the words used.
+    SplitMix64.next_u64 would return, in the same order, but mixed BLOCK at
+    a time by rng.words, the next block wherever one runs out, in the
+    rejection loop too. The stream's state is written back past the words
+    used, and the iterator is left on the stream as its tail, keyed by that
+    state: a later call on a stream still there goes on drawing from it, and
+    a stream anywhere else (after a next_u64, a randbelow or a state write)
+    mixes afresh. The tail is cleared before the first draw and set on
+    return only, so a call that raises leaves none.
     """
     threshold = params.threshold
     others = params.alphabet - 1
     limit = (1 << 64) // others * others  # randbelow's rejection bound
     start = rng.state
-    uses = n * len(x)
-    # a block above the words the call expects: one per use, and one more
-    # per corruption
-    draw = words(start, uses + (uses * threshold >> 64) + 1).__next__
+    tail, rng._tail = rng._tail, None
+    draw = tail[1] if tail is not None and tail[0] == start else words(start).__next__
     replacements = 0  # words drawn after a use's own
     observations = []
     for _ in range(n):
@@ -121,7 +123,8 @@ def channel(
                 sym = j if j < sym else j + 1
             obs.append(sym)
         observations.append(tuple(obs))
-    rng.state = (start + (uses + replacements) * GAMMA) & MASK64
+    rng.state = end = (start + (n * len(x) + replacements) * GAMMA) & MASK64
+    rng._tail = end, draw
     return observations
 
 

@@ -3,8 +3,8 @@
 All randomness flows from a single 64-bit master seed through named
 substreams (channel, selection, scenario, ...), so components can be
 re-seeded independently. Bounded uniform integers use rejection
-sampling to avoid modulo bias. words mixes a stream's words a block at
-a time, for callers that draw many.
+sampling to avoid modulo bias. words mixes a stream's words BLOCK at a
+time, for callers that draw many.
 """
 from __future__ import annotations
 
@@ -26,10 +26,16 @@ BLOCK = 512
 
 
 class SplitMix64:
-    """Deterministic 64-bit PRNG (splitmix64)."""
+    """Deterministic 64-bit PRNG (splitmix64). _tail is None or perception.channel's
+    (state, words(state).__next__); a copy or pickle drops it, sharing no iterator."""
+
+    _tail = None
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
+
+    def __reduce__(self):
+        return type(self), (self.state,)
 
     def next_u64(self) -> int:
         self.state = (self.state + GAMMA) & MASK64
@@ -54,18 +60,18 @@ class SplitMix64:
 
 
 @cache
-def _lanes(size: int):
+def _lanes():
     """Block constants: a 1 in each 128-bit lane, (k+1)·GAMMA mod 2**64 in
     lane k, the low 64 bits of each lane, a little-endian decoder of those
     low halves, the block's bytes and its step to the next block."""
-    ones = sum(1 << 128 * k for k in range(size))
-    steps = sum(((k + 1) * GAMMA & MASK64) << 128 * k for k in range(size))
-    unpack = struct.Struct("<" + "Q8x" * size).unpack
-    return ones, steps, ones * MASK64, unpack, 16 * size, size * GAMMA
+    ones = sum(1 << 128 * k for k in range(BLOCK))
+    steps = sum(((k + 1) * GAMMA & MASK64) << 128 * k for k in range(BLOCK))
+    unpack = struct.Struct("<" + "Q8x" * BLOCK).unpack
+    return ones, steps, ones * MASK64, unpack, 16 * BLOCK, BLOCK * GAMMA
 
 
-def _blocks(state: int, size: int) -> Iterator[tuple[int, ...]]:
-    """Consecutive blocks of size words from state on, without end.
+def _blocks(state: int) -> Iterator[tuple[int, ...]]:
+    """Consecutive blocks of BLOCK words from state on, without end.
 
     Lane k of a block's int starts as the state k+1 words on, and each
     xor-shift and multiply runs on the whole int, masked back to 64 bits
@@ -73,7 +79,7 @@ def _blocks(state: int, size: int) -> Iterator[tuple[int, ...]]:
     64-bit lane times a 64-bit multiplier fits in its 128 bits. The last
     shift's spill lands in the high halves, which decode skips.
     """
-    ones, steps, low, decode, nbytes, stride = _lanes(size)
+    ones, steps, low, decode, nbytes, stride = _lanes()
     while True:
         z = (state * ones + steps) & low
         z = ((z ^ (z >> 30)) & low) * MIX1 & low
@@ -82,15 +88,10 @@ def _blocks(state: int, size: int) -> Iterator[tuple[int, ...]]:
         state = (state + stride) & MASK64
 
 
-def words(state: int, block: int) -> Iterator[int]:
-    """The words next_u64 would return from 64-bit state on, without end.
-
-    They are mixed in blocks of the power of two at or above block, at
-    most BLOCK, so at most log2(BLOCK)+1 sets of lane constants are built.
-    The caller moves its stream past the words it used.
-    """
-    size = 1 << (block - 1).bit_length()
-    return chain.from_iterable(_blocks(state, size if size < BLOCK else BLOCK))
+def words(state: int) -> Iterator[int]:
+    """The words next_u64 would return from 64-bit state on, without end,
+    mixed BLOCK at a time. The caller moves its stream past the words it used."""
+    return chain.from_iterable(_blocks(state))
 
 
 def substream(master_seed: int, name: str) -> SplitMix64:

@@ -160,6 +160,31 @@ def test_an_alphabet_past_the_recursion_limit_sweeps_and_runs(runner, tmp_path):
     assert [json.loads(line)["n"] for line in out.read_text().splitlines()[1:]] == [1] * 5
 
 
+@pytest.mark.parametrize("alphabet, error", [(2 ** 62, "MemoryError"), (2 ** 63, "OverflowError")])
+def test_an_alphabet_too_large_for_the_exact_walk_exits_2(runner, tmp_path, alphabet, error):
+    # validate accepts it; planning n and an exact sweep fail before any
+    # memory is allocated: a list of 2**62 entries is refused outright, and
+    # 2**63 does not fit an index
+    doc = {"d": 1, "alphabet": alphabet,
+           "objects": [{"id": 1, "parent": None, "predicate": [[0, 0]]}],
+           "operations": [], "tasks": [], "programs": []}
+    kb_file, scenario = tmp_path / "kb.json", tmp_path / "scenario.json"
+    kb_file.write_text(json.dumps(doc), encoding="utf-8")
+    scenario.write_text(json.dumps({"name": "one", "kind": "fixed",
+                                    "entries": [{"vector": [0], "truth": 1}]}), encoding="utf-8")
+    assert_clean_exit(runner.invoke(main, ["validate", str(kb_file)]), 0)
+    out = tmp_path / "log.jsonl"
+    for args in (["run", "--kb", str(kb_file), "--scenario", str(scenario), "--trials", "5",
+                  "--epsilon", "0.3", "--n-max", "1", "--out", str(out)],
+                 ["sweep", "--kb", str(kb_file), "--node", "1", "--epsilon", "0.3",
+                  "--n-max", "1", "--mode", "exact"]):
+        result = runner.invoke(main, args)
+        assert_clean_exit(result, 2)
+        assert len(result.output.splitlines()) == 1
+        assert result.output.startswith(f"{error}: ") and len(result.output) > len(error) + 3
+    assert not out.exists()
+
+
 def sweep_args(kb_file, out=None, **kw):
     args = ["sweep", "--kb", str(kb_file), "--node", "11", "--epsilon",
             str(kw.get("epsilon", 0.3)), "--value", "1.0", "--cost",

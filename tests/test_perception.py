@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -306,3 +308,87 @@ def test_channel_refills_across_blocks(x, n, epsilon):
         assert drawn == n * len(x) + corruptions
         if epsilon == 1.0:
             assert corruptions == n * len(x)
+
+
+def test_channel_carries_its_tail_to_a_block_end_and_past_it():
+    # a C1-sized call, then one that ends on the first block's last word: the
+    # third call starts the next block, mixed from the kept iterator
+    rng, reference = SplitMix64(9), SplitMix64(9)
+    for x, n, epsilon in (((0, 1), 50, 0.0), ((0,), BLOCK - 100, 0.0), ((0, 2), 3, 0.3)):
+        params = ChannelParams(epsilon, 3, len(x))
+        assert channel(x, n, params, rng) == scalar_channel(x, n, params, reference)
+        assert rng.state == reference.state
+    assert words_drawn(9, rng.state) > BLOCK
+    assert rng._tail[0] == rng.state
+
+
+@pytest.mark.parametrize("uses", [1, BLOCK // 2 - 1], ids=["early", "at a block end"])
+def test_channel_rejects_the_first_replacement_after_a_call_boundary(uses):
+    # alphabet 4, eps=1: every use draws its word and a replacement, and
+    # randbelow(3) rejects 2**64 - 1. The first call draws 2·uses words, so
+    # the second call's first replacement is word 2·uses + 1, drawn from the
+    # first call's iterator and rejected.
+    params = ChannelParams(1.0, 4, 1)
+    state = state_drawing(MASK64, 2 * uses + 1)
+    rng, reference = SplitMix64(state), SplitMix64(state)
+    for n in (uses, 3):
+        assert channel((0,), n, params, rng) == scalar_channel((0,), n, params, reference)
+        assert rng.state == reference.state
+    assert words_drawn(state, rng.state) == 2 * uses + 2 * 3 + 1
+
+
+CHANNEL_CALLS = st.tuples(
+    st.just("channel"), st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple),
+    st.integers(1, 200), st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([2, 3, 4, 2 ** 63 + 2]))
+STREAM_OPS = st.lists(st.one_of(
+    CHANNEL_CALLS, CHANNEL_CALLS, CHANNEL_CALLS,
+    st.tuples(st.just("next_u64")),
+    st.tuples(st.just("randbelow"), st.integers(1, 2 ** 64)),
+    st.tuples(st.just("write"), st.integers(0, MASK64)),
+    st.tuples(st.just("rewind to the tail")),
+    st.tuples(st.sampled_from(["copy", "deepcopy", "pickle"]), CHANNEL_CALLS),
+    st.tuples(st.just("raise")),
+), max_size=25)
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda rng: pickle.loads(pickle.dumps(rng))}
+
+
+def scalar_call(call, rng, twin):
+    """channel and the scalar walk on twin agree on one call's draws and end state."""
+    _, x, n, epsilon, alphabet = call
+    params = ChannelParams(epsilon, alphabet, len(x))
+    assert channel(x, n, params, rng) == scalar_channel(x, n, params, twin)
+    assert rng.state == twin.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, MASK64), STREAM_OPS)
+def test_channel_tail_is_every_word_a_scalar_stream_draws(state, ops):
+    # one stream and its twin: channel against the scalar walk, and every
+    # other use of a stream, between channel calls
+    rng, twin = SplitMix64(state), SplitMix64(state)
+    for op in ops:
+        if op[0] == "channel":
+            scalar_call(op, rng, twin)
+        elif op[0] == "next_u64":
+            assert rng.next_u64() == twin.next_u64()
+        elif op[0] == "randbelow":
+            assert rng.randbelow(op[1]) == twin.randbelow(op[1])
+        elif op[0] == "write":
+            rng.state = twin.state = op[1]
+        elif op[0] == "rewind to the tail":
+            if rng._tail is not None:
+                rng.state = twin.state = rng._tail[0]
+        elif op[0] == "raise":
+            # the second use's symbol is no int: the call raises after drawing
+            # four words, and the stream stays where it was
+            with pytest.raises(TypeError):
+                channel((0, None), 1, ChannelParams(1.0, 3, 2), rng)
+            assert rng.state == twin.state and rng._tail is None
+        else:
+            clone = COPIES[op[0]](rng)
+            assert clone.state == rng.state and clone._tail is None
+            # the original draws on from its tail; the copy must not see those words
+            scalar_call(op[1], rng, SplitMix64(twin.state))
+            rng = clone
+        assert rng.state == twin.state

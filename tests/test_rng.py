@@ -62,30 +62,25 @@ def test_substreams_are_independent_and_stable():
     assert seq1 != [b.next_u64() for _ in range(10)]
 
 
-@st.composite
-def states_and_blocks(draw):
-    """A block size from 1 to one past BLOCK, and a state: any 64-bit one, or
-    one whose stream crosses 2**64 within that many words."""
-    block = draw(st.integers(1, BLOCK + 1))
-    steps = draw(st.integers(1, block))
-    near_wrap = (draw(st.integers(-2, 2)) - steps * GAMMA) & MASK64
-    return draw(st.one_of(st.integers(0, MASK64), st.just(near_wrap))), block
+# any 64-bit state, or one whose stream crosses 2**64 within the words read
+STATES = st.one_of(
+    st.integers(0, MASK64),
+    st.builds(lambda steps, off: (off - steps * GAMMA) & MASK64,
+              st.integers(1, 2 * BLOCK + 1), st.integers(-2, 2)))
 
 
-@given(states_and_blocks())
-def test_words_are_the_next_u64_words(state_and_block):
-    # two blocks' worth and one word more, so the walk crosses a block end
-    state, block = state_and_block
+@given(STATES)
+def test_words_are_the_next_u64_words(state):
+    # two blocks' worth and one word more, so the walk crosses two block ends
     rng = SplitMix64(state)
-    expected = [rng.next_u64() for _ in range(2 * block + 1)]
-    assert list(islice(words(state, block), 2 * block + 1)) == expected
-    assert list(islice(words(state, block), block)) == expected[:block]
+    expected = [rng.next_u64() for _ in range(2 * BLOCK + 1)]
+    assert list(islice(words(state), 2 * BLOCK + 1)) == expected
 
 
-def test_words_build_one_set_of_lane_constants_per_power_of_two():
-    for block in range(1, 2 * BLOCK + 2):
-        next(words(0, block))
-    assert _lanes.cache_info().currsize == BLOCK.bit_length()
+def test_words_build_one_set_of_lane_constants_in_total():
+    for state in (0, 1, MASK64):
+        next(words(state))
+    assert _lanes.cache_info().currsize == 1
 
 
 def test_importing_rng_loads_only_what_it_imports():
