@@ -10,6 +10,7 @@ tags, a pick that agrees with its own record; reflex gating.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass
 
 from .kb import KnowledgeBase, enumerate_tasks, finite_number, kb_digest
@@ -64,6 +65,11 @@ _HEADER_TYPES = {"seed": int, "trials": int, "digest_before": int, "digest_after
 _TRIAL_KEYS = {"t", "n", "denoised", "node", "depth", "status", "action", "agreement",
                "candidates", "eligible", "chosen", "phi_chosen"}
 _STATUSES = (FULL, PARTIAL, UNRECOGNIZED)
+# A trial line's last member, or the one before a last "truth", when it is a top-level "t":
+# the single closing brace leaves no room for a nested object. Bounded digits with no
+# leading zero are always JSON and below the int digit limit, so a copy never hides a bad t.
+_T_TAIL = re.compile(r',"t":(0|[1-9][0-9]{0,17})'
+                     r'((?:,"truth":(?:-?(?:0|[1-9][0-9]*)|"omega"))?\})')
 
 
 def _is_action(action) -> bool:
@@ -85,14 +91,37 @@ def _is_decision(trial: dict) -> bool:
 
 
 def parse_log(text: str) -> tuple[dict, list[dict]]:
-    """Parse a JSON-lines episode log into (header, trials), rejecting ill-formed records."""
+    """Parse a JSON-lines episode log into (header, trials), rejecting ill-formed records.
+
+    A log repeats few distinct records, so each is parsed and type-checked
+    once: a trial line that ends in a top-level `"t"` member (and `"truth"`)
+    is keyed by the text around its `t` digits, and a later line with the
+    same key takes a shallow copy of the first one's record with its own
+    `t`. Records parsed from lines that differ only in `t` therefore share
+    their nested lists and dicts; copy one deeply before editing inside it.
+    """
     # not splitlines: JSON strings may hold U+2028, U+2029 and U+0085 raw
     lines = [line for line in text.split("\n") if line.strip()]
     if not lines:
         raise MalformedLog("empty log")
+    seen: dict[tuple[str, str], dict] = {}  # text before and after the t digits -> record
+    trials, fresh = [], []  # fresh: parsed from its own line, not copied
     try:
         header = json.loads(lines[0])
-        trials = [json.loads(line) for line in lines[1:]]
+        for line in lines[1:]:
+            cut = line.rfind(',"t":')  # `,"` cannot occur inside a JSON string
+            tail = _T_TAIL.fullmatch(line, cut) if cut > 0 else None
+            around = None if tail is None else (line[:cut], tail[2])
+            first = seen.get(around)
+            if first is None:
+                trial = json.loads(line)  # a bad line is never a copy: it raises here
+                if around is not None:
+                    seen[around] = trial
+            else:
+                trial = first.copy()
+                trial["t"] = int(tail[1])
+            trials.append(trial)
+            fresh.append(first is None)
     except (ValueError, RecursionError) as exc:  # also the digit limit and deep nesting
         raise MalformedLog(f"bad JSON: {exc}") from exc
     if not isinstance(header, dict) or not _HEADER_TYPES.keys() <= header.keys():
@@ -104,11 +133,14 @@ def parse_log(text: str) -> tuple[dict, list[dict]]:
         raise MalformedLog("log has no trials")
     if header["trials"] != len(trials):
         raise MalformedLog(f"header names {header['trials']!r} trials, log has {len(trials)}")
-    for t, trial in enumerate(trials):
-        if not isinstance(trial, dict) or not _TRIAL_KEYS <= trial.keys():
+    for t, (trial, own) in enumerate(zip(trials, fresh)):
+        # a copy is of an earlier record, which passed every check: only its t is new
+        if own and (not isinstance(trial, dict) or not _TRIAL_KEYS <= trial.keys()):
             raise MalformedLog("trial record missing required keys")
         if type(trial["t"]) is not int or trial["t"] != t:
             raise MalformedLog(f"record {t} has t={trial['t']!r}")
+        if not own:
+            continue
         if type(trial["node"]) is not int or type(trial["depth"]) is not int:
             raise MalformedLog(f"trial {t}: node or depth is not an integer")
         n, agreement = trial["n"], trial["agreement"]

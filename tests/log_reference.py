@@ -1,0 +1,53 @@
+"""The log parser without the per-record cache: every line is parsed and typed.
+
+`aprior.audit.parse_log` parses each distinct record once; this is the
+loop it must agree with, record for record and message for message. It
+lives apart from oracles.py, which the benchmark imports on every run.
+"""
+import json
+
+from aprior.audit import (
+    _HEADER_TYPES, _STATUSES, _TRIAL_KEYS, MalformedLog, _is_action, _is_decision,
+)
+from aprior.kb import finite_number
+
+
+def reference_parse_log(text: str) -> tuple[dict, list[dict]]:
+    lines = [line for line in text.split("\n") if line.strip()]
+    if not lines:
+        raise MalformedLog("empty log")
+    try:
+        header = json.loads(lines[0])
+        trials = [json.loads(line) for line in lines[1:]]
+    except (ValueError, RecursionError) as exc:
+        raise MalformedLog(f"bad JSON: {exc}") from exc
+    if not isinstance(header, dict) or not _HEADER_TYPES.keys() <= header.keys():
+        raise MalformedLog("header missing required keys")
+    for key, kind in _HEADER_TYPES.items():
+        if type(header[key]) is not kind:
+            raise MalformedLog(f"header {key} {header[key]!r} is not of type {kind.__name__}")
+    if not trials:
+        raise MalformedLog("log has no trials")
+    if header["trials"] != len(trials):
+        raise MalformedLog(f"header names {header['trials']!r} trials, log has {len(trials)}")
+    for t, trial in enumerate(trials):
+        if not isinstance(trial, dict) or not _TRIAL_KEYS <= trial.keys():
+            raise MalformedLog("trial record missing required keys")
+        if type(trial["t"]) is not int or trial["t"] != t:
+            raise MalformedLog(f"record {t} has t={trial['t']!r}")
+        if type(trial["node"]) is not int or type(trial["depth"]) is not int:
+            raise MalformedLog(f"trial {t}: node or depth is not an integer")
+        n, agreement = trial["n"], trial["agreement"]
+        if type(n) is not int or n < 1 or not (finite_number(agreement) and 0 <= agreement <= 1):
+            raise MalformedLog(f"trial {t}: n {n!r} is not an integer >= 1 "
+                               f"or agreement {agreement!r} not a number in [0, 1]")
+        denoised = trial["denoised"]
+        if type(denoised) is not list or not all(type(s) is int for s in denoised):
+            raise MalformedLog(f"trial {t}: denoised is not a list of integers")
+        if trial["status"] not in _STATUSES:
+            raise MalformedLog(f"trial {t}: unknown status {trial['status']!r}")
+        if trial["action"] is not None and not _is_action(trial["action"]):
+            raise MalformedLog(f"trial {t}: action is neither null nor a well-typed object")
+        if not _is_decision(trial):
+            raise MalformedLog(f"trial {t}: ill-typed candidates, eligible, chosen or phi_chosen")
+    return header, trials

@@ -111,11 +111,16 @@ def test_statement1_rederives_each_trials_recognition(kb, detail):
     assert not audit_log(header, tampered, kb).passed
 
 
+def _others_untouched(trials, tampered, victim) -> bool:
+    return all(new == old for new, old in zip(tampered, trials) if new is not victim)
+
+
 def test_statement1_fails_on_foreign_program(kb):
     header, trials = make_log(kb)
-    tampered = copy.deepcopy(trials)
+    tampered = [copy.deepcopy(t) for t in trials]  # twin records share nested values
     victim = next(t for t in tampered if t["action"] is not None)
     victim["action"]["program"] = 999
+    assert _others_untouched(trials, tampered, victim)
     assert not assert_statement1(header, tampered, kb).passed
 
 
@@ -142,10 +147,11 @@ def test_statement1_fails_when_the_pick_disagrees_with_its_record(kb, detail):
     acting, edit = PICK_EDITS[detail]
     header, trials = make_log(kb)
     assert assert_statement1(header, trials, kb).passed
-    tampered = copy.deepcopy(trials)
+    tampered = [copy.deepcopy(t) for t in trials]  # twin records share nested values
     victim = next(t for t in tampered
                   if (t["action"] is not None) == acting and t["node"] in (11, ROOT))
     edit(victim)
+    assert _others_untouched(trials, tampered, victim)
     result = assert_statement1(header, tampered, kb)
     assert (result.passed, result.violating_trial) == (False, victim["t"])
     assert result.detail.startswith(detail)
