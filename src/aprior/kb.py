@@ -3,7 +3,7 @@
 The knowledge base is built once from a JSON document, validated, and
 sealed. No mutating API exists after construction, and every map of the
 sealed KB is read-only; that absence is the point. The only writable
-containers are two memo tables of functions of the sealed KB, filled as
+containers are three memo tables of functions of the sealed KB, filled as
 their inputs occur; they are not part of its canonical bytes, digest,
 equality or repr.
 Recognition objects form a tree rooted at a virtual root with an
@@ -100,9 +100,13 @@ class KnowledgeBase:
     """A sealed KB: every map is read-only and iterates in ascending id.
 
     _recognition maps a vector to its outcome (perception.recognized), at
-    most alphabet ** dim entries. _decisions maps the (n, phi0, cost, sign
-    of cost) of the latest agent state built on the KB to its decision
-    table, one entry at most. Both live exactly as long as the KB.
+    most alphabet ** dim entries. _observed maps a measurement count n to
+    False, when its alphabet ** (dim * n) observation sets exceed
+    perception.OBSERVED_MAX, or else to a table from n observations to
+    their (folded vector, outcome, agreeing count) (perception.observe).
+    _decisions maps the (n, phi0, cost, sign of cost) of the latest agent
+    state built on the KB to its decision table, one entry at most. All
+    three live exactly as long as the KB.
     """
 
     dim: int
@@ -116,6 +120,7 @@ class KnowledgeBase:
     _children: Mapping[int, tuple[int, ...]] = field(repr=False)
     _by_trigger: Mapping[int, tuple[Program, ...]] = field(repr=False)
     _recognition: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _observed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _decisions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def children(self, object_id: int) -> tuple[int, ...]:

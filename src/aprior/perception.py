@@ -8,7 +8,9 @@ a block at a time (rng.words), keeps a block's unused words on the stream
 for its next call, and draws as many, in the same order, as one next_u64
 call per word would. Identification is a fixed function of
 the sealed KB, so each distinct vector is identified once per KB and kept
-in its recognition table.
+in its recognition table; where the KB's alphabet ** (dim * n) sets of n
+observations number at most OBSERVED_MAX, each distinct set is likewise
+folded, identified and counted once per KB, in its observation table.
 """
 from __future__ import annotations
 
@@ -20,6 +22,8 @@ from .rng import GAMMA, MASK64, SplitMix64, words
 FULL = "full"
 PARTIAL = "partial"
 UNRECOGNIZED = "unrecognized"
+# the largest key space, alphabet ** (dim * n), a KB's observation table may cover
+OBSERVED_MAX = 4096
 
 
 class InvalidCount(ValueError):
@@ -165,8 +169,25 @@ def observe(
     params: ChannelParams,
     rng: SplitMix64,
 ) -> tuple[tuple[int, ...], RecognitionOutcome, int]:
-    """measure without its checks: (folded vector, its outcome, agreeing observations)."""
+    """measure without its checks: (folded vector, its outcome, agreeing observations).
+
+    The three are kept in kb._observed[n], keyed by the observations, once
+    every vector in them is recognized; kb._observed[n] is False, decided
+    once per KB and n, when alphabet ** (dim * n) exceeds OBSERVED_MAX, and
+    every call then folds afresh.
+    """
     observations = channel(x, n, params, rng)
+    memo = kb._observed.get(n)
+    if memo is None:
+        e = kb.dim * n
+        # alphabet >= 2, so a key space within the bound has e below its bit length
+        small = e < OBSERVED_MAX.bit_length() and kb.alphabet ** e <= OBSERVED_MAX
+        memo = kb._observed[n] = {} if small else False
+    if memo is not False:
+        key = tuple(observations)
+        seen = memo.get(key)
+        if seen is not None:
+            return seen
     denoised = majority_fold(observations)
     table = kb._recognition
     for v in (denoised, *observations):
@@ -174,7 +195,10 @@ def observe(
             recognized(kb, v)
     outcome = table[denoised]
     node = outcome.node
-    return denoised, outcome, sum(1 for obs in observations if table[obs].node == node)
+    seen = denoised, outcome, sum(1 for obs in observations if table[obs].node == node)
+    if memo is not False:
+        memo[key] = seen
+    return seen
 
 
 def measure(

@@ -354,11 +354,25 @@ def test_tables_are_shared_per_kb_and_bounded(monkeypatch):
     run_episode(c1_state(kb, 20), scenario, 1000)
     assert not seen & set(identified)
 
+    # one entry per distinct set of n = 3 observations; 21 episodes see all 3 ** (2 * 3)
+    assert list(kb._observed) == [3]
+    assert len(kb._observed[3]) == kb.alphabet ** (kb.dim * 3)
+    assert all(len(key) == 3 for key in kb._observed[3])
+
     # the tables are no part of what the KB is
     fresh = build_kb(three_node_doc())
-    assert fresh._recognition == {} and fresh._decisions == {}
+    assert fresh._recognition == {} and fresh._observed == {} and fresh._decisions == {}
     assert fresh == kb and repr(fresh) == repr(kb)
     assert fresh.canonical == kb.canonical and kb_digest(fresh) == kb_digest(kb)
+
+
+def test_a_key_space_past_the_bound_keeps_no_observation_sets():
+    # 3 ** (2 * 4) = 6561 sets of n = 4 observations exceed OBSERVED_MAX
+    kb = build_kb(three_node_doc())
+    assert kb.alphabet ** (kb.dim * 4) > aprior.perception.OBSERVED_MAX
+    state = make_state(kb, epsilon=0.3, fixed_n=4, seed=0, cost=0.02)
+    run_episode(state, load_scenario(mixed_scenario_doc(), kb), 1000)
+    assert kb._observed == {4: False}
 
 
 def test_a_decision_table_miss_runs_the_gate_once(monkeypatch):
@@ -392,7 +406,7 @@ def test_step_rejects_an_invalid_stimulus_before_any_draw(stimulus):
     with pytest.raises(ValueError):
         step(state, stimulus)
     assert (state.channel_rng.state, state.selection_rng.state, state.trials) == (*words, 0)
-    assert kb._recognition == {}
+    assert kb._recognition == {} and kb._observed == {}
     assert c1_log(kb, 1) == c1_log(build_kb(three_node_doc()), 1)
 
 

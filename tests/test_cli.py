@@ -4,11 +4,13 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aprior.audit import parse_log
 from aprior.cli import main
 from aprior.kb import build_kb, kb_digest
-from conftest import three_node_doc
+from conftest import mixed_scenario_doc, three_node_doc
 from oracles import brute_feature_accuracy
 
 
@@ -572,3 +574,63 @@ def test_overflowing_economy_exits_2(runner, kb_file, scenario_file, tmp_path, c
     assert result.output.startswith("ValueError: ")
     assert "overflows" in result.output
     assert not out.exists()
+
+
+def _member_paths(value, path=()):
+    """The path of every member nested in a JSON value."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, member in items:
+        yield path + (key,)
+        yield from _member_paths(member, path + (key,))
+
+
+# every int below 50, so an alphabet stays cheap to plan and sweep (C(n+a-1, a-1)
+# count vectors), or past 2**63, which no index can hold
+OTHER_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 49), st.sampled_from([2 ** 64, -(2 ** 63)]),
+    st.floats(), st.text(max_size=3), st.lists(st.integers(-1, 12), max_size=3),
+    st.just({}))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one to three members dropped, given another value, or an int nudged."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_member_paths(doc))))
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        key, how = path[-1], draw(st.sampled_from(["drop", "retype", "nudge"]))
+        if how == "drop":
+            del owner[key]
+        elif how == "nudge" and type(owner[key]) is int:
+            owner[key] += draw(st.integers(-3, 3))
+        else:
+            owner[key] = draw(OTHER_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(mutated(three_node_doc()), st.just(mixed_scenario_doc())),
+                 st.tuples(st.just(three_node_doc()), mutated(mixed_scenario_doc()))))
+def test_a_mutated_kb_or_scenario_keeps_the_exit_code_contract(fuzz_dir, docs):
+    kb, scenario = fuzz_dir / "kb.json", fuzz_dir / "scenario.json"
+    for path, doc in zip((kb, scenario), docs):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    for args in (["validate", str(kb)],
+                 ["run", "--kb", str(kb), "--scenario", str(scenario), "--fixed-n", "3",
+                  "--trials", "50", "--epsilon", "0.3", "--out", str(fuzz_dir / "log.jsonl")],
+                 ["sweep", "--kb", str(kb), "--node", "11", "--epsilon", "0.3",
+                  "--mode", "exact", "--n-max", "3"]):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 1, 2), (args[0], result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            args[0], result.output)
+        assert "Traceback" not in result.output

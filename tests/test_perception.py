@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from aprior.kb import ROOT, Predicate, build_kb
 from aprior.perception import (
     FULL,
+    OBSERVED_MAX,
     PARTIAL,
     UNRECOGNIZED,
     ChannelParams,
@@ -19,9 +20,11 @@ from aprior.perception import (
     identify,
     majority_fold,
     measure,
+    observe,
     recognized,
 )
 from aprior.rng import BLOCK, MASK64, SplitMix64
+from conftest import tree_docs
 from oracles import (
     brute_feature_accuracy,
     brute_outcome_probability,
@@ -227,6 +230,38 @@ def test_shared_memo_gives_the_results_of_a_fresh_memo(doc, kb, params):
                 with_shared = measure(kb, x, n, params, SplitMix64(seed))
                 assert with_shared == measure(build_kb(doc), x, n, params, SplitMix64(seed))
                 assert with_shared == identify_every_time(kb, x, n, params, SplitMix64(seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree_docs(), st.data())
+def test_a_warm_observation_table_gives_what_a_fresh_kb_gives(doc, data):
+    kb = build_kb(doc)
+    a, d = kb.alphabet, kb.dim
+    vectors = st.tuples(*[st.integers(0, a - 1)] * d)
+    params = ChannelParams(data.draw(st.sampled_from([0.0, 0.3, 2 / 3, 1.0])), a, d)
+    x, n, seed = data.draw(vectors), data.draw(st.integers(1, 6)), data.draw(st.integers(0, MASK64))
+    # warm kb's tables with other calls, then with this very one
+    warm = SplitMix64(data.draw(st.integers(0, MASK64)))
+    for v, m in data.draw(st.lists(st.tuples(vectors, st.integers(1, 6)), max_size=30)):
+        observe(kb, v, m, params, warm)
+    observe(kb, x, n, params, SplitMix64(seed))
+
+    rng, fresh_rng = SplitMix64(seed), SplitMix64(seed)
+    got = observe(kb, x, n, params, rng)
+    assert got == observe(build_kb(doc), x, n, params, fresh_rng)
+    assert got == identify_every_time(kb, x, n, params, SplitMix64(seed))
+    # the same stream state and tail: the next call draws the same words
+    assert rng.state == fresh_rng.state and rng._tail[0] == fresh_rng._tail[0]
+    assert channel(x, n, params, rng) == channel(x, n, params, fresh_rng)
+    assert rng.state == fresh_rng.state
+    # the call was answered from the table iff the key space is within the bound
+    table = kb._observed[n]
+    if a ** (d * n) <= OBSERVED_MAX:
+        assert table[tuple(channel(x, n, params, SplitMix64(seed)))] is got
+        assert 0 < len(table) <= a ** (d * n)
+        assert all(len(key) == n for key in table)
+    else:
+        assert table is False
 
 
 @pytest.mark.parametrize("epsilon, alphabet, dim", [
