@@ -1,20 +1,19 @@
 """Batch harness: validate KBs, run episodes, sweep n, audit logs.
 
 Exit codes: 0 ok, 1 a check or validation failed, 2 operational error
-(missing file, malformed input). All randomness derives from --seed
-through named substreams.
+(missing file, malformed input) or a usage error. All randomness derives
+from --seed through named substreams. Only `audit` imports `aprior.audit`.
 """
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import math
+import re
 import sys
 
-import click
-
-from . import audit as audit_mod
 from . import world as world_mod
 from .agent import AgentState, run_episode
 from .decision import (AUTO, EXACT, MONTE_CARLO, MeasurementEconomy, NotLeaf, UnderconstrainedLeaf,
@@ -28,31 +27,22 @@ EXIT_CHECK_FAILED = 1
 EXIT_OPERATIONAL = 2
 
 
-class FiniteFloat(click.FloatRange):
-    """A FloatRange that also rejects inf and nan, which pass its comparisons."""
-
-    name = "finite float"
-
-    def convert(self, value, param, ctx):
-        rv = super().convert(value, param, ctx)
-        if not math.isfinite(rv):
-            self.fail(f"{rv} is not a finite number.", param, ctx)
-        return rv
-
-    def _describe_range(self) -> str:
-        # the help text's range; click would print "x<=None" for no bounds
-        if self.min is None and self.max is None:
-            return "finite"
-        return super()._describe_range()
-
-
-@click.group()
-def main():
-    """Simulator and auditor for congenital-program agents."""
+def _number(kind, lo=None, hi=None):
+    """An argparse type: kind(text) in [lo, hi] and, for a float, finite (nan passes <, >)."""
+    def convert(text: str):
+        value = kind(text)
+        if (lo is not None and value < lo) or (hi is not None and value > hi):
+            span = f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {span}.")
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{value} is not a finite number.")
+        return value
+    convert.__name__ = kind.__name__  # argparse's "invalid int value: 'x'"
+    return convert
 
 
 def _exit(exc: Exception, code: int):
-    click.echo(f"{type(exc).__name__}: {str(exc) or 'out of memory'}", err=True)
+    print(f"{type(exc).__name__}: {str(exc) or 'out of memory'}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -81,29 +71,12 @@ def _write_or_exit(path, payload: str) -> None:
         _exit(exc, EXIT_OPERATIONAL)
 
 
-@main.command()
-@click.argument("kb_path", type=click.Path())
 def validate(kb_path):
     """Build and validate a KB document; print its digest."""
     kb = _load_or_exit(load_kb_file, kb_path)
-    click.echo(f"ok digest={kb_digest(kb)}")
+    print(f"ok digest={kb_digest(kb)}")
 
 
-@main.command()
-@click.option("--kb", "kb_path", required=True, type=click.Path())
-@click.option("--scenario", "scenario_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=click.IntRange(min=1), required=True)
-@click.option("--value", type=FiniteFloat(min=0), default=1.0, show_default=True)
-@click.option("--cost", type=FiniteFloat(min=0), default=0.0, show_default=True)
-@click.option("--phi0", type=FiniteFloat(), default=0.0, show_default=True)
-@click.option("--n-max", type=click.IntRange(min=1), default=9, show_default=True)
-@click.option("--epsilon", type=FiniteFloat(0, 1), default=0.0, show_default=True)
-@click.option("--fixed-n", type=click.IntRange(min=1), default=None)
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl",
-              show_default=True)
-@click.option("--strict", is_flag=True, help="Audit invariants inline, every trial.")
 def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
         fixed_n, out_path, fmt, strict):
     """Run one episode and write its log."""
@@ -121,7 +94,7 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
     try:
         log = run_episode(state, scenario, trials, config=config, strict=strict)
     except AssertionError as exc:
-        click.echo(f"strict audit failed: {exc}", err=True)
+        print(f"strict audit failed: {exc}", file=sys.stderr)
         sys.exit(EXIT_CHECK_FAILED)
 
     if fmt == "jsonl":
@@ -138,24 +111,10 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
         payload = buf.getvalue()
     _write_or_exit(out_path, payload)
 
-    click.echo(
-        f"trials={trials} recognized={100.0 * log.recognized / trials:.1f}% "
-        f"actions={log.actions} mean_score={log.score / trials:.6f}"
-    )
+    print(f"trials={trials} recognized={100.0 * log.recognized / trials:.1f}% "
+          f"actions={log.actions} mean_score={log.score / trials:.6f}")
 
 
-@main.command()
-@click.option("--kb", "kb_path", required=True, type=click.Path())
-@click.option("--node", type=int, required=True)
-@click.option("--epsilon", type=FiniteFloat(0, 1), required=True)
-@click.option("--value", type=FiniteFloat(min=0), default=1.0, show_default=True)
-@click.option("--cost", type=FiniteFloat(min=0), default=0.0, show_default=True)
-@click.option("--n-max", type=click.IntRange(min=1), default=15, show_default=True)
-@click.option("--mode", type=click.Choice([AUTO, EXACT, MONTE_CARLO]), default=AUTO,
-              show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default=None,
-              help="CSV output path; stdout when omitted.")
 def sweep(kb_path, node, epsilon, value, cost, n_max, mode, seed, out_path):
     """Sweep measurement counts and report the phi extremum as CSV."""
     kb = _load_or_exit(load_kb_file, kb_path)
@@ -176,18 +135,14 @@ def sweep(kb_path, node, epsilon, value, cost, n_max, mode, seed, out_path):
     ]
     payload = "\n".join(lines) + "\n"
     if out_path is None:
-        click.echo(payload, nl=False)
+        print(payload, end="")
     else:
         _write_or_exit(out_path, payload)
 
 
-@main.command()
-@click.argument("log_path", type=click.Path())
-@click.option("--kb", "kb_path", required=True, type=click.Path())
-@click.option("--report", "report_path", type=click.Path(), default=None,
-              help="Write the JSON report here (default: <log>.audit.json).")
 def audit(log_path, kb_path, report_path):
     """Audit an episode log against the sealed KB."""
+    from . import audit as audit_mod
     kb = _load_or_exit(load_kb_file, kb_path)
     header, trials = _load_or_exit(audit_mod.load_log_file, log_path)
 
@@ -197,12 +152,55 @@ def audit(log_path, kb_path, report_path):
     _write_or_exit(report_path, report.to_json() + "\n")
 
     if report.passed:
-        click.echo(f"PASS trials={report.trials} actions={report.actions}")
+        print(f"PASS trials={report.trials} actions={report.actions}")
         sys.exit(EXIT_OK)
     first_fail = next(c for c in report.checks if not c.passed)
     where = "" if first_fail.violating_trial is None else f" trial={first_fail.violating_trial}"
-    click.echo(f"FAIL {first_fail.name}{where}: {first_fail.detail}")
+    print(f"FAIL {first_fail.name}{where}: {first_fail.detail}")
     sys.exit(EXIT_CHECK_FAILED)
+
+
+def main(argv=None):
+    """Simulator and auditor for congenital-program agents."""
+    parser = argparse.ArgumentParser(prog="aprior", description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # the options run and sweep share
+    arg = shared.add_argument
+    arg("--kb", dest="kb_path", metavar="PATH", required=True, help="[required]")
+    arg("--value", type=_number(float, 0), default=1.0, help="[default: %(default)s; x>=0]")
+    arg("--cost", type=_number(float, 0), default=0.0, help="[default: %(default)s; x>=0]")
+    arg("--seed", type=int, default=0, help="[default: %(default)s]")
+
+    def command(func, *parents):
+        sub = commands.add_parser(func.__name__, help=func.__doc__, description=func.__doc__,
+                                  allow_abbrev=False, parents=parents)
+        sub._negative_number_matcher = re.compile(r"-\.?\d")  # "--phi0 -1e-3" is a value
+        sub.set_defaults(func=func)
+        return sub.add_argument
+    command(validate)("kb_path", metavar="KB_PATH")
+    arg = command(run, shared)
+    arg("--scenario", dest="scenario_path", metavar="PATH", required=True, help="[required]")
+    arg("--trials", type=_number(int, 1), required=True, help="[x>=1; required]")
+    arg("--phi0", type=_number(float), default=0.0, help="[default: %(default)s; finite]")
+    arg("--n-max", type=_number(int, 1), default=9, help="[default: %(default)s; x>=1]")
+    arg("--epsilon", type=_number(float, 0, 1), default=0.0, help="[default: %(default)s; 0<=x<=1]")
+    arg("--fixed-n", type=_number(int, 1), help="[x>=1]")
+    arg("--out", dest="out_path", metavar="PATH", required=True, help="[required]")
+    arg("--format", dest="fmt", choices=["jsonl", "csv"], default="jsonl", help="[default: jsonl]")
+    arg("--strict", action="store_true", help="Audit invariants inline, every trial.")
+    arg = command(sweep, shared)
+    arg("--node", type=int, required=True, help="[required]")
+    arg("--epsilon", type=_number(float, 0, 1), required=True, help="[0<=x<=1; required]")
+    arg("--n-max", type=_number(int, 1), default=15, help="[default: %(default)s; x>=1]")
+    arg("--mode", choices=[AUTO, EXACT, MONTE_CARLO], default=AUTO, help="[default: %(default)s]")
+    arg("--out", dest="out_path", metavar="PATH", help="CSV output path; stdout when omitted.")
+    arg = command(audit)
+    arg("log_path", metavar="LOG_PATH")
+    arg("--kb", dest="kb_path", metavar="PATH", required=True, help="[required]")
+    arg("--report", dest="report_path", metavar="PATH",
+        help="Write the JSON report here (default: <log>.audit.json).")
+    args = vars(parser.parse_args(argv))  # a usage error exits 2
+    args.pop("func")(**args)
 
 
 if __name__ == "__main__":

@@ -102,6 +102,8 @@ def load_scenario(doc: dict, kb: KnowledgeBase) -> Scenario:
             if not (finite_number(w) and w > 0):
                 raise ScenarioError(f"weights must be positive and finite, got {w!r}")
         weights = tuple(float(w) for w in raw_weights)
+        if not finite_number(sum(weights)):  # else every draw returns the last entry
+            raise ScenarioError(f"weights must have a finite sum, got {sum(weights)!r}")
 
     repeat = 1
     if kind == REFLEX:

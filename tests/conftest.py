@@ -1,9 +1,11 @@
+import contextlib
 import copy
+import io
 import json
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import strategies as st
 
 import aprior.world
@@ -94,6 +96,28 @@ def kb_file(tmp_path, doc):
     return path
 
 
+class CliResult(NamedTuple):
+    code: int
+    out: str
+    err: str
+
+
+def invoke(argv) -> CliResult:
+    """Run `aprior *argv` in this process: its exit code, stdout and stderr.
+
+    Any exception but SystemExit propagates, so a crash fails the calling
+    test with its traceback instead of reading as an exit code.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return CliResult(code, out.getvalue(), err.getvalue())
+
+
 @pytest.fixture(scope="session")
 def reference_sweep_output(tmp_path_factory):
     """What `aprior sweep` prints on the reference KB: leaf 11, eps 0.3, auto to n = 15.
@@ -103,11 +127,11 @@ def reference_sweep_output(tmp_path_factory):
     """
     path = tmp_path_factory.mktemp("sweep") / "kb.json"
     path.write_text(json.dumps(three_node_doc()), encoding="utf-8")
-    result = CliRunner().invoke(main, [
+    result = invoke([
         "sweep", "--kb", str(path), "--node", "11", "--epsilon", "0.3", "--value", "1.0",
         "--cost", "0.02", "--n-max", "15", "--mode", "auto", "--seed", "5"])
-    assert result.exit_code == 0, result.output
-    return result.output
+    assert result.code == 0, result.err
+    return result.out
 
 
 def variant(doc, **overrides):

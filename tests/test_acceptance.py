@@ -8,11 +8,9 @@ import math
 import time
 
 import pytest
-from click.testing import CliRunner
 
 from aprior.agent import AgentState, run_episode, step
 from aprior.audit import assert_closure, assert_reflex, assert_statement1, parse_log
-from aprior.cli import main
 from aprior.decision import (
     AUTO, EXACT, MC_SAMPLES, MONTE_CARLO, MeasurementEconomy, feature_accuracy,
     recognition_error,
@@ -21,7 +19,7 @@ from aprior.kb import build_kb
 from aprior.perception import ChannelParams
 from aprior.rng import SplitMix64
 from aprior.world import load_scenario
-from conftest import mixed_scenario_doc, three_node_doc
+from conftest import invoke, mixed_scenario_doc, three_node_doc
 from oracles import brute_fair_feature_accuracy, brute_feature_accuracy
 
 EPISODES = 100
@@ -133,14 +131,14 @@ def test_c3_measurement_numerics():
            f"(acc={acc!r}, perr={perr!r}, mc={mc!r})")
 
 
-def sweep_csv(runner, kb_path, epsilon, cost, n_max=15, mode=AUTO):
-    result = runner.invoke(main, [
+def sweep_csv(kb_path, epsilon, cost, n_max=15, mode=AUTO):
+    result = invoke([
         "sweep", "--kb", str(kb_path), "--node", "11",
         "--epsilon", str(epsilon), "--value", "1.0", "--cost", str(cost),
         "--n-max", str(n_max), "--mode", mode, "--seed", "5",
     ])
-    assert result.exit_code == 0, result.output
-    return sweep_rows(result.output)
+    assert result.code == 0, result.err
+    return sweep_rows(result.out)
 
 
 def sweep_rows(output: str) -> list[tuple]:
@@ -152,8 +150,7 @@ def sweep_rows(output: str) -> list[tuple]:
 
 
 def test_c4_extremum(kb_file, reference_sweep_output):
-    # the reference sweep is sweep_csv(runner, kb_file, epsilon=0.3, cost=0.02)
-    runner = CliRunner()
+    # the reference sweep is sweep_csv(kb_file, epsilon=0.3, cost=0.02)
     rows = sweep_rows(reference_sweep_output)
     by_n = {r[0]: r for r in rows}
     ok_phi1 = math.isclose(by_n[1][2], 0.47, abs_tol=1e-9)
@@ -166,7 +163,7 @@ def test_c4_extremum(kb_file, reference_sweep_output):
     phi_star = by_n[argmaxes[0]][2]
     ok_unique = all(phi_star > phi for n, _, phi, _ in rows if n != argmaxes[0])
 
-    noiseless = sweep_csv(runner, kb_file, epsilon=0.0, cost=0.02, n_max=9)
+    noiseless = sweep_csv(kb_file, epsilon=0.0, cost=0.02, n_max=9)
     ok_noiseless = [n for n, _, _, a in noiseless if a] == [1]
 
     ok = ok_phi1 and ok_phi3 and ok_argmax and ok_unique and ok_noiseless
@@ -217,7 +214,7 @@ def test_c4_degenerate_free_measurements_monotone(kb_file):
 
     # negative control: the pinned sweep is exact, matches the brute
     # oracle's acc0(n)**2, and the predicate flags its dip
-    rows = sweep_csv(CliRunner(), kb_file, epsilon=0.3, cost=0.0, mode=EXACT)
+    rows = sweep_csv(kb_file, epsilon=0.3, cost=0.0, mode=EXACT)
     ok_rows = all(math.isclose(phi, brute_feature_accuracy(n, 0.3, a, 0) ** 2,
                                abs_tol=ROUNDING)
                   for n, _, phi, _ in rows if n <= 8)
@@ -269,16 +266,15 @@ def test_c6_determinism(kb_file, tmp_path):
     }
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
-    runner = CliRunner()
     outs = []
     for name in ("one.jsonl", "two.jsonl"):
         out = tmp_path / name
-        result = runner.invoke(main, [
+        result = invoke([
             "run", "--kb", str(kb_file), "--scenario", str(scenario_path),
             "--seed", "42", "--trials", "200", "--epsilon", "0.3",
             "--cost", "0.02", "--fixed-n", "3", "--out", str(out),
         ])
-        assert result.exit_code == 0, result.output
+        assert result.code == 0, result.err
         outs.append(out.read_bytes())
     ok = outs[0] == outs[1]
     report("C6 determinism", ok, f"({len(outs[0])} bytes each)")

@@ -14,12 +14,10 @@ import hashlib
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from aprior.audit import audit_log, parse_log
-from aprior.cli import main
 from aprior.kb import build_kb
-from conftest import mixed_scenario_doc, three_node_doc
+from conftest import invoke, mixed_scenario_doc, three_node_doc
 
 # seed 42, 10k trials, mixed scenario, eps=0.3, c=0.02, auto n (n*=2)
 RUN_ARGS = ["run", "--kb", "kb.json", "--scenario", "scenario.json", "--seed", "42",
@@ -64,28 +62,28 @@ def sha256(data: bytes) -> str:
                                             (["--format", "csv"], RUN_CSV_SHA256)],
                          ids=["False", "True", "csv"])
 def test_reference_run_log(workdir, extra, expected):
-    result = CliRunner().invoke(main, RUN_ARGS + ["--out", "log", *extra])
-    assert result.exit_code == 0, result.output
-    assert result.stdout == RUN_SUMMARY
+    result = invoke(RUN_ARGS + ["--out", "log", *extra])
+    assert result.code == 0, result.err
+    assert result.out == RUN_SUMMARY
     assert sha256((workdir / "log").read_bytes()) == expected
 
 
 def test_reference_exact_sweep_csv(workdir):
-    result = CliRunner().invoke(main, SWEEP_ARGS)
-    assert result.exit_code == 0, result.output
-    assert sha256(result.stdout_bytes) == SWEEP_SHA256
+    result = invoke(SWEEP_ARGS)
+    assert result.code == 0, result.err
+    assert sha256(result.out.encode()) == SWEEP_SHA256
 
 
 def test_reference_mc_sweep_csv(workdir):
-    result = CliRunner().invoke(main, MC_SWEEP_ARGS)
-    assert result.exit_code == 0, result.output
-    assert sha256(result.stdout_bytes) == MC_SWEEP_SHA256
+    result = invoke(MC_SWEEP_ARGS)
+    assert result.code == 0, result.err
+    assert sha256(result.out.encode()) == MC_SWEEP_SHA256
 
 
 @pytest.mark.parametrize("tamper", AUDIT_SHA256)
 def test_reference_audit_report(workdir, tamper):
-    result = CliRunner().invoke(main, C1_ARGS + ["--out", "log"])
-    assert result.exit_code == 0, result.output
+    result = invoke(C1_ARGS + ["--out", "log"])
+    assert result.code == 0, result.err
     header, trials = parse_log((workdir / "log").read_text(encoding="utf-8"))
     if tamper == "digest_after":
         header = dict(header, digest_after=header["digest_after"] ^ 1)

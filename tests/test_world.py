@@ -133,6 +133,19 @@ def test_categorical_schedule_by_weight(kb):
     assert abs(first - n / 2) < 3 * sigma
 
 
+def test_categorical_weights_must_have_a_finite_sum(kb):
+    # each weight is finite, but an inf total would send every draw to the last entry
+    doc = mixed_scenario_doc()
+    doc["weights"] = [1e308, 1e308, 1, 1, 1, 1]
+    with pytest.raises(ScenarioError, match="finite sum, got inf"):
+        load_scenario(doc, kb)
+    doc["weights"] = [8e307, 8e307, 1, 1, 1, 1]  # a sum still inside the floats
+    sc = load_scenario(doc, kb)
+    rng = SplitMix64(0)
+    first = sum(1 for t in range(1000) if next_stimulus(sc, t, rng) is sc.entries[0])
+    assert abs(first - 500) < 3 * math.sqrt(1000 * 0.25)
+
+
 def test_generated_stimuli_satisfy_truth_invariant(kb):
     # property re-check across all schedule kinds
     docs = [
