@@ -4,8 +4,9 @@
 trust its records. The auditor reads only the log and the sealed KB,
 never live agent state. Checks: closure; the log names the sealed KB;
 each trial's node, depth and status re-derived from its denoised vector,
-no effector on unrecognized trials, trigger locality, sealed ids and
-tags, a pick that agrees with its own record; reflex gating.
+no effector on unrecognized trials, trigger locality (judged by the
+sealed program's trigger), sealed ids and tags, a pick that agrees with
+its own record; reflex gating.
 """
 from __future__ import annotations
 
@@ -72,22 +73,37 @@ _T_TAIL = re.compile(r',"t":(0|[1-9][0-9]{0,17})'
                      r'((?:,"truth":(?:-?(?:0|[1-9][0-9]*)|"omega"))?\})')
 
 
-def _is_action(action) -> bool:
-    return (isinstance(action, dict) and type(action.get("program")) is int
-            and type(action.get("trigger")) is int and isinstance(action.get("tags"), list)
-            and all(isinstance(tag, str) for tag in action["tags"]))
+def _malformed(trial: dict) -> str:
+    """Why a trial record's members are ill-typed, or "" (its keys and t are checked apart).
 
-
-def _is_decision(trial: dict) -> bool:
-    """candidates are [id, phi] pairs, eligible ids, chosen an id or null, phi_chosen a phi or null."""
+    candidates are [id, phi] pairs, eligible ids, chosen an id or null, phi_chosen a phi or null.
+    """
+    n, agreement, denoised, action = (
+        trial["n"], trial["agreement"], trial["denoised"], trial["action"])
     candidates, eligible, chosen, phi = (
         trial["candidates"], trial["eligible"], trial["chosen"], trial["phi_chosen"])
-    return (type(candidates) is list
+    if type(trial["node"]) is not int or type(trial["depth"]) is not int:
+        return "node or depth is not an integer"
+    if type(n) is not int or n < 1 or not (finite_number(agreement) and 0 <= agreement <= 1):
+        return (f"n {n!r} is not an integer >= 1 "
+                f"or agreement {agreement!r} not a number in [0, 1]")
+    if type(denoised) is not list or not all(type(s) is int for s in denoised):
+        return "denoised is not a list of integers"
+    if trial["status"] not in _STATUSES:  # a tuple: an unhashable status is just absent
+        return f"unknown status {trial['status']!r}"
+    if action is not None and not (
+            isinstance(action, dict) and type(action.get("program")) is int
+            and type(action.get("trigger")) is int and isinstance(action.get("tags"), list)
+            and all(isinstance(tag, str) for tag in action["tags"])):
+        return "action is neither null nor a well-typed object"
+    if not (type(candidates) is list
             and all(type(c) is list and len(c) == 2 and type(c[0]) is int
                     and finite_number(c[1]) for c in candidates)
             and type(eligible) is list and all(type(pid) is int for pid in eligible)
             and (chosen is None or type(chosen) is int)
-            and (phi is None or finite_number(phi)))
+            and (phi is None or finite_number(phi))):
+        return "ill-typed candidates, eligible, chosen or phi_chosen"
+    return ""
 
 
 def parse_log(text: str) -> tuple[dict, list[dict]]:
@@ -139,23 +155,9 @@ def parse_log(text: str) -> tuple[dict, list[dict]]:
             raise MalformedLog("trial record missing required keys")
         if type(trial["t"]) is not int or trial["t"] != t:
             raise MalformedLog(f"record {t} has t={trial['t']!r}")
-        if not own:
-            continue
-        if type(trial["node"]) is not int or type(trial["depth"]) is not int:
-            raise MalformedLog(f"trial {t}: node or depth is not an integer")
-        n, agreement = trial["n"], trial["agreement"]
-        if type(n) is not int or n < 1 or not (finite_number(agreement) and 0 <= agreement <= 1):
-            raise MalformedLog(f"trial {t}: n {n!r} is not an integer >= 1 "
-                               f"or agreement {agreement!r} not a number in [0, 1]")
-        denoised = trial["denoised"]
-        if type(denoised) is not list or not all(type(s) is int for s in denoised):
-            raise MalformedLog(f"trial {t}: denoised is not a list of integers")
-        if trial["status"] not in _STATUSES:  # a tuple: an unhashable status is just absent
-            raise MalformedLog(f"trial {t}: unknown status {trial['status']!r}")
-        if trial["action"] is not None and not _is_action(trial["action"]):
-            raise MalformedLog(f"trial {t}: action is neither null nor a well-typed object")
-        if not _is_decision(trial):
-            raise MalformedLog(f"trial {t}: ill-typed candidates, eligible, chosen or phi_chosen")
+        why = own and _malformed(trial)
+        if why:
+            raise MalformedLog(f"trial {t}: {why}")
     return header, trials
 
 
@@ -177,15 +179,9 @@ def assert_closure(header: dict) -> CheckResult:
 
 
 def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> CheckResult:
-    """Re-derived recognition; no effector on unrecognized; trigger locality; sealed ids, tags.
+    """The log names the sealed KB (digest, tasks) and no trial disagrees with it.
 
-    The log must name the sealed KB: its digest and its task enumeration.
-    Each trial's denoised vector must be one of the KB's vectors, and its
-    node, depth and status that vector's outcome in the KB's recognition
-    table. Each trial's pick must agree with its own record: chosen is null
-    exactly when action is, chosen is the action's program, chosen is in
-    eligible, eligible lies within the candidate ids, and phi_chosen is
-    the chosen candidate's phi (null with no pick).
+    The first trial in order that `_disagreement` finds fault with fails the check.
     """
     digest = kb_digest(kb)
     if header["digest_before"] != digest:
@@ -195,45 +191,46 @@ def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> Ch
                                   for tid, pairs in enumerate_tasks(kb)]:
         return CheckResult("statement1", False, None, "task enumeration differs from sealed KB")
     for trial in trials:
-        t, node, action = trial["t"], trial["node"], trial["action"]
-        miss = _recognition_mismatch(trial, kb)
-        if miss:
-            return CheckResult("statement1", False, t, miss)
-        if action is not None:
-            if trial["status"] == UNRECOGNIZED:
-                return CheckResult("statement1", False, t, "action on unrecognized trial")
-            if action["trigger"] != node:
-                return CheckResult("statement1", False, t,
-                                   f"trigger {action['trigger']} != recognized node {node}")
-            prog = kb.programs.get(action["program"])
-            if prog is None:
-                return CheckResult("statement1", False, t,
-                                   f"program {action['program']} outside sealed KB")
-            if tuple(action["tags"]) != kb.tags[prog.id]:
-                return CheckResult("statement1", False, t,
-                                   f"action tags differ from program {prog.id}'s operation tags")
-        pick = _pick_mismatch(trial)
-        if pick:
-            return CheckResult("statement1", False, t, pick)
+        why = _disagreement(trial, kb)
+        if why:
+            return CheckResult("statement1", False, trial["t"], why)
     return CheckResult("statement1", True)
 
 
-def _recognition_mismatch(trial: dict, kb: KnowledgeBase) -> str:
-    """Why the trial's node, depth and status are not its denoised vector's outcome, or ""."""
+def _disagreement(trial: dict, kb: KnowledgeBase) -> str:
+    """Why a trial breaks statement 1 against the sealed KB, or "".
+
+    Its node, depth and status must be its denoised vector's outcome in
+    the KB's recognition table. An action needs a recognized trial, a
+    trigger equal to the node, and a sealed program whose own trigger is
+    the node and whose operation tags it names. The pick must agree with
+    its own record: chosen is null exactly when action is, chosen is the
+    action's program, chosen is in eligible, eligible lies within the
+    candidate ids, and phi_chosen is the chosen candidate's phi (null with
+    no pick).
+    """
+    node, action, chosen, eligible = (
+        trial["node"], trial["action"], trial["chosen"], trial["eligible"])
     try:
         out = recognized(kb, tuple(trial["denoised"]))
     except ValueError as exc:  # not one of the KB's vectors
         return f"denoised {trial['denoised']}: {exc}"
-    if (trial["node"], trial["depth"], trial["status"]) != (out.node, out.depth, out.status):
-        return (f"node {trial['node']}, depth {trial['depth']}, status {trial['status']} != "
+    if (node, trial["depth"], trial["status"]) != (out.node, out.depth, out.status):
+        return (f"node {node}, depth {trial['depth']}, status {trial['status']} != "
                 f"denoised {trial['denoised']}'s node {out.node}, depth {out.depth}, "
                 f"status {out.status}")
-    return ""
-
-
-def _pick_mismatch(trial: dict) -> str:
-    """Why the trial's chosen program disagrees with its own record, or ""."""
-    chosen, action, eligible = trial["chosen"], trial["action"], trial["eligible"]
+    if action is not None:
+        if trial["status"] == UNRECOGNIZED:
+            return "action on unrecognized trial"
+        if action["trigger"] != node:
+            return f"trigger {action['trigger']} != recognized node {node}"
+        prog = kb.programs.get(action["program"])
+        if prog is None:
+            return f"program {action['program']} outside sealed KB"
+        if prog.trigger != node:
+            return f"program {prog.id}'s sealed trigger {prog.trigger} != recognized node {node}"
+        if tuple(action["tags"]) != kb.tags[prog.id]:
+            return f"action tags differ from program {prog.id}'s operation tags"
     phi = dict(trial["candidates"])  # candidate id -> its phi
     if not phi.keys() >= set(eligible):
         return f"eligible {eligible} not within the candidate ids"

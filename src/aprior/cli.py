@@ -71,6 +71,13 @@ def _write_or_exit(path, payload: str) -> None:
         _exit(exc, EXIT_OPERATIONAL)
 
 
+def _csv(rows) -> str:
+    """CSV text: a field holding , or " is quoted, None is written as "" and a float as its repr."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def validate(kb_path):
     """Build and validate a KB document; print its digest."""
     kb = _load_or_exit(load_kb_file, kb_path)
@@ -100,15 +107,11 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
     if fmt == "jsonl":
         payload = log.to_jsonl()
     else:
-        buf = io.StringIO()
-        # quotes a tag holding , or "; writes None as "" and a float as its repr
-        rows = csv.writer(buf, lineterminator="\n")
-        rows.writerow(["t", "truth", "n", "node", "status", "agreement", "chosen", "tags", "score"])
-        for tr in map(json.loads, log.lines):
-            tags = "|".join(tr["action"]["tags"]) if tr["action"] else ""
-            rows.writerow([tr["t"], tr["truth"], tr["n"], tr["node"], tr["status"],
-                           tr["agreement"], tr["chosen"], tags, tr["score"]])
-        payload = buf.getvalue()
+        payload = _csv([
+            ["t", "truth", "n", "node", "status", "agreement", "chosen", "tags", "score"],
+            *([tr["t"], tr["truth"], tr["n"], tr["node"], tr["status"], tr["agreement"],
+               tr["chosen"], "|".join(tr["action"]["tags"]) if tr["action"] else "", tr["score"]]
+              for tr in map(json.loads, log.lines))])
     _write_or_exit(out_path, payload)
 
     print(f"trials={trials} recognized={100.0 * log.recognized / trials:.1f}% "
@@ -128,12 +131,8 @@ def sweep(kb_path, node, epsilon, value, cost, n_max, mode, seed, out_path):
     except (OverflowError, MemoryError) as exc:  # as in _load_or_exit
         _exit(exc, EXIT_OPERATIONAL)
 
-    lines = ["n,perr,phi,is_argmax"]
-    lines += [
-        f"{row.n},{row.perr!r},{row.phi!r},{1 if row.is_argmax else 0}"
-        for row in rows
-    ]
-    payload = "\n".join(lines) + "\n"
+    payload = _csv([["n", "perr", "phi", "is_argmax"],
+                    *([row.n, row.perr, row.phi, 1 if row.is_argmax else 0] for row in rows)])
     if out_path is None:
         print(payload, end="")
     else:

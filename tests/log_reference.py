@@ -3,13 +3,47 @@
 `aprior.audit.parse_log` parses each distinct record once; this is the
 loop it must agree with, record for record and message for message. It
 lives apart from oracles.py, which the benchmark imports on every run.
+It states the record rules itself and takes only the exception from the
+module under test.
 """
 import json
 
-from aprior.audit import (
-    _HEADER_TYPES, _STATUSES, _TRIAL_KEYS, MalformedLog, _is_action, _is_decision,
-)
+from aprior.audit import MalformedLog
 from aprior.kb import finite_number
+
+# header key -> its type, in the order the first wrong one is reported
+HEADER_TYPES = {"seed": int, "trials": int, "digest_before": int, "digest_after": int,
+                "tasks_before": list, "tasks_after": list}
+TRIAL_KEYS = {"t", "n", "denoised", "node", "depth", "status", "action", "agreement",
+              "candidates", "eligible", "chosen", "phi_chosen"}
+STATUSES = ("full", "partial", "unrecognized")
+
+
+def well_typed_action(action) -> bool:
+    """A dict whose program and trigger are ints and whose tags are a list of strings."""
+    if not isinstance(action, dict):
+        return False
+    tags = action.get("tags")
+    return (type(action.get("program")) is int and type(action.get("trigger")) is int
+            and isinstance(tags, list) and all(isinstance(tag, str) for tag in tags))
+
+
+def well_typed_decision(trial: dict) -> bool:
+    """candidates are [id, phi] pairs, eligible ids, chosen an id or null, phi_chosen a phi
+    or null."""
+    candidates, eligible = trial["candidates"], trial["eligible"]
+    if type(candidates) is not list or type(eligible) is not list:
+        return False
+    for pair in candidates:
+        if type(pair) is not list or len(pair) != 2:
+            return False
+        if type(pair[0]) is not int or not finite_number(pair[1]):
+            return False
+    if any(type(pid) is not int for pid in eligible):
+        return False
+    if trial["chosen"] is not None and type(trial["chosen"]) is not int:
+        return False
+    return trial["phi_chosen"] is None or finite_number(trial["phi_chosen"])
 
 
 def reference_parse_log(text: str) -> tuple[dict, list[dict]]:
@@ -21,9 +55,9 @@ def reference_parse_log(text: str) -> tuple[dict, list[dict]]:
         trials = [json.loads(line) for line in lines[1:]]
     except (ValueError, RecursionError) as exc:
         raise MalformedLog(f"bad JSON: {exc}") from exc
-    if not isinstance(header, dict) or not _HEADER_TYPES.keys() <= header.keys():
+    if not isinstance(header, dict) or not HEADER_TYPES.keys() <= header.keys():
         raise MalformedLog("header missing required keys")
-    for key, kind in _HEADER_TYPES.items():
+    for key, kind in HEADER_TYPES.items():
         if type(header[key]) is not kind:
             raise MalformedLog(f"header {key} {header[key]!r} is not of type {kind.__name__}")
     if not trials:
@@ -31,7 +65,7 @@ def reference_parse_log(text: str) -> tuple[dict, list[dict]]:
     if header["trials"] != len(trials):
         raise MalformedLog(f"header names {header['trials']!r} trials, log has {len(trials)}")
     for t, trial in enumerate(trials):
-        if not isinstance(trial, dict) or not _TRIAL_KEYS <= trial.keys():
+        if not isinstance(trial, dict) or not TRIAL_KEYS <= trial.keys():
             raise MalformedLog("trial record missing required keys")
         if type(trial["t"]) is not int or trial["t"] != t:
             raise MalformedLog(f"record {t} has t={trial['t']!r}")
@@ -44,10 +78,10 @@ def reference_parse_log(text: str) -> tuple[dict, list[dict]]:
         denoised = trial["denoised"]
         if type(denoised) is not list or not all(type(s) is int for s in denoised):
             raise MalformedLog(f"trial {t}: denoised is not a list of integers")
-        if trial["status"] not in _STATUSES:
+        if trial["status"] not in STATUSES:
             raise MalformedLog(f"trial {t}: unknown status {trial['status']!r}")
-        if trial["action"] is not None and not _is_action(trial["action"]):
+        if trial["action"] is not None and not well_typed_action(trial["action"]):
             raise MalformedLog(f"trial {t}: action is neither null nor a well-typed object")
-        if not _is_decision(trial):
+        if not well_typed_decision(trial):
             raise MalformedLog(f"trial {t}: ill-typed candidates, eligible, chosen or phi_chosen")
     return header, trials

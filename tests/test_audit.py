@@ -17,21 +17,24 @@ from aprior.decision import MeasurementEconomy
 from aprior.kb import ROOT, build_kb
 from aprior.perception import ChannelParams
 from aprior.world import load_scenario
-from conftest import three_node_doc
+from conftest import mixed_scenario_doc, three_node_doc
 from oracles import first_early_fire
 
 
-def make_log(kb, seed=7, trials=40, epsilon=0.3):
-    scenario = load_scenario({
-        "name": "mix", "kind": "fixed",
-        "entries": [
-            {"vector": [0, 0], "truth": 11},
-            {"vector": [2, 0], "truth": "omega"},
-            {"vector": [1, 0], "truth": 2},
-            {"vector": [0, 2], "truth": "omega"},
-        ],
-        "scoring": [],
-    }, kb)
+MIX = {
+    "name": "mix", "kind": "fixed",
+    "entries": [
+        {"vector": [0, 0], "truth": 11},
+        {"vector": [2, 0], "truth": "omega"},
+        {"vector": [1, 0], "truth": 2},
+        {"vector": [0, 2], "truth": "omega"},
+    ],
+    "scoring": [],
+}
+
+
+def make_log(kb, seed=7, trials=40, epsilon=0.3, scenario=MIX):
+    scenario = load_scenario(scenario, kb)
     state = AgentState(
         kb=kb,
         params=ChannelParams(epsilon=epsilon, alphabet=kb.alphabet, dim=kb.dim),
@@ -85,6 +88,22 @@ def test_statement1_fails_on_nonlocal_trigger(kb):
     assert result.detail == "trigger 12 != recognized node 11"
 
 
+def test_statement1_fails_on_a_program_sealed_to_another_trigger(kb):
+    # Q11's program logged as firing on Q12, its logged trigger and pick rewritten to agree
+    header, trials = make_log(kb, epsilon=0.0, scenario=mixed_scenario_doc())
+    tampered = [copy.deepcopy(t) for t in trials]  # twin records share nested values
+    after = next(t["t"] for t in trials if t["node"] == 11)  # so program 1's reflex gate is open
+    victim = next(t for t in tampered[after:] if t["node"] == 12 and t["action"] is not None)
+    victim.update(action={"program": 1, "tags": ["pull"], "trigger": 12}, chosen=1,
+                  candidates=[[1, victim["phi_chosen"]]], eligible=[1])
+    assert _others_untouched(trials, tampered, victim)
+    result = assert_statement1(header, tampered, kb)
+    assert (result.passed, result.violating_trial) == (False, victim["t"])
+    assert result.detail == "program 1's sealed trigger 11 != recognized node 12"
+    report = audit_log(header, tampered, kb)
+    assert [c.name for c in report.checks if not c.passed] == ["statement1"]
+
+
 RECOGNITION_EDITS = {
     # an unrecognized trial passed off as a full recognition of Q11
     "node 11, depth 2, status full != denoised [2, 0]'s node -1, depth 0, status unrecognized": (
@@ -113,6 +132,30 @@ def test_statement1_rederives_each_trials_recognition(kb, detail):
 
 def _others_untouched(trials, tampered, victim) -> bool:
     return all(new == old for new, old in zip(tampered, trials) if new is not victim)
+
+
+ACTION_EDITS = {
+    # a pull added to an unrecognized trial, whose record is otherwise untouched
+    "action on unrecognized trial": (lambda r: r["status"] == "unrecognized", lambda r: r.update(
+        action={"program": 1, "tags": ["pull"], "trigger": 11})),
+    "program 999 outside sealed KB": (
+        lambda r: r["chosen"] == 1, lambda r: r["action"].update(program=999)),
+    "action tags differ from program 1's operation tags": (
+        lambda r: r["chosen"] == 1, lambda r: r["action"].update(tags=["orient"])),
+}
+
+
+@pytest.mark.parametrize("detail", ACTION_EDITS)
+def test_statement1_names_each_action_fault(kb, detail):
+    is_victim, edit = ACTION_EDITS[detail]
+    header, trials = make_log(kb)
+    tampered = [copy.deepcopy(t) for t in trials]  # twin records share nested values
+    victim = next(t for t in tampered if is_victim(t))
+    edit(victim)
+    assert _others_untouched(trials, tampered, victim)
+    result = assert_statement1(header, tampered, kb)
+    assert (result.passed, result.violating_trial, result.detail) == (False, victim["t"], detail)
+    assert not audit_log(header, tampered, kb).passed
 
 
 def test_statement1_fails_on_foreign_program(kb):
