@@ -9,12 +9,13 @@ of its trigger and stays eligible afterwards. The knowledge base is
 never written.
 
 `step` and `run_episode` share one trial kernel. Gate, phi and order
-depend only on the node, the count of agreeing observations and the gate
-state min(recurrence, largest k among the node's programs), given n and
-the economy's phi0 and cost. The log members they determine are kept, as
-one pick per program that may fire, in a decision table with that key. A
-sealed KB holds one such table, for the (n, phi0, cost with its sign) of
-the latest state built on it, and every state built with the same four
+depend only on the folded vector, the count of agreeing observations and
+the gate state min(recurrence, largest k among its node's programs),
+given n and the economy's phi0 and cost. The log members they determine
+are kept, as one pick per program that may fire, in a decision table
+keyed by folded vector and then by (count, gate state). A sealed KB
+holds one such table, for the (n, phi0, cost with its sign) of the
+latest state built on it, and every state built with the same four
 shares it; a state keeps its table when a later state's economy replaces
 the KB's.
 """
@@ -48,7 +49,7 @@ class IneligibleProgram(ValueError):
     pass
 
 
-_Pick = tuple[int | None, str, str]  # (sealed program id or None, head, mid): see _entry
+_Pick = tuple[int | None, str]  # (sealed program id or None, text): see _entry
 _Entry = tuple[list[_Pick], _Pick | None]  # (picks, idle)
 
 
@@ -63,13 +64,15 @@ class AgentState:
     trials: int = field(default=0, init=False)
     # recognized object id -> recognitions so far, the current trial included
     recurrence: dict[int, int] = field(default_factory=dict, init=False)
-    # node -> (largest k among its programs, {(hits, gate state): (picks, idle)}),
+    # folded vector -> (largest k among its node's programs, {(hits, gate state): entry}),
     # shared with every state on kb with this state's n and economy
-    decisions: dict[int, tuple[int, dict[tuple[int, int], _Entry]]] = field(init=False)
+    decisions: dict[tuple[int, ...], tuple[int, dict[tuple[int, int], _Entry]]] = field(init=False)
     channel_rng: SplitMix64 = field(init=False)
     selection_rng: SplitMix64 = field(init=False)
 
     def __post_init__(self):
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.fixed_n is not None and (type(self.fixed_n) is not int or self.fixed_n < 1):
             raise ValueError(f"fixed_n must be None or an int >= 1, got {self.fixed_n!r}")
         if (self.params.alphabet, self.params.dim) != (self.kb.alphabet, self.kb.dim):
@@ -143,14 +146,14 @@ def _members(**fields) -> str:
     return _ENCODER.encode(fields)[1:-1] + ","
 
 
-def _entry(state: AgentState, outcome: RecognitionOutcome, hits: int) -> _Entry:
+def _entry(state: AgentState, denoised: tuple, outcome: RecognitionOutcome, hits: int) -> _Entry:
     """A decision table entry from eligible_programs, phi_program and order_and_filter.
 
     It is (picks, idle): one pick per program order_and_filter keeps, in
     its order, and idle, the no-action pick, when it keeps none (else
-    None). A pick is (sealed program id or None, head, mid): head holds the
-    log members before "denoised", mid those from "eligible" through
-    "phi_chosen", in the log's sorted key order.
+    None). A pick is (sealed program id or None, text): text opens the log
+    line and holds its members from "action" through "phi_chosen", in the
+    log's sorted key order.
     """
     agreement = hits / state.n
     candidates = [[p.id, phi_program(p, agreement, state.n, state.econ)]
@@ -162,27 +165,28 @@ def _entry(state: AgentState, outcome: RecognitionOutcome, hits: int) -> _Entry:
     def pick(pid=None, phi=None) -> _Pick:
         action = None if pid is None else {"program": pid, "tags": list(kb.tags[pid]),
                                            "trigger": kb.programs[pid].trigger}
-        return (pid, "{" + _members(action=action, agreement=agreement, chosen=pid,
-                                    candidates=candidates),
-                _members(eligible=eligible, n=state.n, node=outcome.node, phi_chosen=phi))
+        return pid, "{" + _members(
+            action=action, agreement=agreement, candidates=candidates, chosen=pid,
+            denoised=list(denoised), depth=outcome.depth, eligible=eligible, n=state.n,
+            node=outcome.node, phi_chosen=phi)
 
     picks = [pick(pid, phi) for pid, phi in ordered]
     return picks, None if picks else pick()
 
 
-def _decision(state: AgentState, outcome: RecognitionOutcome, hits: int) -> _Entry:
+def _decision(state: AgentState, denoised: tuple, outcome: RecognitionOutcome, hits: int) -> _Entry:
     """The decision table entry for this trial; a miss builds it from the gate rule."""
     node = outcome.node
-    table = state.decisions.get(node)
+    table = state.decisions.get(denoised)
     if table is None:
         k_max = max((p.reflex_threshold for p in state.kb.programs_for(node)), default=0)
-        table = state.decisions[node] = (k_max, {})
+        table = state.decisions[denoised] = (k_max, {})
     k_max, entries = table
     # counts past the largest k open no further gate, so they share one entry
     key = (hits, min(state.recurrence.get(node, 0), k_max))
     entry = entries.get(key)
     if entry is None:
-        entry = entries[key] = _entry(state, outcome, hits)
+        entry = entries[key] = _entry(state, denoised, outcome, hits)
     return entry
 
 
@@ -190,8 +194,8 @@ def _trial(state: AgentState, stimulus: tuple[int, ...]):
     """The trial kernel: measure, count, gate, order, pick; stimulus is not checked."""
     denoised, outcome, hits = observe(state.kb, stimulus, state.n, state.params, state.channel_rng)
     t = record(state, outcome)
-    picks, idle = _decision(state, outcome, hits)
-    return t, denoised, outcome, select_random(picks, state.selection_rng) or idle
+    picks, idle = _decision(state, denoised, outcome, hits)
+    return t, outcome, select_random(picks, state.selection_rng) or idle
 
 
 def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
@@ -201,10 +205,8 @@ def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
     symbols in [0, params.alphabet).
     """
     check_vector(stimulus, state.params.dim, state.params.alphabet)
-    t, denoised, outcome, (_, head, mid) = _trial(state, stimulus)
-    return json.loads(f"{head}{_members(denoised=list(denoised), depth=outcome.depth)}"
-                      f"{mid}{_members(status=outcome.status, stimulus=list(stimulus))}"
-                      f'"t":{t}}}')
+    t, outcome, (_, text) = _trial(state, stimulus)
+    return json.loads(f'{text}{_members(status=outcome.status, stimulus=list(stimulus))}"t":{t}}}')
 
 
 @dataclass
@@ -234,8 +236,8 @@ def run_episode(
     with those captured at episode start, which catches every change the
     digest catches.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     scenario_rng = substream(state.seed, "scenario")
 
     canonical_before = state.kb.canonical
@@ -243,38 +245,32 @@ def run_episode(
     tasks_before = enumerate_tasks(state.kb)
 
     next_stimulus = world_mod.next_stimulus
-    # log members kept per folded vector, per stimulus, per (program, status, truth)
-    folded: dict[tuple[int, ...], str] = {}
-    shown: dict[world_mod.Stimulus, tuple[str, str]] = {}
-    tails: dict[tuple[int | None, str, int | str], tuple[float, str]] = {}
+    # (program, status, stimulus) -> (score, the log line from "score" through '"t":',
+    # the rest after t); scores depend on the scenario, so the memo is the episode's
+    memo: dict[tuple[int | None, str, world_mod.Stimulus], tuple[float, str, str]] = {}
     lines = []
     recognized = actions = total = 0
     for i in range(trials):
         stim = next_stimulus(scenario, i, scenario_rng)
-        t, denoised, outcome, (program_id, head, mid) = _trial(state, stim.vector)
-        key = (program_id, outcome.status, stim.truth)
-        tail = tails.get(key)
-        if tail is None:
+        t, outcome, (program_id, text) = _trial(state, stim.vector)
+        key = (program_id, outcome.status, stim)
+        rest = memo.get(key)
+        if rest is None:
             tags = () if program_id is None else state.kb.tags[program_id]
             score = sum((world_mod.score(scenario, tag, stim.truth) for tag in tags), 0.0)
-            tail = tails[key] = score, _members(score=score, status=outcome.status)
+            rest = memo[key] = (
+                score,
+                _members(score=score, status=outcome.status, stimulus=list(stim.vector)) + '"t":',
+                "," + _members(truth=stim.truth)[:-1] + "}")
         recognized += outcome.status != UNRECOGNIZED
         actions += program_id is not None
-        total += tail[0]
+        total += rest[0]
         if strict:
             if state.kb.canonical != canonical_before:
                 raise AssertionError(f"trial {i}: knowledge base canonical bytes changed")
             if outcome.status == UNRECOGNIZED and program_id is not None:
                 raise AssertionError(f"trial {i}: action on unrecognized stimulus")
-
-        vector = folded.get(denoised)
-        if vector is None:
-            vector = folded[denoised] = _members(denoised=list(denoised), depth=outcome.depth)
-        around = shown.get(stim)
-        if around is None:
-            around = shown[stim] = (_members(stimulus=list(stim.vector)) + '"t":',
-                                    "," + _members(truth=stim.truth)[:-1] + "}")
-        lines.append(f"{head}{vector}{mid}{tail[1]}{around[0]}{t}{around[1]}")
+        lines.append(f"{text}{rest[1]}{t}{rest[2]}")
 
     header = {
         "seed": state.seed,

@@ -45,13 +45,13 @@ class MeasurementEconomy:
     n_max: int
 
     def __post_init__(self):
+        if type(self.n_max) is not int or self.n_max < 1:  # a bool is no count
+            raise ValueError(f"n_max must be an int >= 1, got {self.n_max!r}")
         # NaN is neither < 0 nor < 1, so the checks below would let it through
         if not all(map(finite_number, (self.value, self.cost, self.phi0, self.n_max))):
             raise ValueError("value, cost, phi0 and n_max must be finite numbers")
         if self.value < 0 or self.cost < 0:
             raise ValueError("value and cost must be >= 0")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
         # every sweep phi lies within value + cost * n_max
         if not math.isfinite(self.value + self.cost * self.n_max):
             raise ValueError("value + cost * n_max overflows a float")

@@ -105,8 +105,8 @@ class KnowledgeBase:
     perception.OBSERVED_MAX, or else to a table from n observations to
     their (folded vector, outcome, agreeing count) (perception.observe).
     _decisions maps the (n, phi0, cost, sign of cost) of the latest agent
-    state built on the KB to its decision table, one entry at most. All
-    three live exactly as long as the KB.
+    state built on the KB to its decision table, keyed by folded vector,
+    one entry at most. All three live exactly as long as the KB.
     """
 
     dim: int

@@ -338,7 +338,8 @@ def test_tables_are_shared_per_kb_and_bounded(monkeypatch):
     assert all(state.decisions is states[0].decisions for state in states)
     assert 0 < len(kb._recognition) <= kb.alphabet ** kb.dim
     assert list(kb._decisions) == [(3, 0.0, 0.02, 1.0)]
-    for node, (k_max, entries) in states[0].decisions.items():
+    for vector, (k_max, entries) in states[0].decisions.items():
+        node = kb._recognition[vector].node
         assert k_max == max((p.reflex_threshold for p in kb.programs_for(node)), default=0)
         assert len(entries) <= (3 + 1) * (k_max + 1)
 
@@ -408,6 +409,26 @@ def test_step_rejects_an_invalid_stimulus_before_any_draw(stimulus):
     assert (state.channel_rng.state, state.selection_rng.state, state.trials) == (*words, 0)
     assert kb._recognition == {} and kb._observed == {}
     assert c1_log(kb, 1) == c1_log(build_kb(three_node_doc()), 1)
+
+
+@pytest.mark.parametrize("seed", [True, 1.0, "1", None])
+def test_state_rejects_a_seed_that_is_not_an_int_before_any_stream(kb, seed, monkeypatch):
+    # a bool seed used to reach the header as "seed":true, which parse_log rejects
+    monkeypatch.setattr(aprior.agent, "substream", lambda *args: pytest.fail("stream made"))
+    with pytest.raises(ValueError, match="seed must be an int"):
+        make_state(kb, seed=seed)
+
+
+@pytest.mark.parametrize("trials", [True, 2.5, 3.0, 0, -1])
+def test_run_episode_rejects_a_trial_count_that_is_not_an_int_ge_1(kb, trials, monkeypatch):
+    # True used to log "trials":true, which parse_log rejects, and 2.5 to end in a TypeError
+    state = c1_state(kb, 0)
+    words = (state.channel_rng.state, state.selection_rng.state)
+    scenario = load_scenario(mixed_scenario_doc(), kb)
+    monkeypatch.setattr(aprior.agent, "substream", lambda *args: pytest.fail("stream made"))
+    with pytest.raises(ValueError, match="trials must be an int >= 1"):
+        run_episode(state, scenario, trials)
+    assert (state.channel_rng.state, state.selection_rng.state, state.trials) == (*words, 0)
 
 
 def test_a_new_economy_replaces_the_kbs_decision_table():

@@ -188,6 +188,13 @@ def test_economy_rejects_non_finite_numbers_and_an_overflowing_bound(fields):
         MeasurementEconomy(**{"value": 1.0, "cost": 0.0, "phi0": 0.0, "n_max": 9, **fields})
 
 
+@pytest.mark.parametrize("n_max", [9.0, 2.5, True, "9", 0])
+def test_economy_rejects_an_n_max_that_is_not_an_int_ge_1(n_max):
+    # a float n_max used to pass here and end in range()'s TypeError inside optimal_n
+    with pytest.raises(ValueError, match="n_max must be an int >= 1"):
+        MeasurementEconomy(value=1.0, cost=0.02, phi0=0.0, n_max=n_max)
+
+
 def test_phi_program_values(kb, econ):
     prog = kb.programs[1]
     free = MeasurementEconomy(value=1.0, cost=0.0, phi0=0.0, n_max=9)

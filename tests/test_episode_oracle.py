@@ -161,21 +161,33 @@ def assert_lines_are_the_trials_json(state, log):
     assert log.score == sum(r["score"] for r in records)
 
 
+PICK_MEMBERS = ["action", "agreement", "candidates", "chosen", "denoised", "depth", "eligible",
+                "n", "node", "phi_chosen"]
+
+
 def assert_table_structure(state):
-    """No float keys; each entry's pick ids are the eligible ids its picks log."""
+    """No float keys; each vector's picks log that vector, and the eligible ids of its entry."""
+    kb = state.kb
     # 0.0 == -0.0, so a float key would give both zeros one member
-    for node, (k_max, entries) in state.decisions.items():
-        assert type(node) is int and type(k_max) is int
+    for vector, (k_max, entries) in state.decisions.items():
+        assert type(vector) is tuple and all(type(s) is int for s in vector)
+        assert vector in kb._recognition and type(k_max) is int
+        node = kb._recognition[vector].node
+        assert k_max == max((p.reflex_threshold for p in kb.programs_for(node)), default=0)
         for key, (picks, idle) in entries.items():
             assert [type(x) for x in key] == [int, int]
-            # mid holds the members from "eligible" on, each followed by a comma
-            ids = [pid for pid, _, _ in picks]
-            for _, _, mid in picks:
-                assert json.loads("{" + mid[:-1] + "}")["eligible"] == ids
+            ids = [pid for pid, _ in picks]
+            # a pick's text opens its log line and holds the members through "phi_chosen",
+            # each followed by a comma
+            for pid, text in picks if idle is None else [idle]:
+                members = json.loads(text[:-1] + "}")
+                assert list(members) == PICK_MEMBERS
+                assert (members["chosen"], members["eligible"]) == (pid, ids)
+                assert (members["denoised"], members["node"]) == (list(vector), node)
             # the no-action pick exists exactly when nothing is eligible
             assert (idle is None) == bool(picks)
             if idle is not None:
-                assert idle[0] is None and json.loads("{" + idle[2][:-1] + "}")["eligible"] == []
+                assert idle[0] is None
 
 
 @settings(max_examples=150, deadline=None)
