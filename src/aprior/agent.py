@@ -8,7 +8,11 @@ so a threshold-k program first becomes eligible on the k-th recognition
 of its trigger and stays eligible afterwards. The knowledge base is
 never written.
 
-`step` and `run_episode` share one trial kernel. Gate, phi and order
+`step` and `run_episode` share one trial kernel, which starts from the
+trial's n * dim channel uses: `step` draws them with one channel call,
+and `run_episode` draws the stimuli of as many trials as CHANNEL_USES
+allows and then all their uses with one channel call (the named streams
+draw the same words in the same order either way). Gate, phi and order
 depend only on the folded vector, the count of agreeing observations and
 the gate state min(recurrence, largest k among its node's programs),
 given n and the economy's phi0 and cost. The log members they determine
@@ -24,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import world as world_mod
 from .decision import (
@@ -39,10 +44,16 @@ from .perception import (
     UNRECOGNIZED,
     ChannelParams,
     RecognitionOutcome,
+    channel,
     check_vector,
-    observe,
+    observed,
 )
 from .rng import SplitMix64, substream
+
+
+# the most channel uses one channel call in run_episode draws, unless one trial has
+# more: a whole C1 or deep-KB episode, yet a buffer of at most 512 KiB whatever n is
+CHANNEL_USES = 1 << 16
 
 
 class IneligibleProgram(ValueError):
@@ -190,9 +201,9 @@ def _decision(state: AgentState, denoised: tuple, outcome: RecognitionOutcome, h
     return entry
 
 
-def _trial(state: AgentState, stimulus: tuple[int, ...]):
-    """The trial kernel: measure, count, gate, order, pick; stimulus is not checked."""
-    denoised, outcome, hits = observe(state.kb, stimulus, state.n, state.params, state.channel_rng)
+def _trial(state: AgentState, uses: tuple[int, ...]):
+    """The trial kernel: fold, count, gate, order, pick, from the trial's n * dim channel uses."""
+    denoised, outcome, hits = observed(state.kb, uses, state.n)
     t = record(state, outcome)
     picks, idle = _decision(state, denoised, outcome, hits)
     return t, outcome, select_random(picks, state.selection_rng) or idle
@@ -205,8 +216,32 @@ def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
     symbols in [0, params.alphabet).
     """
     check_vector(stimulus, state.params.dim, state.params.alphabet)
-    t, outcome, (_, text) = _trial(state, stimulus)
+    uses = channel(stimulus * state.n, state.params, state.channel_rng)
+    t, outcome, (_, text) = _trial(state, uses)
     return json.loads(f'{text}{_members(status=outcome.status, stimulus=list(stimulus))}"t":{t}}}')
+
+
+def _presented(state: AgentState, scenario, trials: int):
+    """Each trial's stimulus and its n * dim channel uses, in trial order.
+
+    next_stimulus alone draws from the scenario stream and channel alone
+    from the channel stream, and no stimulus depends on the agent. So the
+    stimuli of as many trials as CHANNEL_USES allows (one at least) are
+    drawn first, then all their uses in one channel call, and each stream
+    draws the words, in the order, that a channel call per trial would.
+    """
+    scenario_rng = substream(state.seed, "scenario")
+    n = state.n
+    width = n * state.kb.dim
+    chunk = max(1, CHANNEL_USES // width)
+    for first in range(0, trials, chunk):
+        stimuli = [world_mod.next_stimulus(scenario, i, scenario_rng)
+                   for i in range(first, min(first + chunk, trials))]
+        uses = channel(chain.from_iterable(stim.vector * n for stim in stimuli),
+                       state.params, state.channel_rng)
+        for j, stim in enumerate(stimuli):
+            at = j * width
+            yield stim, uses[at:at + width]
 
 
 @dataclass
@@ -238,21 +273,18 @@ def run_episode(
     """
     if type(trials) is not int or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
-    scenario_rng = substream(state.seed, "scenario")
 
     canonical_before = state.kb.canonical
     digest_before = kb_digest(state.kb)
     tasks_before = enumerate_tasks(state.kb)
 
-    next_stimulus = world_mod.next_stimulus
     # (program, status, stimulus) -> (score, the log line from "score" through '"t":',
     # the rest after t); scores depend on the scenario, so the memo is the episode's
     memo: dict[tuple[int | None, str, world_mod.Stimulus], tuple[float, str, str]] = {}
     lines = []
     recognized = actions = total = 0
-    for i in range(trials):
-        stim = next_stimulus(scenario, i, scenario_rng)
-        t, outcome, (program_id, text) = _trial(state, stim.vector)
+    for i, (stim, uses) in enumerate(_presented(state, scenario, trials)):
+        t, outcome, (program_id, text) = _trial(state, uses)
         key = (program_id, outcome.status, stim)
         rest = memo.get(key)
         if rest is None:

@@ -103,6 +103,8 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
     except AssertionError as exc:
         print(f"strict audit failed: {exc}", file=sys.stderr)
         sys.exit(EXIT_CHECK_FAILED)
+    except MemoryError as exc:  # a trial's n * dim channel uses, or the log, too large to hold
+        _exit(exc, EXIT_OPERATIONAL)
 
     if fmt == "jsonl":
         payload = log.to_jsonl()

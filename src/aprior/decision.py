@@ -98,13 +98,12 @@ def _exact_feature_accuracy(n: int, eps: float, a: int, true_symbol: int) -> flo
 def _mc_feature_accuracy(
     n: int, params: ChannelParams, true_symbol: int, rng: SplitMix64, samples: int
 ) -> float:
-    # each sample is one observation of (true_symbol,) * n, so a batch's
-    # columns are its samples' n draws; any batch size draws the same words
-    x = (true_symbol,) * n
+    # each sample is n uses of true_symbol, one after another, so use j of
+    # every sample in a batch is uses[j::n]; any batch size draws the same words
     hits = 0
     for start in range(0, samples, MC_BATCH):
-        batch = channel(x, min(MC_BATCH, samples - start), params, rng)
-        hits += majority_fold(list(zip(*batch))).count(true_symbol)
+        uses = channel((true_symbol,) * (n * min(MC_BATCH, samples - start)), params, rng)
+        hits += majority_fold([uses[j::n] for j in range(n)]).count(true_symbol)
     return hits / samples
 
 

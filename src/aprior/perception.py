@@ -1,19 +1,22 @@
 """Receptor pipeline: noisy channel, repeated measurement, recognition.
 
 A stimulus vector passes through a memoryless symbol-corruption channel
-n times; the repetitions are folded per feature by majority vote (ties
-to the lowest symbol) and the folded vector is identified by greedy
-descent of the recognition tree. The channel mixes its splitmix64 words
-a block at a time (rng.words), keeps a block's unused words on the stream
-for its next call, and draws as many, in the same order, as one next_u64
-call per word would. Identification is a fixed function of
-the sealed KB, so each distinct vector is identified once per KB and kept
-in its recognition table; where the KB's alphabet ** (dim * n) sets of n
-observations number at most OBSERVED_MAX, each distinct set is likewise
-folded, identified and counted once per KB, in its observation table.
+n times, as n * dim channel uses; the repetitions are folded per feature
+by majority vote (ties to the lowest symbol) and the folded vector is
+identified by greedy descent of the recognition tree. One channel call
+takes any number of uses, a whole episode's included, and returns them
+flat. It mixes its splitmix64 words a block at a time (rng.words), keeps
+a block's unused words on the stream for its next call, and draws as
+many, in the same order, as one next_u64 call per word would.
+Identification is a fixed function of the sealed KB, so each distinct
+vector is identified once per KB and kept in its recognition table; where
+the KB's alphabet ** (dim * n) sets of n observations number at most
+OBSERVED_MAX, each distinct set is likewise folded, identified and
+counted once per KB, in its observation table.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .kb import ROOT, KnowledgeBase, finite_number
@@ -90,10 +93,8 @@ def identify(kb: KnowledgeBase, v: tuple[int, ...]) -> RecognitionOutcome:
     return RecognitionOutcome(node, depth, status)
 
 
-def channel(
-    x: tuple[int, ...], n: int, params: ChannelParams, rng: SplitMix64
-) -> list[tuple[int, ...]]:
-    """n observations of x through the channel; x and n are not checked.
+def channel(xs: Iterable[int], params: ChannelParams, rng: SplitMix64) -> tuple[int, ...]:
+    """One output symbol per symbol of xs, in order; xs is not checked.
 
     Each channel use keeps its symbol with prob 1-eps, else replaces it
     by a uniform other symbol. It draws one word, and a corrupted use then
@@ -105,7 +106,8 @@ def channel(
     state: a later call on a stream still there goes on drawing from it, and
     a stream anywhere else (after a next_u64, a randbelow or a state write)
     mixes afresh. The tail is cleared before the first draw and set on
-    return only, so a call that raises leaves none.
+    return only, so a call that raises leaves none. n observations of x are
+    channel(x * n, ...), one after another.
     """
     threshold = params.threshold
     others = params.alphabet - 1
@@ -114,27 +116,24 @@ def channel(
     tail, rng._tail = rng._tail, None
     draw = tail[1] if tail is not None and tail[0] == start else words(start).__next__
     replacements = 0  # words drawn after a use's own
-    observations = []
-    for _ in range(n):
-        obs = []
-        for sym in x:
-            if draw() < threshold:
-                u = limit
-                while u >= limit:
-                    u = draw()
-                    replacements += 1
-                j = u % others
-                sym = j if j < sym else j + 1
-            obs.append(sym)
-        observations.append(tuple(obs))
-    rng.state = end = (start + (n * len(x) + replacements) * GAMMA) & MASK64
+    out = []
+    for sym in xs:
+        if draw() < threshold:
+            u = limit
+            while u >= limit:
+                u = draw()
+                replacements += 1
+            j = u % others
+            sym = j if j < sym else j + 1
+        out.append(sym)
+    rng.state = end = (start + (len(out) + replacements) * GAMMA) & MASK64
     rng._tail = end, draw
-    return observations
+    return tuple(out)
 
 
 def corrupt(v: tuple[int, ...], params: ChannelParams, rng: SplitMix64) -> tuple[int, ...]:
     """One observation of v through the channel."""
-    return channel(v, 1, params, rng)[0]
+    return channel(v, params, rng)
 
 
 def majority_fold(observations) -> tuple[int, ...]:
@@ -162,21 +161,17 @@ def recognized(kb: KnowledgeBase, v: tuple[int, ...]) -> RecognitionOutcome:
     return outcome
 
 
-def observe(
-    kb: KnowledgeBase,
-    x: tuple[int, ...],
-    n: int,
-    params: ChannelParams,
-    rng: SplitMix64,
+def observed(
+    kb: KnowledgeBase, uses: tuple[int, ...], n: int
 ) -> tuple[tuple[int, ...], RecognitionOutcome, int]:
-    """measure without its checks: (folded vector, its outcome, agreeing observations).
+    """The trial kernel's input step: (folded vector, its outcome, agreeing observations)
+    of n observations, given as their n * kb.dim channel uses in one flat tuple.
 
-    The three are kept in kb._observed[n], keyed by the observations, once
-    every vector in them is recognized; kb._observed[n] is False, decided
-    once per KB and n, when alphabet ** (dim * n) exceeds OBSERVED_MAX, and
-    every call then folds afresh.
+    The three are kept in kb._observed[n], keyed by the uses, once every
+    vector in them is recognized; kb._observed[n] is False, decided once per
+    KB and n, when alphabet ** (dim * n) exceeds OBSERVED_MAX, and every call
+    then folds afresh.
     """
-    observations = channel(x, n, params, rng)
     memo = kb._observed.get(n)
     if memo is None:
         e = kb.dim * n
@@ -184,10 +179,11 @@ def observe(
         small = e < OBSERVED_MAX.bit_length() and kb.alphabet ** e <= OBSERVED_MAX
         memo = kb._observed[n] = {} if small else False
     if memo is not False:
-        key = tuple(observations)
-        seen = memo.get(key)
+        seen = memo.get(uses)
         if seen is not None:
             return seen
+    d = kb.dim
+    observations = [uses[i:i + d] for i in range(0, n * d, d)]
     denoised = majority_fold(observations)
     table = kb._recognition
     for v in (denoised, *observations):
@@ -197,8 +193,19 @@ def observe(
     node = outcome.node
     seen = denoised, outcome, sum(1 for obs in observations if table[obs].node == node)
     if memo is not False:
-        memo[key] = seen
+        memo[uses] = seen
     return seen
+
+
+def observe(
+    kb: KnowledgeBase,
+    x: tuple[int, ...],
+    n: int,
+    params: ChannelParams,
+    rng: SplitMix64,
+) -> tuple[tuple[int, ...], RecognitionOutcome, int]:
+    """measure without its checks: observed of n observations of x through the channel."""
+    return observed(kb, channel(x * n, params, rng), n)
 
 
 def measure(

@@ -100,6 +100,10 @@ MUTANTS = (
            "state.kb.programs_for(outcome.node)",
            "state.kb.programs_for(state.kb.objects[outcome.node].parent)",
            "trigger locality: only programs triggered by the recognized node may fire"),
+    Mutant("a trial's slice starts one use late", "src/aprior/agent.py",
+           "at = j * width\n",
+           "at = j * width + 1\n",
+           "trial j of a channel call reads uses j * n * dim up to (j + 1) * n * dim, its own"),
     Mutant("strict closure check removed", "src/aprior/agent.py",
            "if state.kb.canonical != canonical_before:",
            "if False:",
@@ -113,9 +117,14 @@ MUTANTS = (
            "not 0 <= s < alphabet",
            "1.0 and True equal 1 as keys, so only ints stand for symbols"),
     Mutant("one word counted per corruption", "src/aprior/perception.py",
-           "                    u = draw()\n                    replacements += 1\n",
-           "                    u = draw()\n                replacements += 1\n",
+           "                u = draw()\n                replacements += 1\n",
+           "                u = draw()\n            replacements += 1\n",
            "the stream moves past every word drawn, rejected replacement words included"),
+    Mutant("replacement word drawn before the corruption word", "src/aprior/perception.py",
+           "        if draw() < threshold:\n            u = limit\n",
+           "        u = draw()\n        replacements += 1\n        if draw() < threshold:\n",
+           "a use draws its corruption word first, and only a corrupted use then draws its "
+           "replacement"),
     Mutant("kept tail used at any state", "src/aprior/perception.py",
            "tail is not None and tail[0] == start",
            "tail is not None",
@@ -124,6 +133,14 @@ MUTANTS = (
            "tail, rng._tail = rng._tail, None",
            "tail = rng._tail",
            "a channel call that raises leaves no tail on the stream"),
+    Mutant("kept tail shared by copy.copy", "src/aprior/rng.py",
+           "        return type(self), (self.state,)\n",
+           "        return type(self), (self.state,)\n\n"
+           "    def __copy__(self):\n"
+           "        clone = type(self)(self.state)\n"
+           "        clone._tail = self._tail\n"
+           "        return clone\n",
+           "a copy of a stream shares no iterator with it, so neither draws the other's words"),
     Mutant("refill stride one word short", "src/aprior/rng.py",
            "16 * BLOCK, BLOCK * GAMMA",
            "16 * BLOCK, (BLOCK - 1) * GAMMA",

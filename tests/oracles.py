@@ -192,7 +192,8 @@ def words_drawn(start: int, end: int) -> int:
 
 
 def scalar_channel(x, n: int, params, rng):
-    """n observations of x drawn one word at a time with next_u64 and randbelow."""
+    """n observations of x drawn one word at a time with next_u64 and randbelow,
+    flat: one symbol per channel use, observation after observation."""
     observations = []
     for _ in range(n):
         obs = []
@@ -202,7 +203,7 @@ def scalar_channel(x, n: int, params, rng):
                 sym = j if j < sym else j + 1
             obs.append(sym)
         observations.append(tuple(obs))
-    return observations
+    return tuple(sym for obs in observations for sym in obs)
 
 
 def state_drawing(word: int, index: int) -> int:

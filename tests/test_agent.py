@@ -9,7 +9,6 @@ import pytest
 import aprior.agent
 import aprior.kb as kb_mod
 import aprior.perception
-import aprior.world as world_mod
 from aprior.agent import (
     AgentState,
     IneligibleProgram,
@@ -256,14 +255,14 @@ def tampered_kb(monkeypatch):
     kb = build_kb(three_node_doc())
     forged = kb.canonical.replace(b'"k":3', b'"k":1')
     assert forged != kb.canonical
-    original = world_mod.next_stimulus
+    original = aprior.agent._trial
 
-    def tampering(scenario, t, rng):
-        if t == TAMPER_TRIAL:
+    def tampering(state, uses):
+        if state.trials == TAMPER_TRIAL:
             object.__setattr__(kb, "canonical", forged)
-        return original(scenario, t, rng)
+        return original(state, uses)
 
-    monkeypatch.setattr(world_mod, "next_stimulus", tampering)
+    monkeypatch.setattr(aprior.agent, "_trial", tampering)
     return kb
 
 
@@ -358,7 +357,7 @@ def test_tables_are_shared_per_kb_and_bounded(monkeypatch):
     # one entry per distinct set of n = 3 observations; 21 episodes see all 3 ** (2 * 3)
     assert list(kb._observed) == [3]
     assert len(kb._observed[3]) == kb.alphabet ** (kb.dim * 3)
-    assert all(len(key) == 3 for key in kb._observed[3])
+    assert all(len(key) == 3 * kb.dim for key in kb._observed[3])
 
     # the tables are no part of what the KB is
     fresh = build_kb(three_node_doc())

@@ -262,6 +262,21 @@ def test_audit_truncated_file(kb_file, tmp_path):
     assert result.code == 2
 
 
+def test_run_that_runs_out_of_memory_exits_2_with_one_line(kb_file, scenario_file, tmp_path,
+                                                          monkeypatch):
+    # as `run --trials 1 --fixed-n 30000000` under a small `ulimit -v` does; the
+    # episode is replaced, so no memory is exhausted
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(aprior.cli, "run_episode", out_of_memory)
+    out = tmp_path / "log.jsonl"
+    result = invoke(run_args(kb_file, scenario_file, out))
+    assert_clean_exit(result, 2)
+    assert (result.out, result.err) == ("", "MemoryError: out of memory\n")
+    assert not out.exists()
+
+
 def assert_clean_exit(result, code):
     """The exit code is the contract's, from sys.exit or a usage error, not a crash."""
     assert result.code == code

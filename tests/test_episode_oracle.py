@@ -11,16 +11,19 @@ each line built from cached members must parse to the dict step returns.
 """
 import copy
 import json
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aprior.agent import AgentState, step
+import aprior.agent
+from aprior.agent import CHANNEL_USES, AgentState, run_episode, step
 from aprior.decision import MeasurementEconomy
 from aprior.kb import build_kb
-from aprior.perception import ChannelParams
-from aprior.world import load_scenario
-from conftest import episode_with_words, three_node_doc, tree_docs
+from aprior.perception import OBSERVED_MAX, ChannelParams
+from aprior.rng import substream
+from aprior.world import load_scenario, next_stimulus
+from conftest import episode_with_words, mixed_scenario_doc, three_node_doc, tree_docs
 from episode_oracle import descend, reference_episode
 
 TAGS = ("pull", "orient", "approach", "grasp", "échapper")
@@ -248,3 +251,47 @@ def test_a_zero_cost_keeps_its_sign_on_a_shared_kb():
         assert shared.to_jsonl() == fresh.to_jsonl()
         texts.append(shared.to_jsonl())
     assert '"phi_chosen":-0.0,' in texts[0] and '"phi_chosen":0.0,' in texts[1]
+
+
+def c1_case(trials, fixed_n=3, scenario_doc=None):
+    config = {"trials": trials, "epsilon": 0.3, "value": 1.0, "cost": 0.02, "phi0": 0.0,
+              "n_max": 9, "fixed_n": fixed_n}
+    return three_node_doc(), scenario_doc or mixed_scenario_doc(), 11, config
+
+
+REFLEX_DOC = {"name": "reflex", "kind": "reflex", "repeat": 2, "scoring": [],
+              "entries": [{"vector": [0, 0], "truth": 11}, {"vector": [1, 2], "truth": 2}]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(episode_cases(), st.sampled_from([CHANNEL_USES, 1, 7, 40]))
+# categorical, and more trials than one call holds; 3 ** (2 * 9) observation
+# sets, so the key space is bypassed
+@example(c1_case(CHANNEL_USES // (2 * 9) + 3, 9), CHANNEL_USES)
+@example(c1_case(1, None, REFLEX_DOC), CHANNEL_USES)  # reflex, planned n, one trial
+@example(c1_case(20), 7)  # one trial a call, observation table on
+@example(c1_case(20, 4), 40)  # five trials a call, bypassed
+def test_run_episode_is_step_trial_by_trial(case, bound):
+    # one channel call for as many trials' uses as the bound allows, each
+    # trial's kernel on its slice of them, gives what a channel call per trial gives
+    kb_doc, scenario_doc, seed, config = case
+    kb, twin_kb = build_kb(copy.deepcopy(kb_doc)), build_kb(copy.deepcopy(kb_doc))
+    states = [AgentState(kb=b, params=ChannelParams(config["epsilon"], b.alphabet, b.dim),
+                         econ=MeasurementEconomy(config["value"], config["cost"], config["phi0"],
+                                                 config["n_max"]),
+                         seed=seed, fixed_n=config["fixed_n"]) for b in (kb, twin_kb)]
+    state, twin = states
+    scenario = load_scenario(copy.deepcopy(scenario_doc), kb)
+    with mock.patch.object(aprior.agent, "CHANNEL_USES", bound):
+        log = run_episode(state, scenario, config["trials"])
+    rng = substream(seed, "scenario")
+    for t, line in enumerate(log.lines):
+        trial = json.loads(line)
+        assert step(twin, next_stimulus(scenario, t, rng).vector) == {
+            key: value for key, value in trial.items() if key not in ("truth", "score")}
+    for name in ("channel_rng", "selection_rng"):
+        ours, theirs = getattr(state, name), getattr(twin, name)
+        assert ours.state == theirs.state
+        assert (ours._tail is None) == (theirs._tail is None)
+    bypassed = kb.alphabet ** (kb.dim * state.n) > OBSERVED_MAX
+    assert (kb._observed[state.n] is False) == bypassed == (twin_kb._observed[state.n] is False)
