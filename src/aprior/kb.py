@@ -103,7 +103,7 @@ class KnowledgeBase:
     most alphabet ** dim entries. _observed maps a measurement count n to
     False, when its alphabet ** (dim * n) observation sets exceed
     perception.OBSERVED_MAX, or else to a table from n observations to
-    their (folded vector, outcome, agreeing count) (perception.observe).
+    their (folded vector, outcome, agreeing count) (perception.observed).
     _decisions maps the (n, phi0, cost, sign of cost) of the latest agent
     state built on the KB to its decision table, keyed by folded vector,
     one entry at most. All three live exactly as long as the KB.

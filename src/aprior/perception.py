@@ -5,9 +5,9 @@ n times, as n * dim channel uses; the repetitions are folded per feature
 by majority vote (ties to the lowest symbol) and the folded vector is
 identified by greedy descent of the recognition tree. One channel call
 takes any number of uses, a whole episode's included, and returns them
-flat. It mixes its splitmix64 words a block at a time (rng.words), keeps
-a block's unused words on the stream for its next call, and draws as
-many, in the same order, as one next_u64 call per word would.
+flat. It draws its words through the stream's kept block
+(SplitMix64.draws), as many, in the same order, as one next_u64 call per
+word would.
 Identification is a fixed function of the sealed KB, so each distinct
 vector is identified once per KB and kept in its recognition table; where
 the KB's alphabet ** (dim * n) sets of n observations number at most
@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .kb import ROOT, KnowledgeBase, finite_number
-from .rng import GAMMA, MASK64, SplitMix64, words
+from .rng import SplitMix64
 
 FULL = "full"
 PARTIAL = "partial"
@@ -98,23 +98,16 @@ def channel(xs: Iterable[int], params: ChannelParams, rng: SplitMix64) -> tuple[
 
     Each channel use keeps its symbol with prob 1-eps, else replaces it
     by a uniform other symbol. It draws one word, and a corrupted use then
-    draws rng.randbelow(alphabet - 1) by rejection. The words are those
-    SplitMix64.next_u64 would return, in the same order, but mixed BLOCK at
-    a time by rng.words, the next block wherever one runs out, in the
-    rejection loop too. The stream's state is written back past the words
-    used, and the iterator is left on the stream as its tail, keyed by that
-    state: a later call on a stream still there goes on drawing from it, and
-    a stream anywhere else (after a next_u64, a randbelow or a state write)
-    mixes afresh. The tail is cleared before the first draw and set on
-    return only, so a call that raises leaves none. n observations of x are
-    channel(x * n, ...), one after another.
+    draws rng.randbelow(alphabet - 1) by rejection. The words come from
+    rng.draws(), and rng.moved() moves the stream past the words used, so
+    they are those next_u64 and randbelow would return, in the same order,
+    and a call that raises leaves the stream where it was. n observations
+    of x are channel(x * n, ...), one after another.
     """
     threshold = params.threshold
     others = params.alphabet - 1
     limit = (1 << 64) // others * others  # randbelow's rejection bound
-    start = rng.state
-    tail, rng._tail = rng._tail, None
-    draw = tail[1] if tail is not None and tail[0] == start else words(start).__next__
+    draw = rng.draws()
     replacements = 0  # words drawn after a use's own
     out = []
     for sym in xs:
@@ -126,8 +119,7 @@ def channel(xs: Iterable[int], params: ChannelParams, rng: SplitMix64) -> tuple[
             j = u % others
             sym = j if j < sym else j + 1
         out.append(sym)
-    rng.state = end = (start + (len(out) + replacements) * GAMMA) & MASK64
-    rng._tail = end, draw
+    rng.moved(draw, len(out) + replacements)
     return tuple(out)
 
 
@@ -197,17 +189,6 @@ def observed(
     return seen
 
 
-def observe(
-    kb: KnowledgeBase,
-    x: tuple[int, ...],
-    n: int,
-    params: ChannelParams,
-    rng: SplitMix64,
-) -> tuple[tuple[int, ...], RecognitionOutcome, int]:
-    """measure without its checks: observed of n observations of x through the channel."""
-    return observed(kb, channel(x * n, params, rng), n)
-
-
 def measure(
     kb: KnowledgeBase,
     x: tuple[int, ...],
@@ -215,7 +196,8 @@ def measure(
     params: ChannelParams,
     rng: SplitMix64,
 ) -> tuple[tuple[int, ...], RecognitionOutcome, int]:
-    """observe, after checking n and x: (folded vector, its outcome, agreeing observations).
+    """observed of n observations of x through the channel, after checking n and x:
+    (folded vector, its outcome, agreeing observations).
 
     The last counts the n raw observations whose own identification lands on
     the folded outcome's node. Outcomes come from kb's recognition table, so
@@ -224,4 +206,4 @@ def measure(
     if n < 1:
         raise InvalidCount("n must be >= 1")
     check_vector(x, params.dim, params.alphabet)
-    return observe(kb, x, n, params, rng)
+    return observed(kb, channel(x * n, params, rng), n)

@@ -3,13 +3,13 @@
 All randomness flows from a single 64-bit master seed through named
 substreams (channel, selection, scenario, ...), so components can be
 re-seeded independently. Bounded uniform integers use rejection
-sampling to avoid modulo bias. words mixes a stream's words BLOCK at a
-time, for callers that draw many.
+sampling to avoid modulo bias. Every stream mixes its words BLOCK at a
+time (words) and keeps the block it draws from.
 """
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import cache
 from itertools import chain
 
@@ -17,17 +17,20 @@ from .digest import fnv1a_64
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15  # added to the state once per word
-# the two mixing multipliers; next_u64 spells them as literals, which load
-# faster than module names
-MIX1 = 0xBF58476D1CE4E5B9
-MIX2 = 0x94D049BB133111EB
 # most words one int of lanes mixes: 512 lanes of 128 bits are 8 KiB
 BLOCK = 512
 
 
 class SplitMix64:
-    """Deterministic 64-bit PRNG (splitmix64). _tail is None or perception.channel's
-    (state, words(state).__next__); a copy or pickle drops it, sharing no iterator."""
+    """Deterministic 64-bit PRNG (splitmix64).
+
+    Its words come from words(state), and the iterator stays on the stream
+    as its tail, keyed by the state it stopped at: a draw on a stream still
+    there goes on from it, and one anywhere else (after a state write) mixes
+    afresh. draws() clears the tail before a run's first word and moved()
+    sets it on return only, so a run that raises leaves none. A copy or
+    pickle drops it, sharing no iterator.
+    """
 
     _tail = None
 
@@ -37,12 +40,25 @@ class SplitMix64:
     def __reduce__(self):
         return type(self), (self.state,)
 
+    def draws(self) -> Callable[[], int]:
+        """The next word's draw function: the kept tail's if it is at state."""
+        tail, self._tail = self._tail, None
+        if tail is not None and tail[0] == self.state:
+            return tail[1]
+        return words(self.state).__next__
+
+    def moved(self, draw: Callable[[], int], count: int) -> None:
+        """Move state past count words drawn from draw, and keep draw as the tail."""
+        self.state = end = (self.state + count * GAMMA) & MASK64
+        self._tail = end, draw
+
     def next_u64(self) -> int:
-        self.state = (self.state + GAMMA) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
+        # draws() and moved() for one word, written inline: two calls a word were slower
+        state, tail = self.state, self._tail
+        draw = tail[1] if tail is not None and tail[0] == state else words(state).__next__
+        self.state = state = (state + GAMMA) & MASK64
+        self._tail = state, draw
+        return draw()
 
     def next_float(self) -> float:
         # 53-bit mantissa, uniform on [0, 1)
@@ -82,15 +98,15 @@ def _blocks(state: int) -> Iterator[tuple[int, ...]]:
     ones, steps, low, decode, nbytes, stride = _lanes()
     while True:
         z = (state * ones + steps) & low
-        z = ((z ^ (z >> 30)) & low) * MIX1 & low
-        z = ((z ^ (z >> 27)) & low) * MIX2 & low
+        z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
         yield decode((z ^ (z >> 31)).to_bytes(nbytes, "little"))
         state = (state + stride) & MASK64
 
 
 def words(state: int) -> Iterator[int]:
-    """The words next_u64 would return from 64-bit state on, without end,
-    mixed BLOCK at a time. The caller moves its stream past the words it used."""
+    """The splitmix64 words from 64-bit state on, without end, mixed BLOCK at
+    a time. The caller moves its stream past the words it used."""
     return chain.from_iterable(_blocks(state))
 
 

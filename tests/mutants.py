@@ -125,14 +125,22 @@ MUTANTS = (
            "        u = draw()\n        replacements += 1\n        if draw() < threshold:\n",
            "a use draws its corruption word first, and only a corrupted use then draws its "
            "replacement"),
-    Mutant("kept tail used at any state", "src/aprior/perception.py",
-           "tail is not None and tail[0] == start",
-           "tail is not None",
+    Mutant("kept tail used at any state", "src/aprior/rng.py",
+           "if tail is not None and tail[0] == self.state:",
+           "if tail is not None:",
            "a kept tail continues the stream only from the state it stopped at"),
-    Mutant("tail set without being cleared first", "src/aprior/perception.py",
-           "tail, rng._tail = rng._tail, None",
-           "tail = rng._tail",
-           "a channel call that raises leaves no tail on the stream"),
+    Mutant("tail set without being cleared first", "src/aprior/rng.py",
+           "tail, self._tail = self._tail, None",
+           "tail = self._tail",
+           "a run of draws that raises, such as a channel call, leaves no tail on the stream"),
+    Mutant("next_u64 draws on a tail kept at another state", "src/aprior/rng.py",
+           "tail[1] if tail is not None and tail[0] == state else",
+           "tail[1] if tail is not None else",
+           "a word drawn after a state write is the word at the written state"),
+    Mutant("moved advances one word short", "src/aprior/rng.py",
+           "(self.state + count * GAMMA) & MASK64",
+           "(self.state + (count - 1) * GAMMA) & MASK64",
+           "a run of draws moves the stream past every word it drew"),
     Mutant("kept tail shared by copy.copy", "src/aprior/rng.py",
            "        return type(self), (self.state,)\n",
            "        return type(self), (self.state,)\n\n"
@@ -149,6 +157,19 @@ MUTANTS = (
            '"Q8x" * BLOCK',
            '"8xQ" * BLOCK',
            "a block's words are the low 64 bits of its 128-bit lanes"),
+    Mutant("a child equal to its parent accepted", "src/aprior/kb.py",
+           "if len(own) <= len(parent_pred):",
+           "if len(own) < len(parent_pred):",
+           "a child's predicate strictly extends its parent's"),
+    Mutant("k = 0 accepted", "src/aprior/kb.py",
+           "if type(k) is not int or k < 1:",
+           "if type(k) is not int or k < 0:",
+           "a program's reflex threshold k is a positive integer"),
+    Mutant("a draw on a cumulative weight picks the entry below", "src/aprior/world.py",
+           "if u < acc:",
+           "if u <= acc:",
+           "entry i of a categorical scenario holds the draws in [its lower cumulative weight, "
+           "its upper one)"),
     Mutant("majority_fold tie-break flipped", "src/aprior/perception.py",
            "max(sorted(set(col)), key=col.count)",
            "max(sorted(set(col), reverse=True), key=col.count)",

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own code paths: accuracy is
 computed by enumerating every raw channel sequence, the digest by a
-byte-at-a-time FNV loop written from the published constants, and the
-reflex schedule by a literal counter walk.
+byte-at-a-time FNV loop written from the published constants, splitmix64
+one word at a time, and the reflex schedule by a literal counter walk.
 """
 import itertools
 import json
@@ -191,9 +191,33 @@ def words_drawn(start: int, end: int) -> int:
     return (end - start) * pow(0x9E3779B97F4A7C15, -1, 2 ** 64) % 2 ** 64
 
 
+class ScalarStream:
+    """splitmix64 one word at a time, from Steele, Lea and Flood (OOPSLA 2014),
+    with SplitMix64's next_u64, randbelow and next_float on top."""
+
+    def __init__(self, state: int):
+        self.state = state % 2 ** 64
+
+    def next_u64(self) -> int:
+        self.state = z = (self.state + 0x9E3779B97F4A7C15) % 2 ** 64
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2 ** 64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2 ** 64
+        return z ^ z >> 31
+
+    def randbelow(self, n: int) -> int:
+        # rejection: only words under the largest multiple of n are used
+        while (u := self.next_u64()) >= 2 ** 64 // n * n:
+            pass
+        return u % n
+
+    def next_float(self) -> float:
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+
 def scalar_channel(x, n: int, params, rng):
-    """n observations of x drawn one word at a time with next_u64 and randbelow,
-    flat: one symbol per channel use, observation after observation."""
+    """n observations of x drawn one word at a time with rng's next_u64 and
+    randbelow (a ScalarStream), flat: one symbol per channel use, observation
+    after observation."""
     observations = []
     for _ in range(n):
         obs = []

@@ -138,6 +138,9 @@ def test_child_predicate_must_extend_parent():
     ]
     with pytest.raises(SchemaError):
         build_kb(doc)
+    doc["objects"][1]["predicate"] = [[0, 0]]  # the parent's own: no extension
+    with pytest.raises(SchemaError, match="strictly extend"):
+        build_kb(doc)
 
 
 def test_program_operation_must_apply_to_trigger():
@@ -235,6 +238,15 @@ def test_boolean_where_integer_required_rejected(path):
         target = target[step]
     target[last] = True
     with pytest.raises(SchemaError):
+        build_kb(doc)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_program_k_below_one_rejected(k):
+    # a k=0 program would fire like k=1 under another digest
+    doc = minimal_doc()
+    doc["programs"][0]["k"] = k
+    with pytest.raises(SchemaError, match="k must be a positive integer"):
         build_kb(doc)
 
 

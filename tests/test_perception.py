@@ -20,12 +20,12 @@ from aprior.perception import (
     identify,
     majority_fold,
     measure,
-    observe,
     recognized,
 )
 from aprior.rng import BLOCK, MASK64, SplitMix64
 from conftest import tree_docs
 from oracles import (
+    ScalarStream,
     brute_feature_accuracy,
     brute_outcome_probability,
     scalar_channel,
@@ -243,12 +243,12 @@ def test_a_warm_observation_table_gives_what_a_fresh_kb_gives(doc, data):
     # warm kb's tables with other calls, then with this very one
     warm = SplitMix64(data.draw(st.integers(0, MASK64)))
     for v, m in data.draw(st.lists(st.tuples(vectors, st.integers(1, 6)), max_size=30)):
-        observe(kb, v, m, params, warm)
-    observe(kb, x, n, params, SplitMix64(seed))
+        measure(kb, v, m, params, warm)
+    measure(kb, x, n, params, SplitMix64(seed))
 
     rng, fresh_rng = SplitMix64(seed), SplitMix64(seed)
-    got = observe(kb, x, n, params, rng)
-    assert got == observe(build_kb(doc), x, n, params, fresh_rng)
+    got = measure(kb, x, n, params, rng)
+    assert got == measure(build_kb(doc), x, n, params, fresh_rng)
     assert got == identify_every_time(kb, x, n, params, SplitMix64(seed))
     # the same stream state and tail: the next call draws the same words
     assert rng.state == fresh_rng.state and rng._tail[0] == fresh_rng._tail[0]
@@ -282,9 +282,9 @@ def test_channel_params_take_an_int_or_float_epsilon(epsilon):
 
 
 def assert_channel_is_the_scalar_walk(x, n, params, state):
-    """channel's observations and end state equal a next_u64/randbelow walk;
-    returns the observations and the words drawn."""
-    rng, reference = SplitMix64(state), SplitMix64(state)
+    """channel's observations and end state equal a scalar next_u64/randbelow
+    walk; returns the observations and the words drawn."""
+    rng, reference = SplitMix64(state), ScalarStream(state)
     observations = channel(x * n, params, rng)
     assert observations == scalar_channel(x, n, params, reference)
     assert rng.state == reference.state
@@ -315,7 +315,7 @@ def test_channel_rejects_at_every_place_in_a_block():
     _, drawn = assert_channel_is_the_scalar_walk((0,), 1200, params, 5)
     others = params.alphabet - 1
     limit = 2 ** 64 // others * others
-    rng, index, places = SplitMix64(5), 0, set()
+    rng, index, places = ScalarStream(5), 0, set()
     for _ in range(1200):
         rng.next_u64()  # the use's word; every use corrupts
         index += 1
@@ -348,7 +348,7 @@ def test_channel_refills_across_blocks(x, n, epsilon):
 def test_channel_carries_its_tail_to_a_block_end_and_past_it():
     # a C1-sized call, then one that ends on the first block's last word: the
     # third call starts the next block, mixed from the kept iterator
-    rng, reference = SplitMix64(9), SplitMix64(9)
+    rng, reference = SplitMix64(9), ScalarStream(9)
     for x, n, epsilon in (((0, 1), 50, 0.0), ((0,), BLOCK - 100, 0.0), ((0, 2), 3, 0.3)):
         params = ChannelParams(epsilon, 3, len(x))
         assert channel(x * n, params, rng) == scalar_channel(x, n, params, reference)
@@ -365,7 +365,7 @@ def test_channel_rejects_the_first_replacement_after_a_call_boundary(uses):
     # first call's iterator and rejected.
     params = ChannelParams(1.0, 4, 1)
     state = state_drawing(MASK64, 2 * uses + 1)
-    rng, reference = SplitMix64(state), SplitMix64(state)
+    rng, reference = SplitMix64(state), ScalarStream(state)
     for n in (uses, 3):
         assert channel((0,) * n, params, rng) == scalar_channel((0,), n, params, reference)
         assert rng.state == reference.state
@@ -378,6 +378,7 @@ CHANNEL_CALLS = st.tuples(
 STREAM_OPS = st.lists(st.one_of(
     CHANNEL_CALLS, CHANNEL_CALLS, CHANNEL_CALLS,
     st.tuples(st.just("next_u64")),
+    st.tuples(st.just("next_float")),
     st.tuples(st.just("randbelow"), st.integers(1, 2 ** 64)),
     st.tuples(st.just("write"), st.integers(0, MASK64)),
     st.tuples(st.just("rewind to the tail")),
@@ -397,6 +398,8 @@ def scalar_call(call, rng, twin):
 
 
 C1_CALL = ("channel", (0, 2), 3, 0.3, 3)
+# eps 0: one word a use, so this call ends on the last word of its first block
+BLOCK_CALL = ("channel", (0,), BLOCK, 0.0, 3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -405,15 +408,21 @@ C1_CALL = ("channel", (0, 2), 3, 0.3, 3)
 @example(7, [C1_CALL, ("copy", C1_CALL), C1_CALL])
 @example(7, [C1_CALL, ("deepcopy", C1_CALL), C1_CALL])
 @example(7, [C1_CALL, ("pickle", C1_CALL), C1_CALL])
+# scenario and selection draws on the kept tail, at a block end and past it
+@example(7, [BLOCK_CALL, ("next_float",), ("randbelow", 3), C1_CALL])
+# a tail kept at another state, met by channel and by next_u64
+@example(7, [C1_CALL, ("write", 7), C1_CALL, ("write", 7), ("next_u64",)])
 def test_channel_tail_is_every_word_a_scalar_stream_draws(state, ops):
-    # one stream and its twin: channel against the scalar walk, and every
-    # other use of a stream, between channel calls
-    rng, twin = SplitMix64(state), SplitMix64(state)
+    # one stream and its scalar twin: channel against the scalar walk, and
+    # every other use of a stream, between channel calls
+    rng, twin = SplitMix64(state), ScalarStream(state)
     for op in ops:
         if op[0] == "channel":
             scalar_call(op, rng, twin)
         elif op[0] == "next_u64":
             assert rng.next_u64() == twin.next_u64()
+        elif op[0] == "next_float":
+            assert rng.next_float() == twin.next_float()
         elif op[0] == "randbelow":
             assert rng.randbelow(op[1]) == twin.randbelow(op[1])
         elif op[0] == "write":
@@ -431,6 +440,6 @@ def test_channel_tail_is_every_word_a_scalar_stream_draws(state, ops):
             clone = COPIES[op[0]](rng)
             assert clone.state == rng.state and clone._tail is None
             # the original draws on from its tail; the copy must not see those words
-            scalar_call(op[1], rng, SplitMix64(twin.state))
+            scalar_call(op[1], rng, ScalarStream(twin.state))
             rng = clone
         assert rng.state == twin.state

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aprior.rng import BLOCK, GAMMA, MASK64, SplitMix64, _lanes, substream, words
+from oracles import ScalarStream
 
 
 def test_determinism():
@@ -71,10 +72,13 @@ STATES = st.one_of(
 
 @given(STATES)
 def test_words_are_the_next_u64_words(state):
-    # two blocks' worth and one word more, so the walk crosses two block ends
-    rng = SplitMix64(state)
-    expected = [rng.next_u64() for _ in range(2 * BLOCK + 1)]
+    # two blocks' worth and one word more, so the walk crosses two block ends;
+    # the reference mixes one word at a time
+    reference, rng = ScalarStream(state), SplitMix64(state)
+    expected = [reference.next_u64() for _ in range(2 * BLOCK + 1)]
     assert list(islice(words(state), 2 * BLOCK + 1)) == expected
+    assert [rng.next_u64() for _ in range(2 * BLOCK + 1)] == expected
+    assert rng.state == reference.state
 
 
 def test_words_build_one_set_of_lane_constants_in_total():

@@ -16,7 +16,7 @@ from aprior.world import (
     score,
 )
 from conftest import mixed_scenario_doc, tree_docs
-from oracles import matching_leaf
+from oracles import matching_leaf, state_drawing
 
 
 def fixed_doc(entries, scoring=None):
@@ -131,6 +131,21 @@ def test_categorical_schedule_by_weight(kb):
     first = sum(1 for t in range(n) if next_stimulus(sc, t, rng) is sc.entries[0])
     sigma = math.sqrt(n * 0.25)
     assert abs(first - n / 2) < 3 * sigma
+
+
+def test_categorical_draw_on_a_cumulative_weight_picks_the_next_entry(kb):
+    # the stream's first word is 2**63, so u = 0.5 * 2 = 1.0, the first
+    # entry's cumulative weight: the first entry holds only u < 1.0
+    doc = {
+        "name": "c", "kind": "categorical",
+        "entries": [
+            {"vector": [0, 0], "truth": 11},
+            {"vector": [0, 1], "truth": 12},
+        ],
+        "weights": [1, 1],
+    }
+    sc = load_scenario(doc, kb)
+    assert next_stimulus(sc, 0, SplitMix64(state_drawing(2 ** 63, 0))) is sc.entries[1]
 
 
 def test_categorical_weights_must_have_a_finite_sum(kb):
