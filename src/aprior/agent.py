@@ -8,25 +8,26 @@ so a threshold-k program first becomes eligible on the k-th recognition
 of its trigger and stays eligible afterwards. The knowledge base is
 never written.
 
-`step` and `run_episode` share one trial kernel, which starts from the
-trial's n * dim channel uses: `step` draws them with one channel call,
-and `run_episode` draws the stimuli of as many trials as CHANNEL_USES
-allows and then all their uses with one channel call (the named streams
-draw the same words in the same order either way). Gate, phi and order
-depend only on the folded vector, the count of agreeing observations and
-the gate state min(recurrence, largest k among its node's programs),
-given n and the economy's phi0 and cost. The log members they determine
-are kept, as one pick per program that may fire, in a decision table
-keyed by folded vector and then by (count, gate state). A sealed KB
-holds one such table, for the (n, phi0, cost with its sign) of the
-latest state built on it, and every state built with the same four
-shares it; a state keeps its table when a later state's economy replaces
-the KB's.
+`step` and `run_episode` share one trial kernel, `_trials`, over the
+n * dim channel uses of a run of trials, whose picks come from one
+selection draw: `run_episode` draws as many trials' stimuli as
+CHANNEL_USES allows, then all their uses, with one call each (the named
+streams draw the same words in the same order either way). Gate, phi and
+order depend only on the folded vector, the count of agreeing
+observations and the gate state min(recurrence, largest k among its
+node's programs), given n and the economy's phi0 and cost. The log
+members they determine are kept, as one pick per program that may fire,
+in a decision table keyed by folded vector and then by (count, gate
+state). A sealed KB holds one such table, for the (n, phi0, cost with
+its sign) of the latest state built on it, and every state built with
+the same four shares it; a state keeps its table when a later state's
+economy replaces the KB's.
 """
 from __future__ import annotations
 
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -37,7 +38,6 @@ from .decision import (
     optimal_n,
     order_and_filter,
     phi_program,
-    select_random,
 )
 from .kb import KnowledgeBase, Program, enumerate_tasks, finite_number, kb_digest
 from .perception import (
@@ -201,12 +201,30 @@ def _decision(state: AgentState, denoised: tuple, outcome: RecognitionOutcome, h
     return entry
 
 
-def _trial(state: AgentState, uses: tuple[int, ...]):
-    """The trial kernel: fold, count, gate, order, pick, from the trial's n * dim channel uses."""
-    denoised, outcome, hits = observed(state.kb, uses, state.n)
-    t = record(state, outcome)
-    picks, idle = _decision(state, denoised, outcome, hits)
-    return t, outcome, select_random(picks, state.selection_rng) or idle
+def _trials(state: AgentState, uses: tuple[int, ...]):
+    """The trial kernel: fold, count, gate, order and pick each trial of a run from its
+    n * dim slice of uses, yielding (t, outcome, pick). Every pick comes from one
+    selection_rng.draws() run, by randbelow's rejection, and the stream moves past
+    their words when the run ends or is closed."""
+    kb, n, rng = state.kb, state.n, state.selection_rng
+    width = n * kb.dim
+    draw = rng.draws()
+    drawn = 0
+    try:
+        for at in range(0, len(uses), width):
+            denoised, outcome, hits = observed(kb, uses[at:at + width], n)
+            t = record(state, outcome)
+            picks, pick = _decision(state, denoised, outcome, hits)  # pick: the idle one
+            if picks:
+                size = len(picks)
+                u = limit = (1 << 64) // size * size
+                while u >= limit:
+                    u = draw()
+                    drawn += 1
+                pick = picks[u % size]
+            yield t, outcome, pick
+    finally:
+        rng.moved(draw, drawn)
 
 
 def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
@@ -217,31 +235,8 @@ def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
     """
     check_vector(stimulus, state.params.dim, state.params.alphabet)
     uses = channel(stimulus * state.n, state.params, state.channel_rng)
-    t, outcome, (_, text) = _trial(state, uses)
+    [(t, outcome, (_, text))] = _trials(state, uses)
     return json.loads(f'{text}{_members(status=outcome.status, stimulus=list(stimulus))}"t":{t}}}')
-
-
-def _presented(state: AgentState, scenario, trials: int):
-    """Each trial's stimulus and its n * dim channel uses, in trial order.
-
-    next_stimulus alone draws from the scenario stream and channel alone
-    from the channel stream, and no stimulus depends on the agent. So the
-    stimuli of as many trials as CHANNEL_USES allows (one at least) are
-    drawn first, then all their uses in one channel call, and each stream
-    draws the words, in the order, that a channel call per trial would.
-    """
-    scenario_rng = substream(state.seed, "scenario")
-    n = state.n
-    width = n * state.kb.dim
-    chunk = max(1, CHANNEL_USES // width)
-    for first in range(0, trials, chunk):
-        stimuli = [world_mod.next_stimulus(scenario, i, scenario_rng)
-                   for i in range(first, min(first + chunk, trials))]
-        uses = channel(chain.from_iterable(stim.vector * n for stim in stimuli),
-                       state.params, state.channel_rng)
-        for j, stim in enumerate(stimuli):
-            at = j * width
-            yield stim, uses[at:at + width]
 
 
 @dataclass
@@ -283,26 +278,37 @@ def run_episode(
     memo: dict[tuple[int | None, str, world_mod.Stimulus], tuple[float, str, str]] = {}
     lines = []
     recognized = actions = total = 0
-    for i, (stim, uses) in enumerate(_presented(state, scenario, trials)):
-        t, outcome, (program_id, text) = _trial(state, uses)
-        key = (program_id, outcome.status, stim)
-        rest = memo.get(key)
-        if rest is None:
-            tags = () if program_id is None else state.kb.tags[program_id]
-            score = sum((world_mod.score(scenario, tag, stim.truth) for tag in tags), 0.0)
-            rest = memo[key] = (
-                score,
-                _members(score=score, status=outcome.status, stimulus=list(stim.vector)) + '"t":',
-                "," + _members(truth=stim.truth)[:-1] + "}")
-        recognized += outcome.status != UNRECOGNIZED
-        actions += program_id is not None
-        total += rest[0]
-        if strict:
-            if state.kb.canonical != canonical_before:
-                raise AssertionError(f"trial {i}: knowledge base canonical bytes changed")
-            if outcome.status == UNRECOGNIZED and program_id is not None:
-                raise AssertionError(f"trial {i}: action on unrecognized stimulus")
-        lines.append(f"{text}{rest[1]}{t}{rest[2]}")
+    # a run of as many trials as CHANNEL_USES allows (one at least): world.stimuli alone
+    # draws from the scenario stream and channel alone from the channel stream, and no
+    # stimulus depends on the agent, so each stream draws the words a call per trial would
+    scenario_rng = substream(state.seed, "scenario")
+    n = state.n
+    run = max(1, CHANNEL_USES // (n * state.kb.dim))
+    for first in range(0, trials, run):
+        shown = world_mod.stimuli(scenario, first, min(run, trials - first), scenario_rng)
+        uses = channel(chain.from_iterable(stim.vector * n for stim in shown), state.params,
+                       state.channel_rng)
+        # closing moves the selection stream past the picks of a run cut short
+        with closing(_trials(state, uses)) as kernel:
+            for (t, outcome, (program_id, text)), stim in zip(kernel, shown):
+                key = (program_id, outcome.status, stim)
+                rest = memo.get(key)
+                if rest is None:
+                    tags = () if program_id is None else state.kb.tags[program_id]
+                    score = sum((world_mod.score(scenario, tag, stim.truth) for tag in tags), 0.0)
+                    rest = memo[key] = (score, _members(
+                        score=score, status=outcome.status, stimulus=list(stim.vector)) + '"t":',
+                        "," + _members(truth=stim.truth)[:-1] + "}")
+                recognized += outcome.status != UNRECOGNIZED
+                actions += program_id is not None
+                total += rest[0]
+                if strict:
+                    if state.kb.canonical != canonical_before:
+                        raise AssertionError(
+                            f"trial {len(lines)}: knowledge base canonical bytes changed")
+                    if outcome.status == UNRECOGNIZED and program_id is not None:
+                        raise AssertionError(f"trial {len(lines)}: action on unrecognized stimulus")
+                lines.append(f"{text}{rest[1]}{t}{rest[2]}")
 
     header = {
         "seed": state.seed,

@@ -10,7 +10,9 @@ against the knowledge base at load time.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .kb import KnowledgeBase, finite_number
 from .perception import FULL, check_vector, recognized
@@ -46,6 +48,7 @@ class Scenario:
     repeat: int
     scoring: dict[tuple[str, int | str], float]
     total_weight: float  # sum(weights), the scale of a categorical draw
+    cumulative: tuple[float, ...]  # running weight sums less the last: bisect_right picks
 
 
 def _truth(value, where: str) -> int | str:
@@ -124,23 +127,31 @@ def load_scenario(doc: dict, kb: KnowledgeBase) -> Scenario:
             raise ScenarioError(f"bad scoring row {row!r}")
         scoring[(tag, _truth(row.get("truth"), f"scoring row {row!r}"))] = float(value)
 
-    return Scenario(name, kind, entries, weights, repeat, scoring, sum(weights))
+    return Scenario(name, kind, entries, weights, repeat, scoring, sum(weights),
+                    tuple(accumulate(weights[:-1])))
+
+
+def stimuli(scenario: Scenario, first: int, count: int, rng: SplitMix64) -> list[Stimulus]:
+    """Stimuli of trials first to first + count - 1. A categorical one draws a word, all
+    through one rng.draws() run: u is its top 53 bits scaled to [0, total_weight), and
+    the entry is the first whose running weight sum exceeds u, else the last."""
+    if first < 0:
+        raise ValueError("t must be >= 0")
+    entries = scenario.entries
+    if scenario.kind != CATEGORICAL:  # fixed is reflex with repeat 1
+        repeat, size = scenario.repeat, len(entries)
+        return [entries[(t // repeat) % size] for t in range(first, first + count)]
+    bounds, total = scenario.cumulative, scenario.total_weight
+    draw = rng.draws()
+    shown = [entries[bisect_right(bounds, (draw() >> 11) * 2.0 ** -53 * total)]
+             for _ in range(count)]
+    rng.moved(draw, len(shown))
+    return shown
 
 
 def next_stimulus(scenario: Scenario, t: int, rng: SplitMix64) -> Stimulus:
-    """Stimulus for trial t; consumes rng only on categorical schedules."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if scenario.kind != CATEGORICAL:  # fixed is reflex with repeat 1
-        return scenario.entries[(t // scenario.repeat) % len(scenario.entries)]
-    # categorical: one weighted draw
-    u = rng.next_float() * scenario.total_weight
-    acc = 0.0
-    for stim, w in zip(scenario.entries, scenario.weights):
-        acc += w
-        if u < acc:
-            return stim
-    return scenario.entries[-1]
+    """Stimulus for trial t: stimuli's one-trial case."""
+    return stimuli(scenario, t, 1, rng)[0]
 
 
 def score(scenario: Scenario, action_tag: str, truth) -> float:

@@ -180,13 +180,13 @@ def episode_with_words(state, scenario, trials: int, config: dict | None = None,
     hold however the library draws its words.
     """
     schedule = []
-    next_stimulus = aprior.world.next_stimulus
+    stimuli = aprior.world.stimuli
 
-    def recording(scenario, t, rng):
+    def recording(scenario, first, count, rng):
         schedule.append(rng)
-        return next_stimulus(scenario, t, rng)
+        return stimuli(scenario, first, count, rng)
 
-    with mock.patch.object(aprior.world, "next_stimulus", recording):
+    with mock.patch.object(aprior.world, "stimuli", recording):
         log = run_episode(state, scenario, trials, config=config, strict=strict)
     ends = {"channel": state.channel_rng, "selection": state.selection_rng,
             "scenario": schedule[-1]}

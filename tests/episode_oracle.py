@@ -1,44 +1,36 @@
 """A whole episode log written from the README's spec: the differential oracle.
 
 It imports nothing from the library: it parses the KB document itself,
-writes out splitmix64, and spells out the channel, the fold, the descent,
-the gate, the phi0 filter, the uniform pick and the scoring. It lives apart
+draws from oracles.py's one-word-at-a-time splitmix64 and its running-sum
+categorical draw, and spells out the channel, the fold, the descent, the
+gate, the phi0 filter, the uniform pick and the scoring. It lives apart
 from oracles.py, which the benchmark's gates import in every run.
 """
 import itertools
 import json
 import math
 
-from oracles import canonical_document_oracle, canonical_json_oracle, fnv1a_oracle
+from oracles import (
+    ScalarStream,
+    canonical_document_oracle,
+    canonical_json_oracle,
+    fnv1a_oracle,
+    scalar_categorical,
+)
 
-_MASK64 = (1 << 64) - 1
 
+class _Stream(ScalarStream):
+    """splitmix64 one word at a time, counting its words."""
 
-class _Stream:
-    """splitmix64 written out from Steele, Lea and Flood (OOPSLA 2014), counting its words."""
+    words = 0
 
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-        self.words = 0
-
-    def u64(self) -> int:
+    def next_u64(self) -> int:
         self.words += 1
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def below(self, m: int) -> int:
-        # rejection sampling: only draws under the largest multiple of m are used
-        while True:
-            u = self.u64()
-            if u < (2 ** 64 // m) * m:
-                return u % m
+        return super().next_u64()
 
 
 def _named_stream(seed: int, name: str) -> _Stream:
-    return _Stream((seed & _MASK64) ^ fnv1a_oracle(name.encode("utf-8")))
+    return _Stream(seed ^ fnv1a_oracle(name.encode("utf-8")))
 
 
 def descend(objects, v):
@@ -140,14 +132,7 @@ def reference_episode(kb_doc: dict, scenario_doc: dict, seed: int, config: dict)
     }, sort_keys=True, separators=(",", ":"))]
     for t in range(config["trials"]):
         if scenario_doc["kind"] == "categorical":
-            u = (schedule.u64() >> 11) * 2.0 ** -53 * sum(weights)
-            pick, acc = len(entries) - 1, 0.0
-            for i, w in enumerate(weights):
-                acc += w
-                if u < acc:
-                    pick = i
-                    break
-            x, truth = entries[pick]
+            x, truth = entries[scalar_categorical(weights, schedule)]
         else:
             x, truth = entries[(t // repeat) % len(entries)]
 
@@ -155,8 +140,8 @@ def reference_episode(kb_doc: dict, scenario_doc: dict, seed: int, config: dict)
         for _ in range(n):
             obs = []
             for s in x:
-                if channel.u64() < threshold:
-                    j = channel.below(a - 1)  # a uniform symbol other than s
+                if channel.next_u64() < threshold:
+                    j = channel.randbelow(a - 1)  # a uniform symbol other than s
                     s = j if j < s else j + 1
                 obs.append(s)
             observations.append(obs)
@@ -173,7 +158,7 @@ def reference_episode(kb_doc: dict, scenario_doc: dict, seed: int, config: dict)
                           if g["trigger"] == node and g.get("k", 1) <= recognitions[node]]
         eligible = sorted((c for c in candidates if c[1] > config["phi0"]),
                           key=lambda c: (-c[1], c[0]))
-        chosen = eligible[selection.below(len(eligible))] if eligible else None
+        chosen = eligible[selection.randbelow(len(eligible))] if eligible else None
         action, score = None, 0.0
         if chosen is not None:
             program = next(g for g in programs if g["id"] == chosen[0])

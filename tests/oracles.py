@@ -214,6 +214,19 @@ class ScalarStream:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
 
+def scalar_categorical(weights, rng) -> int:
+    """Index of one categorical draw on rng (a ScalarStream), one word: u is next_float
+    scaled by sum(weights), and the first index whose running weight sum exceeds u
+    wins, else the last."""
+    u = rng.next_float() * sum(weights)
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
+
+
 def scalar_channel(x, n: int, params, rng):
     """n observations of x drawn one word at a time with rng's next_u64 and
     randbelow (a ScalarStream), flat: one symbol per channel use, observation

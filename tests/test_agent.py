@@ -29,6 +29,7 @@ from aprior.perception import (
     ChannelParams,
     RecognitionOutcome,
 )
+from aprior.rng import substream
 from aprior.world import load_scenario
 from conftest import episode_with_words, mixed_scenario_doc, three_node_doc
 from oracles import fnv1a_oracle, reflex_fire_trials
@@ -251,18 +252,21 @@ TAMPER_TRIAL = 5
 
 @pytest.fixture
 def tampered_kb(monkeypatch):
-    """A sealed KB whose canonical bytes are replaced before trial TAMPER_TRIAL."""
+    """A sealed KB whose canonical bytes are replaced in trial TAMPER_TRIAL, as it folds
+    its observations."""
     kb = build_kb(three_node_doc())
     forged = kb.canonical.replace(b'"k":3', b'"k":1')
     assert forged != kb.canonical
-    original = aprior.agent._trial
+    original = aprior.agent.observed
+    folded = []
 
-    def tampering(state, uses):
-        if state.trials == TAMPER_TRIAL:
+    def tampering(kb_, uses, n):
+        if len(folded) == TAMPER_TRIAL:
             object.__setattr__(kb, "canonical", forged)
-        return original(state, uses)
+        folded.append(uses)
+        return original(kb_, uses, n)
 
-    monkeypatch.setattr(aprior.agent, "_trial", tampering)
+    monkeypatch.setattr(aprior.agent, "observed", tampering)
     return kb
 
 
@@ -270,6 +274,19 @@ def test_strict_run_names_the_trial_that_changed_the_kb(tampered_kb):
     scenario = scenario_fixed(tampered_kb, [((0, 0), 11), ((1, 0), 2)])
     with pytest.raises(AssertionError, match=rf"^trial {TAMPER_TRIAL}: knowledge base"):
         run_episode(make_state(tampered_kb), scenario, 20, strict=True)
+
+
+def test_a_strict_failure_leaves_the_state_past_its_trial(tampered_kb):
+    # counters and the selection stream stand where a trial-by-trial step leaves them
+    scenario = scenario_fixed(tampered_kb, [((0, 0), 11), ((1, 0), 2)])
+    state, twin = make_state(tampered_kb), make_state(build_kb(three_node_doc()))
+    with pytest.raises(AssertionError):
+        run_episode(state, scenario, 20, strict=True)
+    for t in range(TAMPER_TRIAL + 1):
+        step(twin, scenario.entries[t % 2].vector)
+    assert twin.selection_rng.state != substream(0, "selection").state
+    assert (state.trials, state.recurrence, state.selection_rng.state) == (
+        twin.trials, twin.recurrence, twin.selection_rng.state)
 
 
 def test_plain_log_of_a_changed_kb_fails_the_closure_audit(tampered_kb):

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import math
 import pickle
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from aprior.agent import AgentState, _trials
+from aprior.decision import MeasurementEconomy
 from aprior.kb import ROOT, Predicate, build_kb
 from aprior.perception import (
     FULL,
@@ -380,6 +383,7 @@ STREAM_OPS = st.lists(st.one_of(
     st.tuples(st.just("next_u64")),
     st.tuples(st.just("next_float")),
     st.tuples(st.just("randbelow"), st.integers(1, 2 ** 64)),
+    st.tuples(st.just("pick"), st.integers(1, 5), st.integers(1, 40)),
     st.tuples(st.just("write"), st.integers(0, MASK64)),
     st.tuples(st.just("rewind to the tail")),
     st.tuples(st.sampled_from(["copy", "deepcopy", "pickle"]), CHANNEL_CALLS),
@@ -394,6 +398,29 @@ def scalar_call(call, rng, twin):
     _, x, n, epsilon, alphabet = call
     params = ChannelParams(epsilon, alphabet, len(x))
     assert channel(x * n, params, rng) == scalar_channel(x, n, params, twin)
+    assert rng.state == twin.state
+
+
+@functools.cache
+def picking_kb(size: int):
+    """A one-node KB whose node triggers size programs of equal phi, so the trial
+    kernel's pick of program p is index p - 1 of its eligible list."""
+    return build_kb({
+        "d": 1, "alphabet": 2, "objects": [{"id": 1, "parent": None, "predicate": [[0, 0]]}],
+        "operations": [{"id": 1, "action_tag": "a", "task": 1, "applicable_objects": [1]}],
+        "tasks": [{"id": 1, "pairs": [[1, 1]]}],
+        "programs": [{"id": p, "trigger": 1, "operations": [1], "k": 1, "utility": 1.0}
+                     for p in range(1, size + 1)]})
+
+
+def kernel_call(call, rng, twin):
+    """The trial kernel's picks over a run of trials on rng are twin's randbelow words."""
+    _, size, trials = call
+    state = AgentState(kb=picking_kb(size), params=ChannelParams(0.0, 2, 1),
+                       econ=MeasurementEconomy(1.0, 0.0, 0.0, 1), seed=0, fixed_n=1)
+    state.selection_rng = rng
+    picked = [pick[0] - 1 for _, _, pick in _trials(state, (0,) * trials)]
+    assert picked == [twin.randbelow(size) for _ in range(trials)]
     assert rng.state == twin.state
 
 
@@ -412,6 +439,8 @@ BLOCK_CALL = ("channel", (0,), BLOCK, 0.0, 3)
 @example(7, [BLOCK_CALL, ("next_float",), ("randbelow", 3), C1_CALL])
 # a tail kept at another state, met by channel and by next_u64
 @example(7, [C1_CALL, ("write", 7), C1_CALL, ("write", 7), ("next_u64",)])
+# the kernel's first selection word, 2**64 - 1, is rejected by 3 picks
+@example(state_drawing(MASK64, 0), [("pick", 3, 2), C1_CALL])
 def test_channel_tail_is_every_word_a_scalar_stream_draws(state, ops):
     # one stream and its scalar twin: channel against the scalar walk, and
     # every other use of a stream, between channel calls
@@ -425,6 +454,8 @@ def test_channel_tail_is_every_word_a_scalar_stream_draws(state, ops):
             assert rng.next_float() == twin.next_float()
         elif op[0] == "randbelow":
             assert rng.randbelow(op[1]) == twin.randbelow(op[1])
+        elif op[0] == "pick":
+            kernel_call(op, rng, twin)
         elif op[0] == "write":
             rng.state = twin.state = op[1]
         elif op[0] == "rewind to the tail":

@@ -2,11 +2,12 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from aprior.kb import build_kb
 from aprior.perception import identify
-from aprior.rng import SplitMix64
+from aprior.rng import BLOCK, MASK64, SplitMix64
 from aprior.world import (
     OMEGA,
     ScenarioError,
@@ -14,9 +15,10 @@ from aprior.world import (
     load_scenario,
     next_stimulus,
     score,
+    stimuli,
 )
-from conftest import mixed_scenario_doc, tree_docs
-from oracles import matching_leaf, state_drawing
+from conftest import mixed_scenario_doc, three_node_doc, tree_docs
+from oracles import ScalarStream, matching_leaf, scalar_categorical, state_drawing
 
 
 def fixed_doc(entries, scoring=None):
@@ -208,3 +210,50 @@ def test_score_lookup(kb):
     assert score(sc, None, 11) == 0.0
     assert score(sc, "pull", 12) == 0.0
     assert score(sc, "orient", 11) == 0.0
+
+
+SCHEDULE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("stimuli"), st.integers(0, 3 * BLOCK), st.integers(0, BLOCK + 2)),
+    st.tuples(st.just("next_stimulus"), st.integers(0, 3 * BLOCK)),
+    st.tuples(st.just("write"), st.integers(0, MASK64)),
+), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["categorical", "reflex"]),
+       st.lists(st.floats(5e-324, 1e308), min_size=1, max_size=6),
+       st.integers(1, 3), st.integers(0, MASK64), SCHEDULE_OPS)
+# a run that crosses a block end, then a write back to the state it started at
+@example("categorical", [2.0, 2.0, 2.0, 1.5, 1.0, 1.0], 1, 0,
+         [("stimuli", 0, BLOCK + 2), ("write", 0), ("stimuli", 5, 3)])
+def test_stimuli_are_the_running_sum_draws_one_word_at_a_time(kind, weights, repeat, state, ops):
+    # equal vectors, so each entry is told apart by identity only
+    doc = {"name": "s", "kind": kind, "repeat": repeat, "weights": weights,
+           "entries": [{"vector": [0, 0], "truth": 11} for _ in weights]}
+    try:
+        scenario = load_scenario(doc, build_kb(three_node_doc()))
+    except ScenarioError:
+        assume(False)  # weights whose sum overflows
+    entries = scenario.entries
+    rng, twin = SplitMix64(state), ScalarStream(state)
+
+    def expected(t):
+        if kind == "reflex":
+            return entries[(t // repeat) % len(entries)]
+        return entries[scalar_categorical(scenario.weights, twin)]
+
+    for op in ops:
+        if op[0] == "write":
+            rng.state = twin.state = op[1]
+            continue
+        if op[0] == "next_stimulus":
+            first, count = op[1], 1
+            got = [next_stimulus(scenario, first, rng)]
+        else:
+            _, first, count = op
+            got = stimuli(scenario, first, count, rng)
+        want = [expected(t) for t in range(first, first + count)]
+        assert len(got) == count and all(a is b for a, b in zip(got, want))
+        assert rng.state == twin.state
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        stimuli(scenario, -1, 1, rng)
