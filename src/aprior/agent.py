@@ -18,10 +18,10 @@ observations and the gate state min(recurrence, largest k among its
 node's programs), given n and the economy's phi0 and cost. The log
 members they determine are kept, as one pick per program that may fire,
 in a decision table keyed by folded vector and then by (count, gate
-state). A sealed KB holds one such table, for the (n, phi0, cost with
-its sign) of the latest state built on it, and every state built with
-the same four shares it; a state keeps its table when a later state's
-economy replaces the KB's.
+state), which the kernel reads and fills. A sealed KB holds one such
+table, for the (n, phi0, cost with its sign) of the latest state built
+on it, and every state built with the same four shares it; a state keeps
+its table when a later state's economy replaces the KB's.
 """
 from __future__ import annotations
 
@@ -185,28 +185,13 @@ def _entry(state: AgentState, denoised: tuple, outcome: RecognitionOutcome, hits
     return picks, None if picks else pick()
 
 
-def _decision(state: AgentState, denoised: tuple, outcome: RecognitionOutcome, hits: int) -> _Entry:
-    """The decision table entry for this trial; a miss builds it from the gate rule."""
-    node = outcome.node
-    table = state.decisions.get(denoised)
-    if table is None:
-        k_max = max((p.reflex_threshold for p in state.kb.programs_for(node)), default=0)
-        table = state.decisions[denoised] = (k_max, {})
-    k_max, entries = table
-    # counts past the largest k open no further gate, so they share one entry
-    key = (hits, min(state.recurrence.get(node, 0), k_max))
-    entry = entries.get(key)
-    if entry is None:
-        entry = entries[key] = _entry(state, denoised, outcome, hits)
-    return entry
-
-
 def _trials(state: AgentState, uses: tuple[int, ...]):
     """The trial kernel: fold, count, gate, order and pick each trial of a run from its
     n * dim slice of uses, yielding (t, outcome, pick). Every pick comes from one
     selection_rng.draws() run, by randbelow's rejection, and the stream moves past
     their words when the run ends or is closed."""
     kb, n, rng = state.kb, state.n, state.selection_rng
+    decisions, recurrence = state.decisions, state.recurrence
     width = n * kb.dim
     draw = rng.draws()
     drawn = 0
@@ -214,7 +199,18 @@ def _trials(state: AgentState, uses: tuple[int, ...]):
         for at in range(0, len(uses), width):
             denoised, outcome, hits = observed(kb, uses[at:at + width], n)
             t = record(state, outcome)
-            picks, pick = _decision(state, denoised, outcome, hits)  # pick: the idle one
+            node = outcome.node
+            table = decisions.get(denoised)
+            if table is None:
+                k_max = max((p.reflex_threshold for p in kb.programs_for(node)), default=0)
+                table = decisions[denoised] = (k_max, {})
+            k_max, entries = table
+            # counts past the largest k open no further gate, so they share one entry
+            key = (hits, min(recurrence.get(node, 0), k_max))
+            entry = entries.get(key)
+            if entry is None:  # a miss builds it from the gate rule
+                entry = entries[key] = _entry(state, denoised, outcome, hits)
+            picks, pick = entry  # pick: the idle one
             if picks:
                 size = len(picks)
                 u = limit = (1 << 64) // size * size

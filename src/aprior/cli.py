@@ -46,29 +46,9 @@ def _exit(exc: Exception, code: int):
     sys.exit(code)
 
 
-def _load_or_exit(load, *args):
-    """Call a loader; unreadable or malformed input exits 2, a rejected KB 1.
-
-    ValueError covers JSON and UTF-8 decoding, the integer digit limit,
-    ScenarioError, TruthMismatch, MalformedLog and an overflowing economy;
-    RecursionError, JSON too deep; OverflowError and MemoryError, an alphabet
-    of 2**62 or more, too large for the exact accuracy walk that plans n.
-    """
-    try:
-        return load(*args)
-    except (OSError, ValueError, RecursionError, OverflowError, MemoryError) as exc:
-        _exit(exc, EXIT_OPERATIONAL)
-    except BuildError as exc:
-        _exit(exc, EXIT_CHECK_FAILED)
-
-
-def _write_or_exit(path, payload: str) -> None:
-    """Write an output file; a path that cannot be written exits 2."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        _exit(exc, EXIT_OPERATIONAL)
+def _write(path, payload: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(payload)
 
 
 def _csv(rows) -> str:
@@ -80,31 +60,25 @@ def _csv(rows) -> str:
 
 def validate(kb_path):
     """Build and validate a KB document; print its digest."""
-    kb = _load_or_exit(load_kb_file, kb_path)
+    kb = load_kb_file(kb_path)
     print(f"ok digest={kb_digest(kb)}")
 
 
 def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
         fixed_n, out_path, fmt, strict):
     """Run one episode and write its log."""
-    kb = _load_or_exit(load_kb_file, kb_path)
-    scenario = _load_or_exit(world_mod.load_scenario_file, scenario_path, kb)
+    kb = load_kb_file(kb_path)
+    scenario = world_mod.load_scenario_file(scenario_path, kb)
 
-    econ = _load_or_exit(MeasurementEconomy, value, cost, phi0, n_max)
+    econ = MeasurementEconomy(value, cost, phi0, n_max)
     params = ChannelParams(epsilon=epsilon, alphabet=kb.alphabet, dim=kb.dim)
-    state = _load_or_exit(AgentState, kb, params, econ, seed, fixed_n)
+    state = AgentState(kb, params, econ, seed, fixed_n)
     config = {
         "kb": str(kb_path), "scenario": str(scenario_path), "value": value,
         "cost": cost, "phi0": phi0, "n_max": n_max, "epsilon": epsilon,
         "fixed_n": fixed_n, "format": fmt,
     }
-    try:
-        log = run_episode(state, scenario, trials, config=config, strict=strict)
-    except AssertionError as exc:
-        print(f"strict audit failed: {exc}", file=sys.stderr)
-        sys.exit(EXIT_CHECK_FAILED)
-    except MemoryError as exc:  # a trial's n * dim channel uses, or the log, too large to hold
-        _exit(exc, EXIT_OPERATIONAL)
+    log = run_episode(state, scenario, trials, config=config, strict=strict)
 
     if fmt == "jsonl":
         payload = log.to_jsonl()
@@ -114,7 +88,7 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
             *([tr["t"], tr["truth"], tr["n"], tr["node"], tr["status"], tr["agreement"],
                tr["chosen"], "|".join(tr["action"]["tags"]) if tr["action"] else "", tr["score"]]
               for tr in map(json.loads, log.lines))])
-    _write_or_exit(out_path, payload)
+    _write(out_path, payload)
 
     print(f"trials={trials} recognized={100.0 * log.recognized / trials:.1f}% "
           f"actions={log.actions} mean_score={log.score / trials:.6f}")
@@ -122,35 +96,30 @@ def run(kb_path, scenario_path, seed, trials, value, cost, phi0, n_max, epsilon,
 
 def sweep(kb_path, node, epsilon, value, cost, n_max, mode, seed, out_path):
     """Sweep measurement counts and report the phi extremum as CSV."""
-    kb = _load_or_exit(load_kb_file, kb_path)
-    econ = _load_or_exit(MeasurementEconomy, value, cost, 0.0, n_max)
+    kb = load_kb_file(kb_path)
+    econ = MeasurementEconomy(value, cost, 0.0, n_max)
     params = ChannelParams(epsilon=epsilon, alphabet=kb.alphabet, dim=kb.dim)
     rng = substream(seed, "sweep")
-    try:
-        _, rows = optimal_n(kb, node, params, econ, mode=mode, rng=rng, return_sweep=True)
-    except (NotLeaf, UnderconstrainedLeaf) as exc:
-        _exit(exc, EXIT_CHECK_FAILED)
-    except (OverflowError, MemoryError) as exc:  # as in _load_or_exit
-        _exit(exc, EXIT_OPERATIONAL)
+    _, rows = optimal_n(kb, node, params, econ, mode=mode, rng=rng, return_sweep=True)
 
     payload = _csv([["n", "perr", "phi", "is_argmax"],
                     *([row.n, row.perr, row.phi, 1 if row.is_argmax else 0] for row in rows)])
     if out_path is None:
         print(payload, end="")
     else:
-        _write_or_exit(out_path, payload)
+        _write(out_path, payload)
 
 
 def audit(log_path, kb_path, report_path):
     """Audit an episode log against the sealed KB."""
     from . import audit as audit_mod
-    kb = _load_or_exit(load_kb_file, kb_path)
-    header, trials = _load_or_exit(audit_mod.load_log_file, log_path)
+    kb = load_kb_file(kb_path)
+    header, trials = audit_mod.load_log_file(log_path)
 
     report = audit_mod.audit_log(header, trials, kb)
     if report_path is None:
         report_path = str(log_path) + ".audit.json"
-    _write_or_exit(report_path, report.to_json() + "\n")
+    _write(report_path, report.to_json() + "\n")
 
     if report.passed:
         print(f"PASS trials={report.trials} actions={report.actions}")
@@ -201,7 +170,20 @@ def main(argv=None):
     arg("--report", dest="report_path", metavar="PATH",
         help="Write the JSON report here (default: <log>.audit.json).")
     args = vars(parser.parse_args(argv))  # a usage error exits 2
-    args.pop("func")(**args)
+    # OSError covers unreadable input and unwritable output; ValueError, JSON and UTF-8
+    # decoding, the integer digit limit, ScenarioError, TruthMismatch, MalformedLog and an
+    # overflowing economy; RecursionError, JSON too deep; OverflowError and MemoryError, an
+    # alphabet of 2**62 or more, too large for the exact accuracy walk that plans n, or a
+    # trial's n * dim channel uses, or the log, too large to hold
+    try:
+        args.pop("func")(**args)
+    except AssertionError as exc:  # only run --strict raises it
+        print(f"strict audit failed: {exc}", file=sys.stderr)
+        sys.exit(EXIT_CHECK_FAILED)
+    except (BuildError, NotLeaf, UnderconstrainedLeaf) as exc:  # two subclass ValueError
+        _exit(exc, EXIT_CHECK_FAILED)
+    except (OSError, ValueError, RecursionError, OverflowError, MemoryError) as exc:
+        _exit(exc, EXIT_OPERATIONAL)
 
 
 if __name__ == "__main__":

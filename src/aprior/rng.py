@@ -53,11 +53,8 @@ class SplitMix64:
         self._tail = end, draw
 
     def next_u64(self) -> int:
-        # draws() and moved() for one word, written inline: two calls a word were slower
-        state, tail = self.state, self._tail
-        draw = tail[1] if tail is not None and tail[0] == state else words(state).__next__
-        self.state = state = (state + GAMMA) & MASK64
-        self._tail = state, draw
+        draw = self.draws()
+        self.moved(draw, 1)
         return draw()
 
     def next_float(self) -> float:

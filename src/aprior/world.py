@@ -41,13 +41,11 @@ class Stimulus:
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     kind: str
     entries: tuple[Stimulus, ...]
-    weights: tuple[float, ...]
     repeat: int
     scoring: dict[tuple[str, int | str], float]
-    total_weight: float  # sum(weights), the scale of a categorical draw
+    total_weight: float  # the weights' sum, the scale of a categorical draw
     cumulative: tuple[float, ...]  # running weight sums less the last: bisect_right picks
 
 
@@ -84,8 +82,7 @@ def _check_stimulus(kb: KnowledgeBase, entry) -> Stimulus:
 
 def load_scenario(doc: dict, kb: KnowledgeBase) -> Scenario:
     """Validate a scenario document against the sealed KB."""
-    name = doc.get("name")
-    if not isinstance(name, str):
+    if not isinstance(doc.get("name"), str):
         raise ScenarioError("scenario needs a string name")
     kind = doc.get("kind")
     if kind not in (FIXED, CATEGORICAL, REFLEX):
@@ -127,8 +124,7 @@ def load_scenario(doc: dict, kb: KnowledgeBase) -> Scenario:
             raise ScenarioError(f"bad scoring row {row!r}")
         scoring[(tag, _truth(row.get("truth"), f"scoring row {row!r}"))] = float(value)
 
-    return Scenario(name, kind, entries, weights, repeat, scoring, sum(weights),
-                    tuple(accumulate(weights[:-1])))
+    return Scenario(kind, entries, repeat, scoring, sum(weights), tuple(accumulate(weights[:-1])))
 
 
 def stimuli(scenario: Scenario, first: int, count: int, rng: SplitMix64) -> list[Stimulus]:

@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import strategies as st
 
+import aprior.agent
 import aprior.world
 from aprior.agent import run_episode
 from aprior.cli import main
@@ -87,6 +88,29 @@ def noiseless():
 def econ():
     # reference economy for the extremum sweep
     return MeasurementEconomy(value=1.0, cost=0.02, phi0=0.0, n_max=15)
+
+
+TAMPER_TRIAL = 5
+
+
+@pytest.fixture
+def tampered_kb(monkeypatch):
+    """A sealed KB whose canonical bytes are replaced in trial TAMPER_TRIAL, as it folds
+    its observations."""
+    kb = build_kb(three_node_doc())
+    forged = kb.canonical.replace(b'"k":3', b'"k":1')
+    assert forged != kb.canonical
+    original = aprior.agent.observed
+    folded = []
+
+    def tampering(kb_, uses, n):
+        if len(folded) == TAMPER_TRIAL:
+            object.__setattr__(kb, "canonical", forged)
+        folded.append(uses)
+        return original(kb_, uses, n)
+
+    monkeypatch.setattr(aprior.agent, "observed", tampering)
+    return kb
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from aprior.perception import (
 )
 from aprior.rng import substream
 from aprior.world import load_scenario
-from conftest import episode_with_words, mixed_scenario_doc, three_node_doc
+from conftest import TAMPER_TRIAL, episode_with_words, mixed_scenario_doc, three_node_doc
 from oracles import fnv1a_oracle, reflex_fire_trials
 
 
@@ -245,29 +245,6 @@ def test_run_episode_rejects_zero_trials(kb):
     scenario = scenario_fixed(kb, [((0, 0), 11)])
     with pytest.raises(ValueError):
         run_episode(make_state(kb), scenario, 0)
-
-
-TAMPER_TRIAL = 5
-
-
-@pytest.fixture
-def tampered_kb(monkeypatch):
-    """A sealed KB whose canonical bytes are replaced in trial TAMPER_TRIAL, as it folds
-    its observations."""
-    kb = build_kb(three_node_doc())
-    forged = kb.canonical.replace(b'"k":3', b'"k":1')
-    assert forged != kb.canonical
-    original = aprior.agent.observed
-    folded = []
-
-    def tampering(kb_, uses, n):
-        if len(folded) == TAMPER_TRIAL:
-            object.__setattr__(kb, "canonical", forged)
-        folded.append(uses)
-        return original(kb_, uses, n)
-
-    monkeypatch.setattr(aprior.agent, "observed", tampering)
-    return kb
 
 
 def test_strict_run_names_the_trial_that_changed_the_kb(tampered_kb):

@@ -745,3 +745,29 @@ def test_a_mutated_kb_or_scenario_keeps_the_exit_code_contract(fuzz_dir, docs):
         result = invoke(args)
         assert result.code in (0, 1, 2), (args[0], result.err)
         assert "Traceback" not in result.err
+
+
+def test_a_strict_failure_exits_1_with_one_line_and_no_log(tampered_kb, kb_file, scenario_file,
+                                                           tmp_path, monkeypatch):
+    monkeypatch.setattr(aprior.cli, "load_kb_file", lambda path: tampered_kb)
+    out = tmp_path / "log.jsonl"
+    result = invoke(run_args(kb_file, scenario_file, out, extra=["--strict"]))
+    assert_clean_exit(result, 1)
+    assert (result.out, result.err) == (
+        "", "strict audit failed: trial 5: knowledge base canonical bytes changed\n")
+    assert not out.exists()
+
+
+def test_a_value_error_past_the_loaders_exits_2_with_one_line(kb_file, scenario_file, tmp_path,
+                                                              monkeypatch):
+    # main maps every stage's errors, not only the loaders'
+    def failing(*args):
+        raise ValueError("no report")
+
+    monkeypatch.setattr("aprior.audit.audit_log", failing)
+    log, _ = _honest_log_lines(kb_file, scenario_file, tmp_path)
+    report = tmp_path / "report.json"
+    result = invoke(["audit", str(log), "--kb", str(kb_file), "--report", str(report)])
+    assert_clean_exit(result, 2)
+    assert (result.out, result.err) == ("", "ValueError: no report\n")
+    assert not report.exists()

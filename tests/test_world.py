@@ -240,7 +240,7 @@ def test_stimuli_are_the_running_sum_draws_one_word_at_a_time(kind, weights, rep
     def expected(t):
         if kind == "reflex":
             return entries[(t // repeat) % len(entries)]
-        return entries[scalar_categorical(scenario.weights, twin)]
+        return entries[scalar_categorical([float(w) for w in weights], twin)]
 
     for op in ops:
         if op[0] == "write":
