@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass
+from operator import is_, itemgetter
 
 from .kb import KnowledgeBase, enumerate_tasks, finite_number, kb_digest
 from .perception import FULL, PARTIAL, UNRECOGNIZED, recognized
@@ -66,6 +67,8 @@ _HEADER_TYPES = {"seed": int, "trials": int, "digest_before": int, "digest_after
 _TRIAL_KEYS = {"t", "n", "denoised", "node", "depth", "status", "action", "agreement",
                "candidates", "eligible", "chosen", "phi_chosen"}
 _STATUSES = (FULL, PARTIAL, UNRECOGNIZED)
+_READ = itemgetter("candidates", "node", "depth", "status", "action", "chosen", "eligible",
+                   "denoised", "phi_chosen")  # every member _disagreement reads: not t
 # A trial line's last member, or the one before a last "truth", when it is a top-level "t":
 # the single closing brace leaves no room for a nested object. Bounded digits with no
 # leading zero are always JSON and below the int digit limit, so a copy never hides a bad t.
@@ -113,31 +116,41 @@ def parse_log(text: str) -> tuple[dict, list[dict]]:
     once: a trial line that ends in a top-level `"t"` member (and `"truth"`)
     is keyed by the text around its `t` digits, and a later line with the
     same key takes a shallow copy of the first one's record with its own
-    `t`. Records parsed from lines that differ only in `t` therefore share
-    their nested lists and dicts; copy one deeply before editing inside it.
+    `t`. A copy by digits that are its index needs no check; every other
+    record is checked in index order. Records parsed from lines that differ
+    only in `t` therefore share their nested lists and dicts; copy one
+    deeply before editing inside it.
     """
     # not splitlines: JSON strings may hold U+2028, U+2029 and U+0085 raw
     lines = [line for line in text.split("\n") if line.strip()]
     if not lines:
         raise MalformedLog("empty log")
-    seen: dict[tuple[str, str], dict] = {}  # text before and after the t digits -> record
-    trials, fresh = [], []  # fresh: parsed from its own line, not copied
+    seen: dict[str, dict[str, dict]] = {}  # text before the t digits -> text after -> record
+    trials, unchecked = [], []  # unchecked: indices of records not copied by their index
     try:
         header = json.loads(lines[0])
-        for line in lines[1:]:
+        for t, line in enumerate(lines[1:]):
             cut = line.rfind(',"t":')  # `,"` cannot occur inside a JSON string
-            tail = _T_TAIL.fullmatch(line, cut) if cut > 0 else None
-            around = None if tail is None else (line[:cut], tail[2])
-            first = seen.get(around)
+            head, tail, end = line[:cut], None, None
+            after = seen.get(head) if cut > 0 else None
+            if after is not None and line.startswith(digits := str(t), cut + 5):
+                end = cut + 5 + len(digits)  # t may be its index: the pattern waits
+            elif cut > 0 and (tail := _T_TAIL.fullmatch(line, cut)):
+                end = tail.end(1)
+            # every kept text after t starts with `,` or `}`, so a hit's t digits end at end
+            rest = None if end is None else line[end:]
+            first = None if after is None else after.get(rest)
             if first is None:
                 trial = json.loads(line)  # a bad line is never a copy: it raises here
-                if around is not None:
-                    seen[around] = trial
-            else:
+                tail = tail or (rest is not None and _T_TAIL.fullmatch(line, cut))
+                if tail and tail.end(1) == end:  # the key is the pattern's own
+                    seen.setdefault(head, {})[rest] = trial
+            else:  # a copy: its t is its index, unless the pattern read other digits
                 trial = first.copy()
-                trial["t"] = int(tail[1])
+                trial["t"] = t if tail is None else int(tail[1])
             trials.append(trial)
-            fresh.append(first is None)
+            if first is None or tail is not None:  # a copy by its index holds its t
+                unchecked.append(t)
     except (ValueError, RecursionError) as exc:  # also the digit limit and deep nesting
         raise MalformedLog(f"bad JSON: {exc}") from exc
     if not isinstance(header, dict) or not _HEADER_TYPES.keys() <= header.keys():
@@ -149,13 +162,13 @@ def parse_log(text: str) -> tuple[dict, list[dict]]:
         raise MalformedLog("log has no trials")
     if header["trials"] != len(trials):
         raise MalformedLog(f"header names {header['trials']!r} trials, log has {len(trials)}")
-    for t, (trial, own) in enumerate(zip(trials, fresh)):
-        # a copy is of an earlier record, which passed every check: only its t is new
-        if own and (not isinstance(trial, dict) or not _TRIAL_KEYS <= trial.keys()):
+    for t in unchecked:  # a skipped copy's first record is earlier: its faults come first
+        trial = trials[t]
+        if not isinstance(trial, dict) or not _TRIAL_KEYS <= trial.keys():
             raise MalformedLog("trial record missing required keys")
         if type(trial["t"]) is not int or trial["t"] != t:
             raise MalformedLog(f"record {t} has t={trial['t']!r}")
-        why = own and _malformed(trial)
+        why = _malformed(trial)
         if why:
             raise MalformedLog(f"trial {t}: {why}")
     return header, trials
@@ -181,7 +194,8 @@ def assert_closure(header: dict) -> CheckResult:
 def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> CheckResult:
     """The log names the sealed KB (digest, tasks) and no trial disagrees with it.
 
-    The first trial in order that `_disagreement` finds fault with fails the check.
+    The first trial in order that `_disagreement` finds fault with fails the check. It skips a
+    record only if each member it reads is the very object an earlier agreeing record holds.
     """
     digest = kb_digest(kb)
     if header["digest_before"] != digest:
@@ -190,10 +204,16 @@ def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> Ch
     if header["tasks_before"] != [[tid, [list(p) for p in pairs]]
                                   for tid, pairs in enumerate_tasks(kb)]:
         return CheckResult("statement1", False, None, "task enumeration differs from sealed KB")
+    agreed: dict[int, dict] = {}  # id of a candidates list -> an agreeing record holding it
     for trial in trials:
+        key = id(trial["candidates"])
+        like = agreed.get(key)
+        if like is not None and all(map(is_, _READ(trial), _READ(like))):
+            continue  # the very objects _disagreement passed: it would pass them again
         why = _disagreement(trial, kb)
         if why:
             return CheckResult("statement1", False, trial["t"], why)
+        agreed[key] = trial
     return CheckResult("statement1", True)
 
 

@@ -1,15 +1,18 @@
-"""The log parser without the per-record cache: every line is parsed and typed.
+"""The log parser and statement 1 check without grouping: every record on its own.
 
-`aprior.audit.parse_log` parses each distinct record once; this is the
-loop it must agree with, record for record and message for message. It
-lives apart from oracles.py, which the benchmark imports on every run.
-It states the record rules itself and takes only the exception from the
-module under test.
+`aprior.audit.parse_log` parses each distinct record once, and
+`assert_statement1` runs `_disagreement` once per distinct record; these
+are the per-record loops they must agree with, record for record and
+message for message. They live apart from oracles.py, which the
+benchmark imports on every run. The parser states the record rules
+itself and takes only the exception from the module under test; the
+check takes the per-record rule, `_disagreement`, whose grouping is what
+is under test.
 """
 import json
 
-from aprior.audit import MalformedLog
-from aprior.kb import finite_number
+from aprior.audit import CheckResult, MalformedLog, _disagreement
+from aprior.kb import enumerate_tasks, finite_number, kb_digest
 
 # header key -> its type, in the order the first wrong one is reported
 HEADER_TYPES = {"seed": int, "trials": int, "digest_before": int, "digest_after": int,
@@ -85,3 +88,19 @@ def reference_parse_log(text: str) -> tuple[dict, list[dict]]:
         if not well_typed_decision(trial):
             raise MalformedLog(f"trial {t}: ill-typed candidates, eligible, chosen or phi_chosen")
     return header, trials
+
+
+def reference_statement1(header: dict, trials: list[dict], kb) -> CheckResult:
+    """statement1 with `_disagreement` run on every record, in trial order."""
+    digest = kb_digest(kb)
+    if header["digest_before"] != digest:
+        return CheckResult("statement1", False, None,
+                           f"log names digest {header['digest_before']}, sealed KB has {digest}")
+    if header["tasks_before"] != [[tid, [list(p) for p in pairs]]
+                                  for tid, pairs in enumerate_tasks(kb)]:
+        return CheckResult("statement1", False, None, "task enumeration differs from sealed KB")
+    for trial in trials:
+        why = _disagreement(trial, kb)
+        if why:
+            return CheckResult("statement1", False, trial["t"], why)
+    return CheckResult("statement1", True)

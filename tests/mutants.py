@@ -74,7 +74,7 @@ MUTANTS = (
            "key = (program_id, outcome.status, stim)",
            "key = (program_id, outcome.status, stim.truth)",
            "a line holds its own stimulus: the mixed scenario's two omega vectors share a truth",
-           killer="tests/test_episode_oracle.py"),
+           killer="tests/test_agent.py"),
     Mutant("memo keyed without status", "src/aprior/agent.py",
            "key = (program_id, outcome.status, stim)",
            "key = (program_id, stim)",
@@ -111,12 +111,12 @@ MUTANTS = (
            "picks = [pick(pid, phi) for pid, phi in ordered]",
            "picks = [pick(pid, phi) for pid, phi in candidates if phi > state.econ.phi0]",
            "the random pick indexes the eligible list by descending phi, then ascending id",
-           killer="tests/test_episode_oracle.py"),
+           killer="tests/test_agent.py"),
     Mutant("score drops the second tag", "src/aprior/agent.py",
            "for tag in tags), 0.0)",
            "for tag in tags[:1]), 0.0)",
            "a trial's score sums the scenario's payoff over every tag of the fired program",
-           killer="tests/test_episode_oracle.py"),
+           killer="tests/test_agent.py"),
     Mutant("tables not cleared for a new economy", "src/aprior/agent.py",
            "            tables.clear()\n",
            "",
@@ -239,9 +239,14 @@ MUTANTS = (
            "a copied record's t is a JSON number, as json.loads would read it",
            killer="tests/test_log_parse.py"),
     Mutant("parse_log checks no t on copies", "src/aprior/audit.py",
-           'if type(trial["t"]) is not int or trial["t"] != t:',
-           'if own and (type(trial["t"]) is not int or trial["t"] != t):',
-           "a copied record's t is checked like any other",
+           "if first is None or tail is not None:",
+           "if first is None:",
+           "a copy by t digits other than its index is checked, and fails on its t",
+           killer="tests/test_log_parse.py"),
+    Mutant("a copy is taken whatever its t digits", "src/aprior/audit.py",
+           "line.startswith(digits := str(t), cut + 5)",
+           "(digits := str(t))",
+           "a copy skips the pattern and the t check only when its t digits are its index",
            killer="tests/test_log_parse.py"),
     Mutant("parse_log accepts more than one closing brace", "src/aprior/audit.py",
            '"omega"))?\\})',
@@ -249,15 +254,22 @@ MUTANTS = (
            "a copy is taken only from a line that json.loads would read as the same record",
            killer="tests/test_log_parse.py"),
     Mutant("parse_log keys a copy without the text after t", "src/aprior/audit.py",
-           "(line[:cut], tail[2])",
-           "(line[:cut], \"\")",
-           "lines that differ after t, such as in truth, are different records",
+           "else line[end:]",
+           'else ""',
+           "lines that differ after t, such as in truth, are different records (the one key of "
+           "both lookups and of a kept record)",
            killer="tests/test_log_parse.py"),
     Mutant("parse_log checks no keys", "src/aprior/audit.py",
            "not isinstance(trial, dict) or not _TRIAL_KEYS <= trial.keys()",
            "not isinstance(trial, dict)",
            "a trial record holds every required member",
            killer="tests/test_audit.py"),
+    Mutant("the grouping key leaves out phi_chosen", "src/aprior/audit.py",
+           '"denoised", "phi_chosen")',
+           '"denoised")',
+           "statement1 passes a record unchecked only if every member _disagreement reads is an "
+           "agreeing record's own object, phi_chosen included",
+           killer="tests/test_log_parse.py"),
     Mutant("auditor closure check removed", "src/aprior/audit.py",
            'if header["digest_before"] != header["digest_after"]:',
            "if False:",
@@ -305,8 +317,8 @@ EQUIVALENT = (
     Mutant("find for rfind", "src/aprior/audit.py",
            "line.rfind(',\"t\":')",
            "line.find(',\"t\":')",
-           "the tail must fullmatch from the cut, so an earlier cut only sends the line to "
-           "json.loads, which gives the same record"),
+           "the tail must fullmatch from the cut, and no kept text after t holds `,\"t\":`, so "
+           "an earlier cut only sends the line to json.loads, which gives the same record"),
 )
 
 

@@ -32,6 +32,7 @@ from aprior.perception import (
 from aprior.rng import substream
 from aprior.world import load_scenario
 from conftest import TAMPER_TRIAL, episode_with_words, mixed_scenario_doc, three_node_doc
+from episode_oracle import reference_episode
 from oracles import fnv1a_oracle, reflex_fire_trials
 
 
@@ -472,3 +473,22 @@ def test_deep_kb_reflex_episode_draws_a_pinned_number_of_words():
     log, drawn = episode_with_words(state, load_scenario(scenario_doc, kb), 144)
     assert json.loads(log.lines[0])["n"] == 8
     assert drawn == {"channel": 5495, "selection": 105, "scenario": 0}
+
+
+def test_a_mixed_episode_matches_the_reference_episode():
+    # the mixed scenario's two omega vectors share a truth; program 2 carries two tags,
+    # the second of which scores; on Q11 program 6 outranks program 1 by phi, not by id
+    kb_doc = three_node_doc()
+    kb_doc["programs"].append({"id": 6, "trigger": 11, "operations": [2], "k": 2,
+                               "utility": 1.5})
+    scenario_doc = mixed_scenario_doc()
+    scenario_doc["scoring"].append({"action": "approach", "truth": 12, "value": 0.5})
+    config = {"trials": 200, "epsilon": 0.3, "value": 1.0, "cost": 0.02, "phi0": 0.0,
+              "n_max": 9, "fixed_n": 3}
+    kb = build_kb(kb_doc)
+    state = make_state(kb, epsilon=0.3, fixed_n=3, seed=5, cost=0.02)
+    log = run_episode(state, load_scenario(scenario_doc, kb), 200, config=config)
+    text = log.to_jsonl()
+    assert '"stimulus":[2,0],' in text and '"stimulus":[2,2],' in text
+    assert '"eligible":[6,1],' in text and '"score":0.5,' in text
+    assert text == reference_episode(kb_doc, scenario_doc, 5, config)[0]

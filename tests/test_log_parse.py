@@ -1,14 +1,17 @@
-"""parse_log parses each distinct record once; it must agree with the full parse.
+"""The auditor handles each distinct record once; it must agree with the per-record loops.
 
 Every case mutates a real log: a 1000-trial C1 episode (about 90 distinct
 records) or a 144-trial deep-KB reflex episode (mostly distinct ones).
-Both parsers must return the same records, member order included, or
-raise MalformedLog with the same message.
+parse_log and the full parse must return the same records, member order
+included, or raise MalformedLog with the same message. assert_statement1
+and the loop that runs `_disagreement` on every record must return the
+same result after records are edited in place, replaced or deep-copied.
 """
 import copy
 import functools
 import importlib.util
 import json
+import math
 import re
 from pathlib import Path
 
@@ -17,13 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aprior.agent import AgentState, run_episode
-from aprior.audit import MalformedLog, parse_log
+from aprior.audit import MalformedLog, assert_statement1, parse_log
 from aprior.decision import MeasurementEconomy
 from aprior.kb import build_kb
 from aprior.perception import ChannelParams
 from aprior.world import load_scenario
 from conftest import invoke, mixed_scenario_doc, three_node_doc
-from log_reference import reference_parse_log
+from log_reference import reference_parse_log, reference_statement1
 
 DEEPKB_PY = Path(__file__).resolve().parent.parent / "perfbench" / "deepkb.py"
 T_DIGITS = re.compile(r',"t":(-?[0-9]+)')
@@ -40,14 +43,22 @@ def _episode_lines(kb_doc, scenario_doc, epsilon, cost, fixed_n, trials):
 
 
 @functools.cache
-def log_lines(name: str) -> tuple[str, ...]:
-    """The header and trial lines of a C1 or a deep-KB episode log."""
+def kb_doc_and_scenario(name: str) -> tuple[dict, dict]:
+    """The documents of a C1 or a deep-KB episode."""
     if name == "c1":
-        return _episode_lines(three_node_doc(), mixed_scenario_doc(), 0.3, 0.02, 3, 1000)
+        return three_node_doc(), mixed_scenario_doc()
     spec = importlib.util.spec_from_file_location("perfbench_deepkb", DEEPKB_PY)
     deepkb = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(deepkb)
-    return _episode_lines(*deepkb.generate(0), 0.2, 0.01, None, 144)
+    return deepkb.generate(0)
+
+
+@functools.cache
+def log_lines(name: str) -> tuple[str, ...]:
+    """The header and trial lines of a C1 or a deep-KB episode log."""
+    if name == "c1":
+        return _episode_lines(*kb_doc_and_scenario(name), 0.3, 0.02, 3, 1000)
+    return _episode_lines(*kb_doc_and_scenario(name), 0.2, 0.01, None, 144)
 
 
 def outcome(parse, text: str):
@@ -272,6 +283,34 @@ def _acting(edit):
     return apply
 
 
+def _repeat_t(digits, k=3):
+    """At a repeat, t's digits as digits(its index, its first twin's index)."""
+    def apply(lines):
+        i = repeats(lines)[k]
+        j = next(j for j in range(1, i) if without_t(lines[j]) == without_t(lines[i]))
+        lines[i] = set_t(lines[i], digits(i - 1, j - 1))
+        return lines
+    return apply
+
+
+def _then(*edits):
+    def apply(lines):
+        for edit in edits:
+            lines = edit(lines)
+        return lines
+    return apply
+
+
+def _at_line(i, edit):
+    def apply(lines):
+        lines[i] = edit(lines[i])
+        return lines
+    return apply
+
+
+def ill_typed(line: str) -> str:
+    return redump(line, lambda r: r.update(node="11"))
+
 CASES = {
     "honest": lambda lines: lines,
     "repeat with t off by one": _off_by_one,
@@ -303,14 +342,25 @@ CASES = {
         lambda line: redump(line, lambda r: r.update(truth=-3))),
     "object truth": _at_repeat(lambda line: redump(line, lambda r: r.update(truth={"t": 1}))),
     "blank lines": lambda lines: [x for line in lines for x in (line, "", "  ")],
-    "ill-typed repeat": _at_repeat(lambda line: redump(line, lambda r: r.update(node="11"))),
+    "ill-typed repeat": _at_repeat(ill_typed),
     "dropped key": _at_repeat(lambda line: redump(line, lambda r: r.pop("eligible"))),
+    "twin t is its index with a leading zero": _repeat_t(lambda t, first: f"0{t}"),
+    "twin t names another index": _repeat_t(lambda t, first: str(first)),
+    "twin t is its index and one more digit": _repeat_t(lambda t, first: f"{t}0"),
+    "wrong-t copy before an ill-typed fresh record": _then(
+        _off_by_one, _at_line(-1, ill_typed)),
+    "ill-typed fresh record before a bad-JSON line": _then(
+        _at_line(1, ill_typed), _at_line(-1, lambda line: line[:-1])),
 }
 
 
 MALFORMED = {"repeat with t off by one", "t 007", "t of 5000 digits", "t of 19 digits",
              "raw string holding t", "ill-typed repeat", "dropped key",
-             "nested t counting trials", "nested t and truth counting trials"}
+             "nested t counting trials", "nested t and truth counting trials",
+             "twin t is its index with a leading zero", "twin t names another index",
+             "twin t is its index and one more digit",
+             "wrong-t copy before an ill-typed fresh record",
+             "ill-typed fresh record before a bad-JSON line"}
 
 
 @pytest.mark.parametrize("name", ["c1", "deep"])
@@ -337,6 +387,155 @@ def test_records_from_twin_lines_share_nested_values_only():
     before = copy.deepcopy(first)
     twin.update(status="unrecognized", candidates=[], action=None, t=0)
     assert first == before and first["candidates"]
+
+
+@functools.cache
+def log_kb(name: str):
+    return build_kb(copy.deepcopy(kb_doc_and_scenario(name)[0]))
+
+
+def statement1_outcome(check, header, trials, kb):
+    """The CheckResult, or the exception's type and message."""
+    try:
+        return check(header, trials, kb)
+    except Exception as exc:  # an edit may leave a member no rule can read
+        return f"{type(exc).__name__}: {exc}"
+
+
+def copies(trials) -> list[int]:
+    """Indices of the records whose candidates list an earlier record holds too."""
+    seen, out = set(), []
+    for i, trial in enumerate(trials):
+        if id(trial["candidates"]) in seen:
+            out.append(i)
+        seen.add(id(trial["candidates"]))
+    return out
+
+
+SCALARS = ["phi_chosen", "node", "chosen", "depth", "status"]
+EQUAL = "an equal new object"
+SCALAR_VALUES = [1, True, 1.0, -0.0, math.nan, EQUAL]
+
+
+def scalar(old, value):
+    """value, or for EQUAL a new object equal to old: a float for a number, a new string."""
+    if value is not EQUAL:
+        return value
+    if isinstance(old, str):
+        return old[:1] + old[1:]
+    return float(old) if isinstance(old, (int, float)) else copy.deepcopy(old)
+
+
+READ = ["candidates", "node", "depth", "status", "action", "chosen", "eligible", "denoised",
+        "phi_chosen"]
+
+
+def _nested(trial, kind, value):
+    """An edit inside one of the record's lists or its action, shared with its copies."""
+    box = {"phi": trial["candidates"], "candidate": trial["candidates"],
+           "eligible": trial["eligible"], "denoised": trial["denoised"],
+           "program": trial["action"], "tags": trial["action"]}[kind]
+    if not box:
+        return
+    if kind == "phi":
+        box[0][1] = value
+    elif kind == "candidate":
+        box.append([99, 0.5])
+    elif kind in ("eligible", "denoised"):
+        box[-1] = value
+    elif kind == "program":
+        box["program"] = value
+    else:
+        box["tags"].reverse()
+
+
+NESTED = ["phi", "candidate", "eligible", "denoised", "program", "tags"]
+
+
+@st.composite
+def record_edits(draw):
+    """An edit of a parsed log's records: a scalar, a replaced member, a shared nested value
+    or a deep copy, mostly of a record that is a copy of an earlier one."""
+    kind = draw(st.sampled_from(["scalar", "replace", "nested", "deep"]))
+    pick, value = draw(st.integers(0, 10 ** 6)), draw(st.sampled_from(SCALAR_VALUES + [0, 7]))
+    inner = 0.5 if value is EQUAL else value  # the value of a nested edit
+    member, read = draw(st.sampled_from(SCALARS)), draw(st.sampled_from(READ))
+    nested, on_copy = draw(st.sampled_from(NESTED)), draw(st.integers(0, 3)) > 0
+
+    def apply(trials):
+        pool = copies(trials) if on_copy else []
+        i = pool[pick % len(pool)] if pool else pick % len(trials)
+        trial = trials[i]
+        if kind == "scalar":
+            trial[member] = scalar(trial[member], value)
+        elif kind == "replace":  # an equal object on this record alone, maybe edited inside
+            trial[read] = copy.deepcopy(trial[read])
+            if pick % 2:
+                _nested(trial, nested, inner)
+        elif kind == "nested":
+            _nested(trial, nested, inner)
+        else:
+            trial = trials[i] = copy.deepcopy(trial)
+            if pick % 2:
+                _nested(trial, nested, inner)
+            else:
+                trial[member] = scalar(trial[member], value)
+    return apply
+
+
+def assert_statement1_agrees(name, *edits):
+    header, trials = parse_log("\n".join(log_lines(name)) + "\n")
+    for edit in edits:
+        edit(trials)
+    kb = log_kb(name)
+    expected = statement1_outcome(reference_statement1, header, trials, kb)
+    assert statement1_outcome(assert_statement1, header, trials, kb) == expected
+    return expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["c1", "deep"]), st.lists(record_edits(), min_size=1, max_size=3))
+def test_grouped_statement1_agrees_with_the_per_record_loop(name, edits):
+    assert_statement1_agrees(name, *edits)
+
+
+def _on_acting_copy(edit):
+    def apply(trials):
+        i = next(i for i in copies(trials) if trials[i]["chosen"] is not None)
+        edit(trials, i)
+    return apply
+
+
+@pytest.mark.parametrize("name", ["c1", "deep"])
+@pytest.mark.parametrize("value", SCALAR_VALUES, ids=repr)
+@pytest.mark.parametrize("member", SCALARS)
+def test_grouped_statement1_checks_a_copy_with_an_edited_scalar(name, member, value):
+    olds = []
+
+    def edit(trials, i):
+        olds.append(trials[i][member])
+        trials[i][member] = scalar(olds[0], value)
+    result = assert_statement1_agrees(name, _on_acting_copy(edit))
+    # an equal value, as 1.0 is to 1 and -0.0 to 0.0, passes like its twins; nan equals nothing
+    assert result.passed == (scalar(olds[0], value) == olds[0]), result
+
+
+WHOLE_EDITS = {
+    "member replaced on one copy": lambda trials, i: trials[i].__setitem__(
+        "candidates", [[pid, phi + 1] for pid, phi in trials[i]["candidates"]]),
+    "shared list edited in place": lambda trials, i: trials[i]["eligible"].append(999),
+    "deep copy edited": lambda trials, i: trials.__setitem__(
+        i, dict(copy.deepcopy(trials[i]), chosen=999)),
+    "equal member replaced on one copy": lambda trials, i: trials[i].__setitem__(
+        "action", copy.deepcopy(trials[i]["action"])),
+}
+
+
+@pytest.mark.parametrize("name", ["c1", "deep"])
+@pytest.mark.parametrize("case", WHOLE_EDITS)
+def test_grouped_statement1_agrees_on_each_listed_edit(name, case):
+    result = assert_statement1_agrees(name, _on_acting_copy(WHOLE_EDITS[case]))
+    assert result.passed == (case == "equal member replaced on one copy"), result
 
 
 @pytest.fixture(scope="module")
