@@ -69,43 +69,45 @@ _TRIAL_KEYS = {"t", "n", "denoised", "node", "depth", "status", "action", "agree
 _STATUSES = (FULL, PARTIAL, UNRECOGNIZED)
 _READ = itemgetter("candidates", "node", "depth", "status", "action", "chosen", "eligible",
                    "denoised", "phi_chosen")  # every member _disagreement reads: not t
-# A trial line's last member, or the one before a last "truth", when it is a top-level "t":
-# the single closing brace leaves no room for a nested object. Bounded digits with no
-# leading zero are always JSON and below the int digit limit, so a copy never hides a bad t.
-_T_TAIL = re.compile(r',"t":(0|[1-9][0-9]{0,17})'
-                     r'((?:,"truth":(?:-?(?:0|[1-9][0-9]*)|"omega"))?\})')
+# What may follow a stored line's top-level t digits: a last "truth" member, then the one
+# closing brace, which leaves no room for a nested object.
+_T_TAIL = re.compile(r'(?:,"truth":(?:-?(?:0|[1-9][0-9]*)|"omega"))?\}')
 
 
-def _malformed(trial: dict) -> str:
-    """Why a trial record's members are ill-typed, or "" (its keys and t are checked apart).
+def _malformed(trial, t: int) -> str:
+    """Why record t is not a trial with every key, t = t and well-typed members, or "".
 
     candidates are [id, phi] pairs, eligible ids, chosen an id or null, phi_chosen a phi or null.
     """
+    if not isinstance(trial, dict) or not _TRIAL_KEYS <= trial.keys():
+        return "trial record missing required keys"
+    if type(trial["t"]) is not int or trial["t"] != t:
+        return f"record {t} has t={trial['t']!r}"
     n, agreement, denoised, action = (
         trial["n"], trial["agreement"], trial["denoised"], trial["action"])
     candidates, eligible, chosen, phi = (
         trial["candidates"], trial["eligible"], trial["chosen"], trial["phi_chosen"])
     if type(trial["node"]) is not int or type(trial["depth"]) is not int:
-        return "node or depth is not an integer"
+        return f"trial {t}: node or depth is not an integer"
     if type(n) is not int or n < 1 or not (finite_number(agreement) and 0 <= agreement <= 1):
-        return (f"n {n!r} is not an integer >= 1 "
+        return (f"trial {t}: n {n!r} is not an integer >= 1 "
                 f"or agreement {agreement!r} not a number in [0, 1]")
     if type(denoised) is not list or not all(type(s) is int for s in denoised):
-        return "denoised is not a list of integers"
+        return f"trial {t}: denoised is not a list of integers"
     if trial["status"] not in _STATUSES:  # a tuple: an unhashable status is just absent
-        return f"unknown status {trial['status']!r}"
+        return f"trial {t}: unknown status {trial['status']!r}"
     if action is not None and not (
             isinstance(action, dict) and type(action.get("program")) is int
             and type(action.get("trigger")) is int and isinstance(action.get("tags"), list)
             and all(isinstance(tag, str) for tag in action["tags"])):
-        return "action is neither null nor a well-typed object"
+        return f"trial {t}: action is neither null nor a well-typed object"
     if not (type(candidates) is list
             and all(type(c) is list and len(c) == 2 and type(c[0]) is int
                     and finite_number(c[1]) for c in candidates)
             and type(eligible) is list and all(type(pid) is int for pid in eligible)
             and (chosen is None or type(chosen) is int)
             and (phi is None or finite_number(phi))):
-        return "ill-typed candidates, eligible, chosen or phi_chosen"
+        return f"trial {t}: ill-typed candidates, eligible, chosen or phi_chosen"
     return ""
 
 
@@ -113,44 +115,39 @@ def parse_log(text: str) -> tuple[dict, list[dict]]:
     """Parse a JSON-lines episode log into (header, trials), rejecting ill-formed records.
 
     A log repeats few distinct records, so each is parsed and type-checked
-    once: a trial line that ends in a top-level `"t"` member (and `"truth"`)
-    is keyed by the text around its `t` digits, and a later line with the
-    same key takes a shallow copy of the first one's record with its own
-    `t`. A copy by digits that are its index needs no check; every other
-    record is checked in index order. Records parsed from lines that differ
-    only in `t` therefore share their nested lists and dicts; copy one
-    deeply before editing inside it.
+    once, in one pass. A trial line whose last `,"t":` is followed by its
+    own index and then only a `"truth"` member and the closing brace is
+    keyed by the pair of texts around those digits; a later line whose own
+    index gives the same key takes a shallow copy of the first one's record
+    with its own `t`, and needs no check. Every other line is parsed in
+    full and checked as it is read. A line that is not JSON raises at once;
+    the first faulty record is raised after the header's checks. Records
+    parsed from lines that differ only in `t` therefore share their nested
+    lists and dicts; copy one deeply before editing inside it.
     """
     # not splitlines: JSON strings may hold U+2028, U+2029 and U+0085 raw
     lines = [line for line in text.split("\n") if line.strip()]
     if not lines:
         raise MalformedLog("empty log")
-    seen: dict[str, dict[str, dict]] = {}  # text before the t digits -> text after -> record
-    trials, unchecked = [], []  # unchecked: indices of records not copied by their index
+    seen: dict[tuple[str, str], dict] = {}  # (text before the cut, text after t) -> record
+    trials, fault = [], ""  # fault: the first parsed record's, raised after the header's
     try:
         header = json.loads(lines[0])
         for t, line in enumerate(lines[1:]):
-            cut = line.rfind(',"t":')  # `,"` cannot occur inside a JSON string
-            head, tail, end = line[:cut], None, None
-            after = seen.get(head) if cut > 0 else None
-            if after is not None and line.startswith(digits := str(t), cut + 5):
-                end = cut + 5 + len(digits)  # t may be its index: the pattern waits
-            elif cut > 0 and (tail := _T_TAIL.fullmatch(line, cut)):
-                end = tail.end(1)
-            # every kept text after t starts with `,` or `}`, so a hit's t digits end at end
-            rest = None if end is None else line[end:]
-            first = None if after is None else after.get(rest)
-            if first is None:
-                trial = json.loads(line)  # a bad line is never a copy: it raises here
-                tail = tail or (rest is not None and _T_TAIL.fullmatch(line, cut))
-                if tail and tail.end(1) == end:  # the key is the pattern's own
-                    seen.setdefault(head, {})[rest] = trial
-            else:  # a copy: its t is its index, unless the pattern read other digits
+            cut, digits = line.rfind(',"t":'), str(t)  # `,"` cannot occur inside a JSON string
+            end, key = cut + 5 + len(digits), None
+            if cut > 0 and line.startswith(digits, cut + 5):  # kept tails start `,` or `}`
+                key = line[:cut], line[end:]
+            first = seen.get(key)
+            if first is not None:  # a copy: its first record is earlier and was checked
                 trial = first.copy()
-                trial["t"] = t if tail is None else int(tail[1])
+                trial["t"] = t
+            else:
+                trial = json.loads(line)  # a bad line is never a copy: it raises here
+                fault = fault or _malformed(trial, t)
+                if key and _T_TAIL.fullmatch(line, end):
+                    seen[key] = trial
             trials.append(trial)
-            if first is None or tail is not None:  # a copy by its index holds its t
-                unchecked.append(t)
     except (ValueError, RecursionError) as exc:  # also the digit limit and deep nesting
         raise MalformedLog(f"bad JSON: {exc}") from exc
     if not isinstance(header, dict) or not _HEADER_TYPES.keys() <= header.keys():
@@ -162,15 +159,8 @@ def parse_log(text: str) -> tuple[dict, list[dict]]:
         raise MalformedLog("log has no trials")
     if header["trials"] != len(trials):
         raise MalformedLog(f"header names {header['trials']!r} trials, log has {len(trials)}")
-    for t in unchecked:  # a skipped copy's first record is earlier: its faults come first
-        trial = trials[t]
-        if not isinstance(trial, dict) or not _TRIAL_KEYS <= trial.keys():
-            raise MalformedLog("trial record missing required keys")
-        if type(trial["t"]) is not int or trial["t"] != t:
-            raise MalformedLog(f"record {t} has t={trial['t']!r}")
-        why = _malformed(trial)
-        if why:
-            raise MalformedLog(f"trial {t}: {why}")
+    if fault:
+        raise MalformedLog(fault)
     return header, trials
 
 

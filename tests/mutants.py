@@ -207,6 +207,27 @@ MUTANTS = (
            "if type(k) is not int or k < 0:",
            "a program's reflex threshold k is a positive integer",
            killer="tests/test_kb.py"),
+    Mutant("sealed maps left as plain dicts", "src/aprior/kb.py",
+           "MappingProxyType(dict(sorted(m.items())))",
+           "dict(sorted(m.items()))",
+           "a sealed KB cannot be updated: its object, operation, task and program maps are "
+           "read-only",
+           killer="tests/test_kb.py"),
+    Mutant("overlapping siblings accepted", "src/aprior/kb.py",
+           "if not _siblings_exclusive(objects[c1].predicate, objects[c2].predicate):",
+           "if False:",
+           "sibling predicates are mutually exclusive, so greedy descent is deterministic",
+           killer="tests/test_kb.py"),
+    Mutant("an operation not applicable to its program's trigger accepted", "src/aprior/kb.py",
+           "if trigger not in operations[pid].applicable_objects:",
+           "if False:",
+           "each operation of a program applies to the program's trigger",
+           killer="tests/test_kb.py"),
+    Mutant("canonical bytes without utility", "src/aprior/kb.py",
+           '"k": g.reflex_threshold, "utility": g.base_utility}',
+           '"k": g.reflex_threshold}',
+           "the digest covers every sealed value, a program's utility included",
+           killer="tests/test_kb.py"),
     Mutant("a draw on a cumulative weight picks the entry below", "src/aprior/world.py",
            "from bisect import bisect_right\n",
            "from bisect import bisect_left as bisect_right\n",
@@ -233,31 +254,32 @@ MUTANTS = (
            'trial["t"] < t:',
            "record i of a log has t = i",
            killer="tests/test_audit.py"),
-    Mutant("parse_log accepts leading zeros in t", "src/aprior/audit.py",
-           "(0|[1-9][0-9]{0,17})",
-           "([0-9]{1,18})",
-           "a copied record's t is a JSON number, as json.loads would read it",
-           killer="tests/test_log_parse.py"),
-    Mutant("parse_log checks no t on copies", "src/aprior/audit.py",
-           "if first is None or tail is not None:",
-           "if first is None:",
-           "a copy by t digits other than its index is checked, and fails on its t",
+    Mutant("parse_log checks no t on parsed records", "src/aprior/audit.py",
+           'if type(trial["t"]) is not int or trial["t"] != t:',
+           'if type(trial["t"]) is not int:',
+           "a twin whose t digits name another index is parsed in full, and fails on its t",
            killer="tests/test_log_parse.py"),
     Mutant("a copy is taken whatever its t digits", "src/aprior/audit.py",
-           "line.startswith(digits := str(t), cut + 5)",
-           "(digits := str(t))",
-           "a copy skips the pattern and the t check only when its t digits are its index",
+           "line.startswith(digits, cut + 5)",
+           "True",
+           "a line is looked up only when its t digits are its own index",
            killer="tests/test_log_parse.py"),
     Mutant("parse_log accepts more than one closing brace", "src/aprior/audit.py",
-           '"omega"))?\\})',
-           '"omega"))?\\}+)',
-           "a copy is taken only from a line that json.loads would read as the same record",
+           '"omega"))?\\}\')',
+           '"omega"))?\\}+\')',
+           "a record is kept for its twins only from a line whose t is a top-level member",
            killer="tests/test_log_parse.py"),
     Mutant("parse_log keys a copy without the text after t", "src/aprior/audit.py",
-           "else line[end:]",
-           'else ""',
+           "key = line[:cut], line[end:]",
+           'key = line[:cut], ""',
            "lines that differ after t, such as in truth, are different records (the one key of "
-           "both lookups and of a kept record)",
+           "the lookup and of a kept record)",
+           killer="tests/test_log_parse.py"),
+    Mutant("a parsed record's fault raised before the header's", "src/aprior/audit.py",
+           "                fault = fault or _malformed(trial, t)\n",
+           "                if fault := fault or _malformed(trial, t):\n"
+           "                    raise MalformedLog(fault)\n",
+           "a bad JSON line comes first, then the header's fault, then the first record's",
            killer="tests/test_log_parse.py"),
     Mutant("parse_log checks no keys", "src/aprior/audit.py",
            "not isinstance(trial, dict) or not _TRIAL_KEYS <= trial.keys()",
@@ -309,16 +331,12 @@ MUTANTS = (
 )
 
 EQUIVALENT = (
-    Mutant("unbounded t digits", "src/aprior/audit.py",
-           "(0|[1-9][0-9]{0,17})",
-           "(0|[1-9][0-9]*)",
-           "a t past 18 digits either fails the t index check, as json.loads's record would, "
-           "or past the int digit limit raises the same ValueError that json.loads raises"),
     Mutant("find for rfind", "src/aprior/audit.py",
            "line.rfind(',\"t\":')",
            "line.find(',\"t\":')",
-           "the tail must fullmatch from the cut, and no kept text after t holds `,\"t\":`, so "
-           "an earlier cut only sends the line to json.loads, which gives the same record"),
+           "a record is kept only when the text after its t fullmatches the tail pattern, so no "
+           "kept key holds a second `,\"t\":`; an earlier cut is never kept or found, and only "
+           "sends the line to json.loads, which gives the same record"),
 )
 
 

@@ -351,6 +351,12 @@ CASES = {
         _off_by_one, _at_line(-1, ill_typed)),
     "ill-typed fresh record before a bad-JSON line": _then(
         _at_line(1, ill_typed), _at_line(-1, lambda line: line[:-1])),
+    "ill-typed fresh record under a boolean trial count": _then(
+        _at_line(0, lambda line: redump(line, lambda r: r.update(trials=True))),
+        _at_line(1, ill_typed)),
+    "ill-typed fresh record under a wrong trial count": _then(
+        _at_line(0, lambda line: redump(line, lambda r: r.update(trials=r["trials"] + 1))),
+        _at_line(1, ill_typed)),
 }
 
 
@@ -360,7 +366,9 @@ MALFORMED = {"repeat with t off by one", "t 007", "t of 5000 digits", "t of 19 d
              "twin t is its index with a leading zero", "twin t names another index",
              "twin t is its index and one more digit",
              "wrong-t copy before an ill-typed fresh record",
-             "ill-typed fresh record before a bad-JSON line"}
+             "ill-typed fresh record before a bad-JSON line",
+             "ill-typed fresh record under a boolean trial count",
+             "ill-typed fresh record under a wrong trial count"}
 
 
 @pytest.mark.parametrize("name", ["c1", "deep"])
