@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from operator import is_, itemgetter
 
 from .kb import KnowledgeBase, enumerate_tasks, finite_number, kb_digest
-from .perception import FULL, PARTIAL, UNRECOGNIZED, recognized
+from .perception import FULL, PARTIAL, UNRECOGNIZED, check_vector, recognized
 
 
 class MalformedLog(ValueError):
@@ -64,47 +64,45 @@ class AuditReport:
 
 _HEADER_TYPES = {"seed": int, "trials": int, "digest_before": int, "digest_after": int,
                  "tasks_before": list, "tasks_after": list}
-_TRIAL_KEYS = {"t", "n", "denoised", "node", "depth", "status", "action", "agreement",
-               "candidates", "eligible", "chosen", "phi_chosen"}
 _STATUSES = (FULL, PARTIAL, UNRECOGNIZED)
-_READ = itemgetter("candidates", "node", "depth", "status", "action", "chosen", "eligible",
-                   "denoised", "phi_chosen")  # every member _disagreement reads: not t
+# every trial member but t: the one list _malformed checks, _disagreement reads, the skip compares
+_MEMBERS = itemgetter("action", "agreement", "candidates", "chosen", "denoised", "depth",
+                      "eligible", "n", "node", "phi_chosen", "status")
 # What may follow a stored line's top-level t digits: a last "truth" member, then the one
 # closing brace, which leaves no room for a nested object.
 _T_TAIL = re.compile(r'(?:,"truth":(?:-?(?:0|[1-9][0-9]*)|"omega"))?\}')
 
 
 def _malformed(trial, t: int) -> str:
-    """Why record t is not a trial with every key, t = t and well-typed members, or "".
+    """Why record t is not a trial with t = t and every `_MEMBERS` member well typed, or "".
 
     candidates are [id, phi] pairs, eligible ids, chosen an id or null, phi_chosen a phi or null.
     """
-    if not isinstance(trial, dict) or not _TRIAL_KEYS <= trial.keys():
+    try:
+        own, (action, agreement, candidates, chosen, denoised, depth, eligible, n, node, phi,
+              status) = trial["t"], _MEMBERS(trial)
+    except (KeyError, TypeError):  # a member missing, or not a dict
         return "trial record missing required keys"
-    if type(trial["t"]) is not int or trial["t"] != t:
-        return f"record {t} has t={trial['t']!r}"
-    n, agreement, denoised, action = (
-        trial["n"], trial["agreement"], trial["denoised"], trial["action"])
-    candidates, eligible, chosen, phi = (
-        trial["candidates"], trial["eligible"], trial["chosen"], trial["phi_chosen"])
-    if type(trial["node"]) is not int or type(trial["depth"]) is not int:
+    if type(own) is not int or own != t:
+        return f"record {t} has t={own!r}"
+    if type(node) is not int or type(depth) is not int:
         return f"trial {t}: node or depth is not an integer"
     if type(n) is not int or n < 1 or not (finite_number(agreement) and 0 <= agreement <= 1):
         return (f"trial {t}: n {n!r} is not an integer >= 1 "
                 f"or agreement {agreement!r} not a number in [0, 1]")
-    if type(denoised) is not list or not all(type(s) is int for s in denoised):
+    if type(denoised) is not list or not {int}.issuperset(map(type, denoised)):
         return f"trial {t}: denoised is not a list of integers"
-    if trial["status"] not in _STATUSES:  # a tuple: an unhashable status is just absent
-        return f"trial {t}: unknown status {trial['status']!r}"
+    if status not in _STATUSES:  # a tuple: an unhashable status is just absent
+        return f"trial {t}: unknown status {status!r}"
     if action is not None and not (
-            isinstance(action, dict) and type(action.get("program")) is int
-            and type(action.get("trigger")) is int and isinstance(action.get("tags"), list)
-            and all(isinstance(tag, str) for tag in action["tags"])):
+            type(action) is dict and type(action.get("program")) is int
+            and type(action.get("trigger")) is int and type(action.get("tags")) is list
+            and {str}.issuperset(map(type, action["tags"]))):  # json.loads types are exact
         return f"trial {t}: action is neither null nor a well-typed object"
     if not (type(candidates) is list
             and all(type(c) is list and len(c) == 2 and type(c[0]) is int
                     and finite_number(c[1]) for c in candidates)
-            and type(eligible) is list and all(type(pid) is int for pid in eligible)
+            and type(eligible) is list and {int}.issuperset(map(type, eligible))
             and (chosen is None or type(chosen) is int)
             and (phi is None or finite_number(phi))):
         return f"trial {t}: ill-typed candidates, eligible, chosen or phi_chosen"
@@ -120,10 +118,11 @@ def parse_log(text: str) -> tuple[dict, list[dict]]:
     keyed by the pair of texts around those digits; a later line whose own
     index gives the same key takes a shallow copy of the first one's record
     with its own `t`, and needs no check. Every other line is parsed in
-    full and checked as it is read. A line that is not JSON raises at once;
-    the first faulty record is raised after the header's checks. Records
-    parsed from lines that differ only in `t` therefore share their nested
-    lists and dicts; copy one deeply before editing inside it.
+    full, and its `t` and `_MEMBERS` checked as it is read. A line that is
+    not JSON raises at once; the first faulty record is raised after the
+    header's checks. Records parsed from lines that differ only in `t`
+    therefore share their nested lists and dicts; copy one deeply before
+    editing inside it.
     """
     # not splitlines: JSON strings may hold U+2028, U+2029 and U+0085 raw
     lines = [line for line in text.split("\n") if line.strip()]
@@ -185,7 +184,8 @@ def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> Ch
     """The log names the sealed KB (digest, tasks) and no trial disagrees with it.
 
     The first trial in order that `_disagreement` finds fault with fails the check. It skips a
-    record only if each member it reads is the very object an earlier agreeing record holds.
+    record only if its `_MEMBERS` items, the ones that rule reads, are the very objects an
+    earlier agreeing record holds.
     """
     digest = kb_digest(kb)
     if header["digest_before"] != digest:
@@ -194,43 +194,43 @@ def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> Ch
     if header["tasks_before"] != [[tid, [list(p) for p in pairs]]
                                   for tid, pairs in enumerate_tasks(kb)]:
         return CheckResult("statement1", False, None, "task enumeration differs from sealed KB")
-    agreed: dict[int, dict] = {}  # id of a candidates list -> an agreeing record holding it
+    agreed: dict[int, tuple] = {}  # id of a candidates list -> an agreeing record's members
     for trial in trials:
-        key = id(trial["candidates"])
+        members, key = _MEMBERS(trial), id(trial["candidates"])
         like = agreed.get(key)
-        if like is not None and all(map(is_, _READ(trial), _READ(like))):
+        if like is not None and all(map(is_, members, like)):
             continue  # the very objects _disagreement passed: it would pass them again
         why = _disagreement(trial, kb)
         if why:
             return CheckResult("statement1", False, trial["t"], why)
-        agreed[key] = trial
+        agreed[key] = members
     return CheckResult("statement1", True)
 
 
 def _disagreement(trial: dict, kb: KnowledgeBase) -> str:
     """Why a trial breaks statement 1 against the sealed KB, or "".
 
-    Its node, depth and status must be its denoised vector's outcome in
-    the KB's recognition table. An action needs a recognized trial, a
-    trigger equal to the node, and a sealed program whose own trigger is
-    the node and whose operation tags it names. The pick must agree with
-    its own record: chosen is null exactly when action is, chosen is the
-    action's program, chosen is in eligible, eligible lies within the
-    candidate ids, and phi_chosen is the chosen candidate's phi (null with
-    no pick).
+    Its denoised vector must hold int symbols, and its node, depth and status be that vector's
+    outcome in the KB's recognition table. An action needs a recognized trial, a trigger equal
+    to the node, and a sealed program whose own trigger is the node and whose operation tags
+    it names. The pick must agree with its own record: chosen is null exactly when action is,
+    chosen is the action's program, chosen is in eligible, eligible lies within the candidate
+    ids, and phi_chosen is the chosen candidate's phi (null with no pick).
     """
-    node, action, chosen, eligible = (
-        trial["node"], trial["action"], trial["chosen"], trial["eligible"])
+    (action, _, candidates, chosen, denoised, depth, eligible, _, node, phi_chosen,
+     status) = _MEMBERS(trial)
     try:
-        out = recognized(kb, tuple(trial["denoised"]))
+        if not {int}.issuperset(map(type, denoised)):  # 0.0 and False would find 0's outcome
+            check_vector(tuple(denoised), kb.dim, kb.alphabet)  # so it raises
+        out = recognized(kb, tuple(denoised))
     except ValueError as exc:  # not one of the KB's vectors
-        return f"denoised {trial['denoised']}: {exc}"
-    if (node, trial["depth"], trial["status"]) != (out.node, out.depth, out.status):
-        return (f"node {node}, depth {trial['depth']}, status {trial['status']} != "
-                f"denoised {trial['denoised']}'s node {out.node}, depth {out.depth}, "
+        return f"denoised {denoised}: {exc}"
+    if (node, depth, status) != (out.node, out.depth, out.status):
+        return (f"node {node}, depth {depth}, status {status} != "
+                f"denoised {denoised}'s node {out.node}, depth {out.depth}, "
                 f"status {out.status}")
     if action is not None:
-        if trial["status"] == UNRECOGNIZED:
+        if status == UNRECOGNIZED:
             return "action on unrecognized trial"
         if action["trigger"] != node:
             return f"trigger {action['trigger']} != recognized node {node}"
@@ -241,14 +241,14 @@ def _disagreement(trial: dict, kb: KnowledgeBase) -> str:
             return f"program {prog.id}'s sealed trigger {prog.trigger} != recognized node {node}"
         if tuple(action["tags"]) != kb.tags[prog.id]:
             return f"action tags differ from program {prog.id}'s operation tags"
-    phi = dict(trial["candidates"])  # candidate id -> its phi
+    phi = dict(candidates)  # candidate id -> its phi
     if not phi.keys() >= set(eligible):
         return f"eligible {eligible} not within the candidate ids"
     if chosen is None:
         if action is not None:
             return "action with no chosen program"
-        if trial["phi_chosen"] is not None:
-            return f"phi_chosen {trial['phi_chosen']} with no chosen program"
+        if phi_chosen is not None:
+            return f"phi_chosen {phi_chosen} with no chosen program"
         return ""
     if action is None:
         return f"chosen {chosen} with no action"
@@ -256,8 +256,8 @@ def _disagreement(trial: dict, kb: KnowledgeBase) -> str:
         return f"chosen {chosen} != action program {action['program']}"
     if chosen not in eligible:
         return f"chosen {chosen} not in eligible {eligible}"
-    if trial["phi_chosen"] != phi[chosen]:
-        return f"phi_chosen {trial['phi_chosen']} != candidate {chosen}'s phi {phi[chosen]}"
+    if phi_chosen != phi[chosen]:
+        return f"phi_chosen {phi_chosen} != candidate {chosen}'s phi {phi[chosen]}"
     return ""
 
 

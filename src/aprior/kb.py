@@ -22,6 +22,7 @@ from types import MappingProxyType
 from .digest import canonical_bytes, fnv1a_64
 
 ROOT = -1
+_FLOAT_MAX = sys.float_info.max  # read once: finite_number runs per number of a log
 
 
 class BuildError(Exception):
@@ -174,7 +175,7 @@ def _entries(doc: dict, key: str) -> list[dict]:
 
 def finite_number(value) -> bool:
     """True for a JSON number (not a boolean) that converts to a finite float."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
 
 
 def _new_id(entry: dict, declared, kind: str) -> int:

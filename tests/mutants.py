@@ -228,6 +228,22 @@ MUTANTS = (
            '"k": g.reflex_threshold}',
            "the digest covers every sealed value, a program's utility included",
            killer="tests/test_kb.py"),
+    Mutant("canonical bytes escape non-ASCII", "src/aprior/digest.py",
+           'separators=(",", ":"), ensure_ascii=False',
+           'separators=(",", ":")',
+           "the canonical form is UTF-8 text, so the digest hashes a non-ASCII tag's own bytes",
+           killer="tests/test_episode_oracle.py"),
+    Mutant("an omega stimulus that matches a leaf accepted", "src/aprior/world.py",
+           "if outcome.status == FULL:\n            raise TruthMismatch(",
+           "if False:\n            raise TruthMismatch(",
+           "an unknown pattern declared omega may not be recognized as a leaf",
+           killer="tests/test_world.py"),
+    Mutant("scoring ignores the truth", "src/aprior/world.py",
+           "return scenario.scoring.get((action_tag, truth), 0.0)",
+           "return next((v for (tag, _), v in scenario.scoring.items() if tag == action_tag), "
+           "0.0)",
+           "an action's payoff depends on the stimulus's ground truth",
+           killer="tests/test_agent.py"),
     Mutant("a draw on a cumulative weight picks the entry below", "src/aprior/world.py",
            "from bisect import bisect_right\n",
            "from bisect import bisect_left as bisect_right\n",
@@ -250,14 +266,24 @@ MUTANTS = (
            "the argmax of phi(n) takes the smallest n of equal phis",
            killer="tests/test_decision.py"),
     Mutant("parse_log accepts a gap in t", "src/aprior/audit.py",
-           'trial["t"] != t:',
-           'trial["t"] < t:',
+           "own != t:",
+           "own < t:",
            "record i of a log has t = i",
            killer="tests/test_audit.py"),
     Mutant("parse_log checks no t on parsed records", "src/aprior/audit.py",
-           'if type(trial["t"]) is not int or trial["t"] != t:',
-           'if type(trial["t"]) is not int:',
+           "if type(own) is not int or own != t:",
+           "if type(own) is not int:",
            "a twin whose t digits name another index is parsed in full, and fails on its t",
+           killer="tests/test_log_parse.py"),
+    Mutant("parse_log accepts a non-int symbol", "src/aprior/audit.py",
+           "if type(denoised) is not list or not {int}.issuperset(map(type, denoised)):",
+           "if type(denoised) is not list:",
+           "a logged denoised vector is a list of int symbols",
+           killer="tests/test_audit.py"),
+    Mutant("parse_log accepts a non-int eligible id", "src/aprior/audit.py",
+           "and type(eligible) is list and {int}.issuperset(map(type, eligible))",
+           "and type(eligible) is list",
+           "a logged eligible list holds program ids, which are ints",
            killer="tests/test_log_parse.py"),
     Mutant("a copy is taken whatever its t digits", "src/aprior/audit.py",
            "line.startswith(digits, cut + 5)",
@@ -281,17 +307,22 @@ MUTANTS = (
            "                    raise MalformedLog(fault)\n",
            "a bad JSON line comes first, then the header's fault, then the first record's",
            killer="tests/test_log_parse.py"),
-    Mutant("parse_log checks no keys", "src/aprior/audit.py",
-           "not isinstance(trial, dict) or not _TRIAL_KEYS <= trial.keys()",
-           "not isinstance(trial, dict)",
-           "a trial record holds every required member",
+    Mutant("a missing member raises KeyError", "src/aprior/audit.py",
+           "except (KeyError, TypeError):  # a member missing, or not a dict",
+           "except TypeError:",
+           "a trial record without every required member is a malformed log, not a crash",
            killer="tests/test_audit.py"),
-    Mutant("the grouping key leaves out phi_chosen", "src/aprior/audit.py",
-           '"denoised", "phi_chosen")',
-           '"denoised")',
+    Mutant("statement1 skips a record by its candidates list alone", "src/aprior/audit.py",
+           "if like is not None and all(map(is_, members, like)):",
+           "if like is not None:",
            "statement1 passes a record unchecked only if every member _disagreement reads is an "
-           "agreeing record's own object, phi_chosen included",
+           "agreeing record's own object",
            killer="tests/test_log_parse.py"),
+    Mutant("statement1 looks up a vector of non-int symbols", "src/aprior/audit.py",
+           "if not {int}.issuperset(map(type, denoised)):",
+           "if False:",
+           "0.0 and False equal 0 as keys, so only a vector of ints may be looked up",
+           killer="tests/test_audit.py"),
     Mutant("auditor closure check removed", "src/aprior/audit.py",
            'if header["digest_before"] != header["digest_after"]:',
            "if False:",
@@ -303,7 +334,7 @@ MUTANTS = (
            "the log must name the sealed KB's digest",
            killer="tests/test_cli.py"),
     Mutant("action on unrecognized trial accepted", "src/aprior/audit.py",
-           'if trial["status"] == UNRECOGNIZED:\n            return "action on unrecognized trial"',
+           'if status == UNRECOGNIZED:\n            return "action on unrecognized trial"',
            'if False:\n            return "action on unrecognized trial"',
            "no effector runs on an unrecognized stimulus",
            killer="tests/test_audit.py"),
@@ -312,6 +343,36 @@ MUTANTS = (
            "if False:",
            "trigger locality is judged by the sealed program's trigger, not the log's copy",
            killer="tests/test_audit.py"),
+    Mutant("tags check removed", "src/aprior/audit.py",
+           'if tuple(action["tags"]) != kb.tags[prog.id]:',
+           "if False:",
+           "an action names its sealed program's operation tags, in order",
+           killer="tests/test_audit.py"),
+    Mutant("eligible ids outside the candidates accepted", "src/aprior/audit.py",
+           "if not phi.keys() >= set(eligible):",
+           "if False:",
+           "a pick's eligible programs lie within its candidates",
+           killer="tests/test_audit.py"),
+    Mutant("phi_chosen check removed", "src/aprior/audit.py",
+           "if phi_chosen != phi[chosen]:",
+           "if False:",
+           "phi_chosen is the chosen candidate's own phi",
+           killer="tests/test_audit.py"),
+    Mutant("assert_reflex off by one", "src/aprior/audit.py",
+           "if count < program.reflex_threshold:",
+           "if count + 1 < program.reflex_threshold:",
+           "a program fires no earlier than the k-th recognition of its trigger",
+           killer="tests/test_audit.py"),
+    Mutant("assert_reflex counts unrecognized trials", "src/aprior/audit.py",
+           'if trial["status"] != UNRECOGNIZED:',
+           "if True:",
+           "only a recognition of its trigger counts toward a program's k",
+           killer="tests/test_audit.py"),
+    Mutant("report's unrecognized count inverted", "src/aprior/audit.py",
+           'if trial["status"] == UNRECOGNIZED:\n            unrecognized += 1',
+           'if trial["status"] != UNRECOGNIZED:\n            unrecognized += 1',
+           "the report counts the trials whose stimulus was not recognized",
+           killer="tests/test_golden.py"),
     Mutant("a rejected KB exits 2", "src/aprior/cli.py",
            "(BuildError, NotLeaf, UnderconstrainedLeaf) as exc:  # two subclass ValueError\n"
            "        _exit(exc, EXIT_CHECK_FAILED)\n"

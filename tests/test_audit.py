@@ -115,6 +115,9 @@ RECOGNITION_EDITS = {
     "denoised [3, 0]: vector (3, 0) has symbols that are not ints in [0, 3)": (
         [2, 0], lambda r: r.update(denoised=[3, 0])),
     "denoised [0, 0, 0]: vector length 3 != 2": ([0, 0], lambda r: r.update(denoised=[0, 0, 0])),
+    # 0.0 and False equal 0 as keys: the table lookup alone would find (0, 0)'s outcome, Q11
+    "denoised [0.0, False]: vector (0.0, False) has symbols that are not ints in [0, 3)": (
+        [0, 0], lambda r: r.update(denoised=[0.0, False])),
 }
 
 

@@ -4,6 +4,7 @@ A renamed or inlined trace target otherwise fails only a traced benchmark
 run. perfbench/tests cannot join this suite's testpaths: both directories
 have a conftest module, and the second one shadows the first.
 """
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -89,8 +90,26 @@ def test_a_traced_audit_runs_the_reflex_walk_under_its_traced_name():
     assert names.count("audit.assert_reflex") == 1
 
 
+def _benchmark_names() -> set[tuple[str, str]]:
+    """(module, name) of each aprior name perfbench/*.py imports or reads off the modules
+    agent, audit and decision, which perfbench/workloads.py imports by those names."""
+    found = set()
+    for path in sorted(TRACING_PY.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "aprior":
+                found.update((node.module, alias.name) for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in ("agent", "audit", "decision")):
+                found.add((f"aprior.{node.value.id}", node.attr))
+    return found
+
+
 def test_names_the_benchmark_imports_exist():
-    assert callable(aprior.kb.canonical_document)
-    for name in ("AUTO", "EXACT", "MC_SAMPLES"):
-        assert hasattr(aprior.decision, name), name
+    names = _benchmark_names()
+    # both kinds are collected: names imported, and names read off an imported module
+    assert {("aprior.decision", "MC_SAMPLES"), ("aprior.kb", "canonical_document"),
+            ("aprior.audit", "parse_log"), ("aprior.decision", "optimal_n")} <= names
+    missing = [(module, name) for module, name in sorted(names)
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
     assert hasattr(aprior.decision._exact_feature_accuracy, "cache_info")
