@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from operator import is_, itemgetter
 
 from .kb import KnowledgeBase, enumerate_tasks, finite_number, kb_digest
-from .perception import FULL, PARTIAL, UNRECOGNIZED, check_vector, recognized
+from .perception import FULL, PARTIAL, UNRECOGNIZED, recognized
 
 
 class MalformedLog(ValueError):
@@ -220,8 +220,6 @@ def _disagreement(trial: dict, kb: KnowledgeBase) -> str:
     (action, _, candidates, chosen, denoised, depth, eligible, _, node, phi_chosen,
      status) = _MEMBERS(trial)
     try:
-        if not {int}.issuperset(map(type, denoised)):  # 0.0 and False would find 0's outcome
-            check_vector(tuple(denoised), kb.dim, kb.alphabet)  # so it raises
         out = recognized(kb, tuple(denoised))
     except ValueError as exc:  # not one of the KB's vectors
         return f"denoised {denoised}: {exc}"

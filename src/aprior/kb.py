@@ -74,20 +74,6 @@ class InternalObject:
 
 
 @dataclass(frozen=True)
-class OperationDef:
-    id: int
-    action_tag: str
-    task: int
-    applicable_objects: frozenset[int]
-
-
-@dataclass(frozen=True)
-class Task:
-    id: int
-    pairs: tuple[tuple[int, int], ...]  # (object id, operation id), sorted
-
-
-@dataclass(frozen=True)
 class Program:
     id: int
     trigger: int
@@ -113,8 +99,7 @@ class KnowledgeBase:
     dim: int
     alphabet: int
     objects: Mapping[int, InternalObject]
-    operations: Mapping[int, OperationDef]
-    tasks: Mapping[int, Task]
+    tasks: Mapping[int, tuple[tuple[int, int], ...]]  # its (object, operation) pairs, sorted
     programs: Mapping[int, Program]
     tags: Mapping[int, tuple[str, ...]]  # program id -> its operations' tags, in order
     canonical: bytes = field(repr=False)
@@ -215,8 +200,8 @@ def build_kb(doc: dict) -> KnowledgeBase:
     """Validate a KB document and seal it into a KnowledgeBase.
 
     The only reader of a KB document: the canonical bytes, the child map,
-    the trigger index and the program tags all derive from the sealed
-    structures.
+    the trigger index and the program tags all derive from the checked
+    structures. Operations are checked and kept only until sealing.
     Raises a BuildError subclass on the first violation found. Integers
     are checked with `type(x) is int`, because JSON true and false load as
     Python ints.
@@ -282,7 +267,8 @@ def build_kb(doc: dict) -> KnowledgeBase:
     for entry in raw_tasks:
         task_ids.add(_new_id(entry, task_ids, "task"))
 
-    operations: dict[int, OperationDef] = {}
+    # read only by the checks below, the canonical bytes and the tags: kept in canonical form
+    operations: dict[int, dict] = {}
     for entry in raw_operations:
         pid = _new_id(entry, operations, "operation")
         tag = entry.get("action_tag")
@@ -294,12 +280,12 @@ def build_kb(doc: dict) -> KnowledgeBase:
         applicable = entry.get("applicable_objects")
         if not isinstance(applicable, list) or not applicable:
             raise SchemaError(f"operation {pid}: applicable_objects must be non-empty")
-        applicable = frozenset(
-            _ref(oid, objects, f"operation {pid}", "object") for oid in applicable
-        )
-        operations[pid] = OperationDef(pid, tag, task, applicable)
+        applicable = sorted({_ref(oid, objects, f"operation {pid}", "object")
+                             for oid in applicable})
+        operations[pid] = {"id": pid, "action_tag": tag, "task": task,
+                           "applicable_objects": applicable}
 
-    tasks: dict[int, Task] = {}
+    tasks: dict[int, tuple[tuple[int, int], ...]] = {}
     for entry in raw_tasks:
         tid = entry["id"]
         pairs = entry.get("pairs")
@@ -312,7 +298,7 @@ def build_kb(doc: dict) -> KnowledgeBase:
             oid = _ref(pair[0], objects, f"task {tid}", "object")
             pid = _ref(pair[1], operations, f"task {tid}", "operation")
             checked.append((oid, pid))
-        tasks[tid] = Task(tid, tuple(sorted(checked)))
+        tasks[tid] = tuple(sorted(checked))
 
     programs: dict[int, Program] = {}
     for entry in raw_programs:
@@ -323,7 +309,7 @@ def build_kb(doc: dict) -> KnowledgeBase:
             raise SchemaError(f"program {gid}: operations must be non-empty")
         for pid in ops:
             _ref(pid, operations, f"program {gid}", "operation")
-            if trigger not in operations[pid].applicable_objects:
+            if trigger not in operations[pid]["applicable_objects"]:
                 raise SchemaError(
                     f"program {gid}: operation {pid} is not applicable to "
                     f"trigger {trigger}"
@@ -338,9 +324,8 @@ def build_kb(doc: dict) -> KnowledgeBase:
 
     # sealed: read-only maps in ascending id, which is also the canonical
     # array order; tuples serialize as arrays, and a top-level parent as null
-    objects, operations, tasks, programs = (
-        MappingProxyType(dict(sorted(m.items())))
-        for m in (objects, operations, tasks, programs)
+    objects, tasks, programs = (
+        MappingProxyType(dict(sorted(m.items()))) for m in (objects, tasks, programs)
     )
     canonical = canonical_bytes({
         "d": d,
@@ -350,12 +335,8 @@ def build_kb(doc: dict) -> KnowledgeBase:
              "predicate": o.predicate.constraints}
             for o in objects.values()
         ],
-        "operations": [
-            {"id": p.id, "action_tag": p.action_tag, "task": p.task,
-             "applicable_objects": sorted(p.applicable_objects)}
-            for p in operations.values()
-        ],
-        "tasks": [{"id": t.id, "pairs": t.pairs} for t in tasks.values()],
+        "operations": [operations[pid] for pid in sorted(operations)],
+        "tasks": [{"id": tid, "pairs": pairs} for tid, pairs in tasks.items()],
         "programs": [
             {"id": g.id, "trigger": g.trigger, "operations": g.operations,
              "k": g.reflex_threshold, "utility": g.base_utility}
@@ -366,10 +347,9 @@ def build_kb(doc: dict) -> KnowledgeBase:
         dim=d,
         alphabet=a,
         objects=objects,
-        operations=operations,
         tasks=tasks,
         programs=programs,
-        tags=MappingProxyType({g.id: tuple(operations[pid].action_tag for pid in g.operations)
+        tags=MappingProxyType({g.id: tuple(operations[pid]["action_tag"] for pid in g.operations)
                                for g in programs.values()}),
         canonical=canonical,
         _children=children,
@@ -396,7 +376,7 @@ def kb_digest(kb: KnowledgeBase) -> int:
 
 def enumerate_tasks(kb: KnowledgeBase) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     """All tasks, ascending by id."""
-    return [(t.id, t.pairs) for t in kb.tasks.values()]
+    return list(kb.tasks.items())
 
 
 def load_kb_file(path) -> KnowledgeBase:

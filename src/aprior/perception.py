@@ -17,7 +17,7 @@ counted once per KB, in its observation table.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kb import ROOT, KnowledgeBase, finite_number
 from .rng import SplitMix64
@@ -40,8 +40,6 @@ class ChannelParams:
     epsilon: float
     alphabet: int
     dim: int
-    # a channel use corrupts when its 64-bit draw is below this
-    threshold: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a bool is an int, and 3.0 == 3 would pass AgentState's KB check
@@ -51,7 +49,6 @@ class ChannelParams:
             raise ValueError(f"alphabet must be an int >= 2, got {self.alphabet!r}")
         if type(self.dim) is not int or self.dim < 1:
             raise ValueError(f"dim must be an int >= 1, got {self.dim!r}")
-        object.__setattr__(self, "threshold", int(self.epsilon * (1 << 64)))
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,7 @@ def channel(xs: Iterable[int], params: ChannelParams, rng: SplitMix64) -> tuple[
     and a call that raises leaves the stream where it was. n observations
     of x are channel(x * n, ...), one after another.
     """
-    threshold = params.threshold
+    threshold = int(params.epsilon * (1 << 64))  # a use corrupts when its word is below this
     others = params.alphabet - 1
     limit = (1 << 64) // others * others  # randbelow's rejection bound
     draw = rng.draws()
@@ -142,12 +139,13 @@ def majority_fold(observations) -> tuple[int, ...]:
 def recognized(kb: KnowledgeBase, v: tuple[int, ...]) -> RecognitionOutcome:
     """v's outcome in kb's recognition table.
 
-    A vector missing from the table is checked (ValueError unless it is
-    kb.dim int symbols in [0, kb.alphabet)), identified once per KB and
+    A vector missing from the table, or holding a symbol that is not an
+    int, is checked (ValueError unless it is kb.dim int symbols in
+    [0, kb.alphabet)); a missing one is then identified once per KB and
     added, so the table holds only the KB's own vectors.
     """
     outcome = kb._recognition.get(v)
-    if outcome is None:
+    if outcome is None or not {int}.issuperset(map(type, v)):  # 0.0 and False find 0's outcome
         check_vector(v, kb.dim, kb.alphabet)
         outcome = kb._recognition[v] = identify(kb, v)
     return outcome

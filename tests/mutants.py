@@ -152,6 +152,11 @@ MUTANTS = (
            "not 0 <= s < alphabet",
            "1.0 and True equal 1 as keys, so only ints stand for symbols",
            killer="tests/test_agent.py"),
+    Mutant("statement1 looks up a vector of non-int symbols", "src/aprior/perception.py",
+           "if outcome is None or not {int}.issuperset(map(type, v)):",
+           "if outcome is None:",
+           "0.0 and False equal 0 as keys, so a recognition table hit counts only for int symbols",
+           killer="tests/test_audit.py"),
     Mutant("one word counted per corruption", "src/aprior/perception.py",
            "                u = draw()\n                replacements += 1\n",
            "                u = draw()\n            replacements += 1\n",
@@ -210,8 +215,7 @@ MUTANTS = (
     Mutant("sealed maps left as plain dicts", "src/aprior/kb.py",
            "MappingProxyType(dict(sorted(m.items())))",
            "dict(sorted(m.items()))",
-           "a sealed KB cannot be updated: its object, operation, task and program maps are "
-           "read-only",
+           "a sealed KB cannot be updated: its object, task and program maps are read-only",
            killer="tests/test_kb.py"),
     Mutant("overlapping siblings accepted", "src/aprior/kb.py",
            "if not _siblings_exclusive(objects[c1].predicate, objects[c2].predicate):",
@@ -219,9 +223,14 @@ MUTANTS = (
            "sibling predicates are mutually exclusive, so greedy descent is deterministic",
            killer="tests/test_kb.py"),
     Mutant("an operation not applicable to its program's trigger accepted", "src/aprior/kb.py",
-           "if trigger not in operations[pid].applicable_objects:",
+           'if trigger not in operations[pid]["applicable_objects"]:',
            "if False:",
            "each operation of a program applies to the program's trigger",
+           killer="tests/test_kb.py"),
+    Mutant("tags in sorted order", "src/aprior/kb.py",
+           'tuple(operations[pid]["action_tag"] for pid in g.operations)',
+           'tuple(sorted(operations[pid]["action_tag"] for pid in g.operations))',
+           "a program's tags are its operations' tags in the program's own order",
            killer="tests/test_kb.py"),
     Mutant("canonical bytes without utility", "src/aprior/kb.py",
            '"k": g.reflex_threshold, "utility": g.base_utility}',
@@ -237,6 +246,11 @@ MUTANTS = (
            "if outcome.status == FULL:\n            raise TruthMismatch(",
            "if False:\n            raise TruthMismatch(",
            "an unknown pattern declared omega may not be recognized as a leaf",
+           killer="tests/test_world.py"),
+    Mutant("a reflex schedule that repeats one extra", "src/aprior/world.py",
+           "return Scenario(kind, entries, repeat, scoring,",
+           "return Scenario(kind, entries, repeat + (kind == REFLEX), scoring,",
+           "a reflex schedule shows each entry on exactly repeat trials in a row",
            killer="tests/test_world.py"),
     Mutant("scoring ignores the truth", "src/aprior/world.py",
            "return scenario.scoring.get((action_tag, truth), 0.0)",
@@ -279,7 +293,7 @@ MUTANTS = (
            "if type(denoised) is not list or not {int}.issuperset(map(type, denoised)):",
            "if type(denoised) is not list:",
            "a logged denoised vector is a list of int symbols",
-           killer="tests/test_audit.py"),
+           killer="tests/test_log_parse.py"),
     Mutant("parse_log accepts a non-int eligible id", "src/aprior/audit.py",
            "and type(eligible) is list and {int}.issuperset(map(type, eligible))",
            "and type(eligible) is list",
@@ -318,11 +332,6 @@ MUTANTS = (
            "statement1 passes a record unchecked only if every member _disagreement reads is an "
            "agreeing record's own object",
            killer="tests/test_log_parse.py"),
-    Mutant("statement1 looks up a vector of non-int symbols", "src/aprior/audit.py",
-           "if not {int}.issuperset(map(type, denoised)):",
-           "if False:",
-           "0.0 and False equal 0 as keys, so only a vector of ints may be looked up",
-           killer="tests/test_audit.py"),
     Mutant("auditor closure check removed", "src/aprior/audit.py",
            'if header["digest_before"] != header["digest_after"]:',
            "if False:",

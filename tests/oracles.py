@@ -231,11 +231,12 @@ def scalar_channel(x, n: int, params, rng):
     """n observations of x drawn one word at a time with rng's next_u64 and
     randbelow (a ScalarStream), flat: one symbol per channel use, observation
     after observation."""
+    threshold = int(params.epsilon * 2 ** 64)
     observations = []
     for _ in range(n):
         obs = []
         for sym in x:
-            if rng.next_u64() < params.threshold:
+            if rng.next_u64() < threshold:
                 j = rng.randbelow(params.alphabet - 1)
                 sym = j if j < sym else j + 1
             obs.append(sym)

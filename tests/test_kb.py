@@ -261,8 +261,7 @@ def test_non_finite_utility_rejected(utility):
 
 
 def test_sealed_containers_are_read_only(kb):
-    containers = (kb.objects, kb.operations, kb.tasks, kb.programs,
-                  kb._children, kb._by_trigger)
+    containers = (kb.objects, kb.tasks, kb.programs, kb._children, kb._by_trigger)
     for container in containers:
         key = next(iter(container))
         with pytest.raises(TypeError):
@@ -271,9 +270,8 @@ def test_sealed_containers_are_read_only(kb):
             container[999] = container[key]
         with pytest.raises(TypeError):
             del container[key]
-    # the values below the maps are frozen dataclasses, tuples and frozensets
-    assert isinstance(kb.operations[2].applicable_objects, frozenset)
-    assert isinstance(kb.tasks[1].pairs, tuple)
+    # the values below the maps are frozen dataclasses and tuples
+    assert kb.tasks[1] == ((11, 1), (12, 2)) and all(type(p) is tuple for p in kb.tasks[1])
     assert isinstance(kb.programs_for(12), tuple)
 
 

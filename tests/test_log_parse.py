@@ -343,6 +343,9 @@ CASES = {
     "object truth": _at_repeat(lambda line: redump(line, lambda r: r.update(truth={"t": 1}))),
     "blank lines": lambda lines: [x for line in lines for x in (line, "", "  ")],
     "ill-typed repeat": _at_repeat(ill_typed),
+    # 0.0 and False equal 0, so only their types tell them from an honest vector
+    "float and boolean symbols": _at_repeat(
+        lambda line: redump(line, lambda r: r.update(denoised=[0.0, False, *r["denoised"][2:]]))),
     "dropped key": _at_repeat(lambda line: redump(line, lambda r: r.pop("eligible"))),
     "twin t is its index with a leading zero": _repeat_t(lambda t, first: f"0{t}"),
     "twin t names another index": _repeat_t(lambda t, first: str(first)),
@@ -361,7 +364,8 @@ CASES = {
 
 
 MALFORMED = {"repeat with t off by one", "t 007", "t of 5000 digits", "t of 19 digits",
-             "raw string holding t", "ill-typed repeat", "dropped key",
+             "raw string holding t", "ill-typed repeat", "float and boolean symbols",
+             "dropped key",
              "nested t counting trials", "nested t and truth counting trials",
              "twin t is its index with a leading zero", "twin t names another index",
              "twin t is its index and one more digit",

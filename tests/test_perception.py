@@ -216,6 +216,15 @@ def test_symbols_that_only_equal_ints_never_enter_the_table(kb, noiseless, vecto
     assert kb._recognition == {}
 
 
+@pytest.mark.parametrize("vector", [(0.0, False), (0, False), (True, 0)])
+def test_a_warm_table_gives_no_outcome_to_symbols_that_only_equal_ints(kb, vector):
+    # negative control: each vector equals (0, 0) or (1, 0) as a key, and both are in the table
+    warm = {v: recognized(kb, v) for v in [(0, 0), (1, 0)]}
+    with pytest.raises(ValueError, match="not ints"):
+        recognized(kb, vector)
+    assert kb._recognition == warm
+
+
 def identify_every_time(kb, x, n, params, rng):
     # measure as written before the memo: one identify per vector, every call
     observations = [corrupt(x, params, rng) for _ in range(n)]
@@ -279,9 +288,15 @@ def test_channel_params_take_only_int_sizes_and_a_numeric_epsilon(epsilon, alpha
         ChannelParams(epsilon, alphabet, dim)
 
 
-@pytest.mark.parametrize("epsilon", [0, 1, 0.0, 0.3, 1.0])
+@pytest.mark.parametrize("epsilon", [0, 1])
 def test_channel_params_take_an_int_or_float_epsilon(epsilon):
-    assert ChannelParams(epsilon, 3, 2).threshold == int(epsilon * (1 << 64))
+    # an int epsilon gives the channel output and stream state of its float
+    uses = tuple(s for v in ALL_VECTORS for s in v)
+    as_int, as_float = SplitMix64(7), SplitMix64(7)
+    out = channel(uses, ChannelParams(epsilon, 3, 2), as_int)
+    assert out == channel(uses, ChannelParams(float(epsilon), 3, 2), as_float)
+    assert as_int.state == as_float.state
+    assert all((o == u) == (epsilon == 0) for o, u in zip(out, uses))
 
 
 def assert_channel_is_the_scalar_walk(x, n, params, state):
