@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 from contextlib import closing
-from dataclasses import dataclass, field
 from itertools import chain
 
 from . import world as world_mod
@@ -64,24 +63,25 @@ _Pick = tuple[int | None, str]  # (sealed program id or None, text): see _entry
 _Entry = tuple[list[_Pick], _Pick | None]  # (picks, idle)
 
 
-@dataclass
 class AgentState:
-    kb: KnowledgeBase
-    params: ChannelParams
-    econ: MeasurementEconomy
-    seed: int
-    fixed_n: int | None = None
-    n: int = field(init=False)  # measurements per trial, planned once
-    trials: int = field(default=0, init=False)
-    # recognized object id -> recognitions so far, the current trial included
-    recurrence: dict[int, int] = field(default_factory=dict, init=False)
-    # folded vector -> (largest k among its node's programs, {(hits, gate state): entry}),
-    # shared with every state on kb with this state's n and economy
-    decisions: dict[tuple[int, ...], tuple[int, dict[tuple[int, int], _Entry]]] = field(init=False)
-    channel_rng: SplitMix64 = field(init=False)
-    selection_rng: SplitMix64 = field(init=False)
+    """An agent's state on a sealed KB, built from kb, params, econ, seed and fixed_n only.
 
-    def __post_init__(self):
+    n: measurements per trial, planned once; trials: trials run so far;
+    recurrence: recognized object id -> recognitions so far, the current
+    trial included; decisions: folded vector -> (largest k among its node's
+    programs, {(hits, gate state): _Entry}), shared with every state on kb
+    with this state's n and economy; channel_rng and selection_rng: its two
+    agent streams.
+    """
+
+    __slots__ = ("kb", "params", "econ", "seed", "fixed_n", "n", "trials", "recurrence",
+                 "decisions", "channel_rng", "selection_rng")
+
+    def __init__(self, kb: KnowledgeBase, params: ChannelParams, econ: MeasurementEconomy,
+                 seed: int, fixed_n: int | None = None):
+        self.kb, self.params, self.econ, self.seed, self.fixed_n = kb, params, econ, seed, fixed_n
+        self.trials = 0
+        self.recurrence = {}
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.fixed_n is not None and (type(self.fixed_n) is not int or self.fixed_n < 1):
@@ -235,13 +235,17 @@ def step(state: AgentState, stimulus: tuple[int, ...]) -> dict:
     return json.loads(f'{text}{_members(status=outcome.status, stimulus=list(stimulus))}"t":{t}}}')
 
 
-@dataclass
 class EpisodeLog:
-    header: dict
-    lines: list[str]  # each trial's JSON line: step's dict with truth and score
-    recognized: int  # trials whose stimulus was recognized
-    actions: int  # trials that ran a program
-    score: float  # the trials' scores summed in trial order
+    """An episode's header, its trials' JSON lines (step's dict with truth and score), the
+    counts of trials whose stimulus was recognized and of trials that ran a program, and
+    the trials' scores summed in trial order."""
+
+    __slots__ = ("header", "lines", "recognized", "actions", "score")
+
+    def __init__(self, header: dict, lines: list[str], recognized: int, actions: int,
+                 score: float):
+        self.header, self.lines, self.recognized, self.actions, self.score = (
+            header, lines, recognized, actions, score)
 
     def to_jsonl(self) -> str:
         return "\n".join([_ENCODER.encode(self.header), *self.lines]) + "\n"

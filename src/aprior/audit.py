@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from operator import is_, itemgetter
 
 from .kb import KnowledgeBase, enumerate_tasks, finite_number, kb_digest
@@ -23,22 +23,13 @@ class MalformedLog(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    violating_trial: int | None = None
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed violating_trial detail",
+                         defaults=(None, ""))
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    checks: tuple[CheckResult, ...]
-    digest_before: int
-    digest_after: int
-    trials: int
-    unrecognized_trials: int
-    actions: int
+class AuditReport(namedtuple("AuditReport", "checks digest_before digest_after trials "
+                                            "unrecognized_trials actions")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -48,7 +39,7 @@ class AuditReport:
         return json.dumps(
             {
                 "passed": self.passed,
-                "checks": [asdict(c) for c in self.checks],
+                "checks": [c._asdict() for c in self.checks],
                 "digest_before": self.digest_before,
                 "digest_after": self.digest_after,
                 "totals": {

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .kb import KnowledgeBase, Program, finite_number
 from .perception import ChannelParams, InvalidCount, channel, majority_fold
@@ -26,7 +26,6 @@ EXACT_LIMIT = 10 ** 6
 MC_SAMPLES = 10 ** 5
 # samples per channel call, which bounds the draws held at once
 MC_BATCH = 1000
-T = TypeVar("T")  # an item of the list select_random picks from
 
 
 class NotLeaf(ValueError):
@@ -37,24 +36,24 @@ class UnderconstrainedLeaf(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MeasurementEconomy:
-    value: float  # payoff of acting on a correct recognition
-    cost: float  # per measurement
-    phi0: float  # DoWhile threshold (strict)
-    n_max: int
+class MeasurementEconomy(namedtuple("MeasurementEconomy", "value cost phi0 n_max")):
+    """value: payoff of acting on a correct recognition; cost: per measurement;
+    phi0: DoWhile threshold (strict); n_max: the largest n a sweep tries."""
 
-    def __post_init__(self):
-        if type(self.n_max) is not int or self.n_max < 1:  # a bool is no count
-            raise ValueError(f"n_max must be an int >= 1, got {self.n_max!r}")
+    __slots__ = ()
+
+    def __new__(cls, value: float, cost: float, phi0: float, n_max: int):
+        if type(n_max) is not int or n_max < 1:  # a bool is no count
+            raise ValueError(f"n_max must be an int >= 1, got {n_max!r}")
         # NaN is neither < 0 nor < 1, so the checks below would let it through
-        if not all(map(finite_number, (self.value, self.cost, self.phi0, self.n_max))):
+        if not all(map(finite_number, (value, cost, phi0, n_max))):
             raise ValueError("value, cost, phi0 and n_max must be finite numbers")
-        if self.value < 0 or self.cost < 0:
+        if value < 0 or cost < 0:
             raise ValueError("value and cost must be >= 0")
         # every sweep phi lies within value + cost * n_max
-        if not math.isfinite(self.value + self.cost * self.n_max):
+        if not math.isfinite(value + cost * n_max):
             raise ValueError("value + cost * n_max overflows a float")
+        return super().__new__(cls, value, cost, phi0, n_max)
 
 
 def resolve_mode(n: int, params: ChannelParams, mode: str = AUTO) -> str:
@@ -159,14 +158,6 @@ def phi_measure(n: int, perr_n: float, econ: MeasurementEconomy) -> float:
     return econ.value * (1.0 - perr_n) - econ.cost * n
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    perr: float
-    phi: float
-    is_argmax: bool
-
-
 def optimal_n(
     kb: KnowledgeBase,
     node: int,
@@ -183,6 +174,7 @@ def optimal_n(
         rows.append((n, perr, phi_measure(n, perr, econ)))
     best_n, _, best_phi = max(rows, key=lambda row: row[2])  # max keeps the first
     if return_sweep:
+        from .sweep_row import SweepRow  # imported by a returned sweep only
         sweep = [SweepRow(n, perr, phi, n == best_n) for n, perr, phi in rows]
         return (best_n, best_phi), sweep
     return best_n, best_phi
@@ -201,7 +193,7 @@ def order_and_filter(pairs: list[list], phi0: float) -> list[list]:
     return sorted((q for q in pairs if q[1] > phi0), key=lambda q: (-q[1], q[0]))
 
 
-def select_random(items: Sequence[T], rng: SplitMix64) -> T | None:
+def select_random(items: Sequence, rng: SplitMix64):
     """A uniform pick from any list by one randbelow(len) word; None, drawing none, if empty."""
     if not items:
         return None

@@ -15,8 +15,9 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from operator import attrgetter
 from types import MappingProxyType
 
 from .digest import canonical_bytes, fnv1a_64
@@ -53,11 +54,10 @@ class EmptyTask(BuildError):
     pass
 
 
-@dataclass(frozen=True)
-class Predicate:
-    """Conjunction of (feature index, required symbol) constraints."""
+class Predicate(namedtuple("Predicate", "constraints")):
+    """Conjunction of (feature index, required symbol) constraints, sorted by index."""
 
-    constraints: tuple[tuple[int, int], ...]  # sorted by feature index
+    __slots__ = ()
 
     def matches(self, v: tuple[int, ...]) -> bool:
         return all(v[i] == s for i, s in self.constraints)
@@ -66,26 +66,34 @@ class Predicate:
         return dict(self.constraints)
 
 
-@dataclass(frozen=True)
-class InternalObject:
-    id: int
-    parent: int  # ROOT for top-level objects
-    predicate: Predicate
+# a recognition-tree node; its parent is ROOT for a top-level object
+InternalObject = namedtuple("InternalObject", "id parent predicate")
+# a behavior program; reflex_threshold 1 is unconditioned, above 1 conditioned
+Program = namedtuple("Program", "id trigger operations reflex_threshold base_utility")
 
 
-@dataclass(frozen=True)
-class Program:
-    id: int
-    trigger: int
-    operations: tuple[int, ...]
-    reflex_threshold: int  # 1 = unconditioned, >1 = conditioned
-    base_utility: float
+class Frozen:
+    """Base of a record whose __slots__ fields its __init__ sets once, through _seal;
+    assigning or deleting a field afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def _seal(self, *values) -> None:  # one value per field, in __slots__ order
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(Frozen):
     """A sealed KB: every map is read-only and iterates in ascending id.
 
+    tasks maps a task id to its (object, operation) pairs, sorted; tags, a
+    program id to its operations' tags, in order.
     _recognition maps a vector to its outcome (perception.recognized), at
     most alphabet ** dim entries. _observed maps a measurement count n to
     False, when its alphabet ** (dim * n) observation sets exceed
@@ -93,21 +101,32 @@ class KnowledgeBase:
     their (folded vector, outcome, agreeing count) (perception.observed).
     _decisions maps the (n, phi0, cost, sign of cost) of the latest agent
     state built on the KB to its decision table, keyed by folded vector,
-    one entry at most. All three live exactly as long as the KB.
+    one entry at most. All three start empty, live exactly as long as the
+    KB, and take no part in its equality or repr.
     """
 
-    dim: int
-    alphabet: int
-    objects: Mapping[int, InternalObject]
-    tasks: Mapping[int, tuple[tuple[int, int], ...]]  # its (object, operation) pairs, sorted
-    programs: Mapping[int, Program]
-    tags: Mapping[int, tuple[str, ...]]  # program id -> its operations' tags, in order
-    canonical: bytes = field(repr=False)
-    _children: Mapping[int, tuple[int, ...]] = field(repr=False)
-    _by_trigger: Mapping[int, tuple[Program, ...]] = field(repr=False)
-    _recognition: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _observed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _decisions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("dim", "alphabet", "objects", "tasks", "programs", "tags",  # shown by repr
+                 "canonical", "_children", "_by_trigger",  # compared by == with those
+                 "_recognition", "_observed", "_decisions")
+
+    def __init__(self, dim: int, alphabet: int, objects: Mapping[int, InternalObject],
+                 tasks: Mapping[int, tuple[tuple[int, int], ...]],
+                 programs: Mapping[int, Program], tags: Mapping[int, tuple[str, ...]],
+                 canonical: bytes, _children: Mapping[int, tuple[int, ...]],
+                 _by_trigger: Mapping[int, tuple[Program, ...]]):
+        self._seal(dim, alphabet, objects, tasks, programs, tags, canonical, _children,
+                   _by_trigger, {}, {}, {})
+
+    def __eq__(self, other):
+        if type(other) is not KnowledgeBase:
+            return NotImplemented
+        return _KB_COMPARED(self) == _KB_COMPARED(other)
+
+    __hash__ = None  # its maps are unhashable
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in _KB_SHOWN)
+        return f"KnowledgeBase({', '.join(shown)})"
 
     def children(self, object_id: int) -> tuple[int, ...]:
         return self._children.get(object_id, ())
@@ -118,6 +137,10 @@ class KnowledgeBase:
     def programs_for(self, trigger: int) -> tuple[Program, ...]:
         """Programs triggered by exactly this object, ascending by id."""
         return self._by_trigger.get(trigger, ())
+
+
+_KB_SHOWN = KnowledgeBase.__slots__[:6]
+_KB_COMPARED = attrgetter(*KnowledgeBase.__slots__[:9])
 
 
 def _parse_predicate(raw, d: int, a: int, where: str) -> Predicate:

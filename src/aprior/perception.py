@@ -16,10 +16,11 @@ counted once per KB, in its observation table.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
+from operator import attrgetter
 
-from .kb import ROOT, KnowledgeBase, finite_number
+from .kb import ROOT, Frozen, KnowledgeBase, finite_number
 from .rng import SplitMix64
 
 FULL = "full"
@@ -33,29 +34,45 @@ class InvalidCount(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(namedtuple("ChannelParams", "epsilon alphabet dim")):
     """Per-feature corruption probability over a fixed alphabet."""
 
-    epsilon: float
-    alphabet: int
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, epsilon: float, alphabet: int, dim: int):
         # a bool is an int, and 3.0 == 3 would pass AgentState's KB check
-        if not (finite_number(self.epsilon) and 0.0 <= self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must be an int or float in [0, 1], got {self.epsilon!r}")
-        if type(self.alphabet) is not int or self.alphabet < 2:
-            raise ValueError(f"alphabet must be an int >= 2, got {self.alphabet!r}")
-        if type(self.dim) is not int or self.dim < 1:
-            raise ValueError(f"dim must be an int >= 1, got {self.dim!r}")
+        if not (finite_number(epsilon) and 0.0 <= epsilon <= 1.0):
+            raise ValueError(f"epsilon must be an int or float in [0, 1], got {epsilon!r}")
+        if type(alphabet) is not int or alphabet < 2:
+            raise ValueError(f"alphabet must be an int >= 2, got {alphabet!r}")
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"dim must be an int >= 1, got {dim!r}")
+        return super().__new__(cls, epsilon, alphabet, dim)
 
 
-@dataclass(frozen=True)
-class RecognitionOutcome:
-    node: int
-    depth: int
-    status: str  # full | partial | unrecognized
+class RecognitionOutcome(Frozen):
+    """The node a vector is identified to, its depth and its status (full | partial |
+    unrecognized); it compares and hashes by value. A __slots__ record, not a tuple: the
+    trial loop reads its node and status."""
+
+    __slots__ = ("node", "depth", "status")
+
+    def __init__(self, node: int, depth: int, status: str):
+        self._seal(node, depth, status)
+
+    def __eq__(self, other):
+        if type(other) is not RecognitionOutcome:
+            return NotImplemented
+        return _outcome_key(self) == _outcome_key(other)
+
+    def __hash__(self) -> int:
+        return hash(_outcome_key(self))
+
+    def __repr__(self) -> str:
+        return "RecognitionOutcome(node=%r, depth=%r, status=%r)" % _outcome_key(self)
+
+
+_outcome_key = attrgetter(*RecognitionOutcome.__slots__)
 
 
 def check_vector(v: tuple[int, ...], dim: int, alphabet: int) -> None:

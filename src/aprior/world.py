@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .kb import KnowledgeBase, finite_number
@@ -33,20 +33,12 @@ class TruthMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Stimulus:
-    vector: tuple[int, ...]
-    truth: int | str  # object id or OMEGA
-
-
-@dataclass(frozen=True)
-class Scenario:
-    kind: str
-    entries: tuple[Stimulus, ...]
-    repeat: int
-    scoring: dict[tuple[str, int | str], float]
-    total_weight: float  # the weights' sum, the scale of a categorical draw
-    cumulative: tuple[float, ...]  # running weight sums less the last: bisect_right picks
+# a vector and its truth, an object id or OMEGA; a tuple, so it hashes in C as a memo key
+Stimulus = namedtuple("Stimulus", "vector truth")
+# a checked schedule: its kind, its Stimulus entries, the reflex repeat, the scoring map
+# from (action tag, truth) to payoff, the weights' sum (the scale of a categorical draw)
+# and the running weight sums less the last, from which bisect_right picks
+Scenario = namedtuple("Scenario", "kind entries repeat scoring total_weight cumulative")
 
 
 def _truth(value, where: str) -> int | str:

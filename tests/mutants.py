@@ -264,6 +264,18 @@ MUTANTS = (
            "entry i of a categorical scenario holds the draws in [its lower cumulative weight, "
            "its upper one)",
            killer="tests/test_world.py"),
+    Mutant("a sealed KB accepts assignment", "src/aprior/kb.py",
+           "    __hash__ = None  # its maps are unhashable\n",
+           "    __hash__ = None  # its maps are unhashable\n    __setattr__ = object.__setattr__\n",
+           "the KB is sealed: assigning to a field of it raises AttributeError",
+           killer="tests/test_records.py"),
+    Mutant("Stimulus compared by identity", "src/aprior/world.py",
+           'Stimulus = namedtuple("Stimulus", "vector truth")\n',
+           'Stimulus = type("Stimulus", (namedtuple("Stimulus", "vector truth"),),\n'
+           '                {"__eq__": object.__eq__, "__ne__": object.__ne__,\n'
+           '                 "__hash__": object.__hash__})\n',
+           "a stimulus compares and hashes by value: two loads of one scenario are equal",
+           killer="tests/test_records.py"),
     Mutant("majority_fold tie-break flipped", "src/aprior/perception.py",
            "max(sorted(set(col)), key=col.count)",
            "max(sorted(set(col), reverse=True), key=col.count)",

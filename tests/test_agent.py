@@ -1,5 +1,5 @@
-import dataclasses
 import importlib.util
+import inspect
 import json
 import re
 from pathlib import Path
@@ -108,7 +108,7 @@ def test_do_action_rejects_what_eligible_programs_leaves_out(kb):
     assert kb.tags[do_action(state, kb.programs[3], out_q2).id] == ("approach",)
     with pytest.raises(IneligibleProgram):
         do_action(state, kb.programs[3], RecognitionOutcome(2, 1, UNRECOGNIZED))
-    foreign = dataclasses.replace(kb.programs[3], id=99)
+    foreign = kb.programs[3]._replace(id=99)
     with pytest.raises(IneligibleProgram):
         do_action(state, foreign, out_q2)
 
@@ -118,10 +118,10 @@ def test_do_action_rejects_a_copy_with_other_operations(kb):
     state = make_state(kb)
     out_q12 = RecognitionOutcome(12, 2, FULL)
     record(state, out_q12)
-    copy = dataclasses.replace(kb.programs[2], operations=(2,))
+    copy = kb.programs[2]._replace(operations=(2,))
     with pytest.raises(IneligibleProgram):
         do_action(state, copy, out_q12)
-    assert do_action(state, dataclasses.replace(kb.programs[2]), out_q12) is kb.programs[2]
+    assert do_action(state, kb.programs[2]._replace(), out_q12) is kb.programs[2]
 
 
 def test_step_unrecognized_leaves_kb_untouched(kb):
@@ -312,10 +312,10 @@ def test_state_keeps_counters_not_a_record_per_trial(kb):
     assert set(state.recurrence) <= set(kb.objects)
     assert len(kb._recognition) <= kb.alphabet ** kb.dim
     # nothing else on the state grows with the trial count
-    for f in dataclasses.fields(state):
-        value = getattr(state, f.name)
-        if f.name != "kb" and isinstance(value, (list, dict, set, tuple)):
-            assert len(value) <= max(len(kb.objects), kb.alphabet ** kb.dim), f.name
+    for name in AgentState.__slots__:
+        value = getattr(state, name)
+        if name != "kb" and isinstance(value, (list, dict, set, tuple)):
+            assert len(value) <= max(len(kb.objects), kb.alphabet ** kb.dim), name
 
 
 def c1_state(kb, seed):
@@ -442,7 +442,7 @@ def test_a_new_economy_replaces_the_kbs_decision_table():
 
 
 def test_state_is_built_from_its_inputs_only(kb):
-    init = [f.name for f in dataclasses.fields(AgentState) if f.init]
+    init = list(inspect.signature(AgentState).parameters)
     assert init == ["kb", "params", "econ", "seed", "fixed_n"]
 
 

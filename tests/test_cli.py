@@ -428,13 +428,15 @@ def test_an_option_value_may_start_with_a_minus(kb_file, scenario_file, tmp_path
 
 
 def test_importing_the_cli_leaves_out_click_and_the_auditor(kb_file, scenario_file, tmp_path):
-    # a fresh interpreter: run never imports aprior.audit, and audit does
+    # a fresh interpreter: run never imports aprior.audit, and audit does; neither loads
+    # dataclasses (nor inspect, which it imports), and a sweep loads it for SweepRow
     out = tmp_path / "log.jsonl"
     script = """
 import json, sys
 import aprior.cli
 def loaded():
-    return [name for name in ("click", "aprior.audit") if name in sys.modules]
+    return [name for name in ("click", "aprior.audit", "dataclasses", "inspect")
+            if name in sys.modules]
 print(loaded())
 for argv in json.loads(sys.argv[1]):
     try:
@@ -443,13 +445,15 @@ for argv in json.loads(sys.argv[1]):
         assert exc.code == 0, exc.code
     print(loaded())
 """
-    argvs = [run_args(kb_file, scenario_file, out), ["audit", str(out), "--kb", str(kb_file)]]
+    argvs = [run_args(kb_file, scenario_file, out), ["audit", str(out), "--kb", str(kb_file)],
+             ["sweep", "--kb", str(kb_file), "--node", "11", "--epsilon", "0.3", "--n-max", "3",
+              "--mode", "exact", "--out", str(tmp_path / "sweep.csv")]]
     src = str(Path(aprior.cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     loaded = [line for line in done.stdout.splitlines() if line.startswith("[")]
-    assert loaded == ["[]", "[]", "['aprior.audit']"]
+    assert loaded == ["[]", "[]", "['aprior.audit']", "['aprior.audit', 'dataclasses', 'inspect']"]
 
 
 def _malformed_scenario(case: str) -> dict:

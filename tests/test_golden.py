@@ -5,8 +5,9 @@ The log and exact sweep hashes were taken from the CLI before any trial-loop
 optimization, the CSV hash and summary line before the CSV was derived
 from the log lines, the Monte Carlo sweep hash before that estimator
 drew through perception.channel, and the audit report hashes before the
-report built its checks with dataclasses.asdict, so a change that alters
-a single byte of any of them turns these red.
+report built its checks with dataclasses.asdict, which CheckResult._asdict
+has since replaced, so a change that alters a single byte of any of them
+turns these red.
 Regenerate them only for a deliberate output change, and say so in
 CHANGES.md.
 """

@@ -36,7 +36,7 @@ def test_minimal_kb_builds_and_is_sealed():
     kb = build_kb(minimal_doc())
     assert len(kb.objects) == 1
     assert kb.is_leaf(1)
-    # no mutating API exists; the dataclass is the whole surface
+    # no mutating API exists; the sealed record is the whole surface
     assert not any(name.startswith(("add_", "set_", "update")) for name in dir(kb))
 
 
@@ -270,7 +270,7 @@ def test_sealed_containers_are_read_only(kb):
             container[999] = container[key]
         with pytest.raises(TypeError):
             del container[key]
-    # the values below the maps are frozen dataclasses and tuples
+    # the values below the maps are frozen records (namedtuples) and tuples
     assert kb.tasks[1] == ((11, 1), (12, 2)) and all(type(p) is tuple for p in kb.tasks[1])
     assert isinstance(kb.programs_for(12), tuple)
 
