@@ -16,7 +16,7 @@ from collections import namedtuple
 from operator import is_, itemgetter
 
 from .kb import KnowledgeBase, enumerate_tasks, finite_number, kb_digest
-from .perception import FULL, PARTIAL, UNRECOGNIZED, recognized
+from .perception import FULL, PARTIAL, UNRECOGNIZED, check_vector, identify
 
 
 class MalformedLog(ValueError):
@@ -176,7 +176,8 @@ def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> Ch
 
     The first trial in order that `_disagreement` finds fault with fails the check. It skips a
     record only if its `_MEMBERS` items, the ones that rule reads, are the very objects an
-    earlier agreeing record holds.
+    earlier agreeing record holds. Each distinct denoised vector is identified once per audit,
+    from the sealed tree itself, never from a table the run wrote.
     """
     digest = kb_digest(kb)
     if header["digest_before"] != digest:
@@ -186,34 +187,41 @@ def assert_statement1(header: dict, trials: list[dict], kb: KnowledgeBase) -> Ch
                                   for tid, pairs in enumerate_tasks(kb)]:
         return CheckResult("statement1", False, None, "task enumeration differs from sealed KB")
     agreed: dict[int, tuple] = {}  # id of a candidates list -> an agreeing record's members
+    outcomes: dict = {}  # a checked vector -> its identify outcome
     for trial in trials:
         members, key = _MEMBERS(trial), id(trial["candidates"])
         like = agreed.get(key)
         if like is not None and all(map(is_, members, like)):
             continue  # the very objects _disagreement passed: it would pass them again
-        why = _disagreement(trial, kb)
+        why = _disagreement(trial, kb, outcomes)
         if why:
             return CheckResult("statement1", False, trial["t"], why)
         agreed[key] = members
     return CheckResult("statement1", True)
 
 
-def _disagreement(trial: dict, kb: KnowledgeBase) -> str:
+def _disagreement(trial: dict, kb: KnowledgeBase, outcomes: dict) -> str:
     """Why a trial breaks statement 1 against the sealed KB, or "".
 
-    Its denoised vector must hold int symbols, and its node, depth and status be that vector's
-    outcome in the KB's recognition table. An action needs a recognized trial, a trigger equal
-    to the node, and a sealed program whose own trigger is the node and whose operation tags
-    it names. The pick must agree with its own record: chosen is null exactly when action is,
-    chosen is the action's program, chosen is in eligible, eligible lies within the candidate
-    ids, and phi_chosen is the chosen candidate's phi (null with no pick).
+    Its denoised vector must be kb.dim int symbols in [0, kb.alphabet), and its node, depth
+    and status that vector's identify outcome, kept in the caller's outcomes (vector ->
+    outcome) for later records. An action needs a recognized trial, a trigger equal to the
+    node, and a sealed program whose own trigger is the node and whose operation tags it names.
+    The pick must agree with its own record: chosen is null exactly when action is, chosen is
+    the action's program, chosen is in eligible, eligible lies within the candidate ids, and
+    phi_chosen is the chosen candidate's phi (null with no pick).
     """
     (action, _, candidates, chosen, denoised, depth, eligible, _, node, phi_chosen,
      status) = _MEMBERS(trial)
-    try:
-        out = recognized(kb, tuple(denoised))
-    except ValueError as exc:  # not one of the KB's vectors
-        return f"denoised {denoised}: {exc}"
+    v = tuple(denoised)
+    # 0.0 and False equal 0 as keys, so only a vector of int symbols is looked up
+    out = outcomes.get(v) if {int}.issuperset(map(type, v)) else None
+    if out is None:
+        try:
+            check_vector(v, kb.dim, kb.alphabet)
+        except ValueError as exc:  # not one of the KB's vectors
+            return f"denoised {denoised}: {exc}"
+        out = outcomes[v] = identify(kb, v)
     if (node, depth, status) != (out.node, out.depth, out.status):
         return (f"node {node}, depth {depth}, status {status} != "
                 f"denoised {denoised}'s node {out.node}, depth {out.depth}, "

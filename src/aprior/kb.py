@@ -94,11 +94,12 @@ class KnowledgeBase(Frozen):
 
     tasks maps a task id to its (object, operation) pairs, sorted; tags, a
     program id to its operations' tags, in order.
-    _recognition maps a vector to its outcome (perception.recognized), at
-    most alphabet ** dim entries. _observed maps a measurement count n to
+    _recognition maps a vector to its identify outcome, at most
+    alphabet ** dim entries. _observed maps a measurement count n to
     False, when its alphabet ** (dim * n) observation sets exceed
     perception.OBSERVED_MAX, or else to a table from n observations to
-    their (folded vector, outcome, agreeing count) (perception.observed).
+    their (folded vector, outcome, agreeing count). perception.observed is
+    the one writer of both.
     _decisions maps the (n, phi0, cost, sign of cost) of the latest agent
     state built on the KB to its decision table, keyed by folded vector,
     one entry at most. All three start empty, live exactly as long as the

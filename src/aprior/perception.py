@@ -153,31 +153,18 @@ def majority_fold(observations) -> tuple[int, ...]:
                  for col in zip(*observations))
 
 
-def recognized(kb: KnowledgeBase, v: tuple[int, ...]) -> RecognitionOutcome:
-    """v's outcome in kb's recognition table.
-
-    A vector missing from the table, or holding a symbol that is not an
-    int, is checked (ValueError unless it is kb.dim int symbols in
-    [0, kb.alphabet)); a missing one is then identified once per KB and
-    added, so the table holds only the KB's own vectors.
-    """
-    outcome = kb._recognition.get(v)
-    if outcome is None or not {int}.issuperset(map(type, v)):  # 0.0 and False find 0's outcome
-        check_vector(v, kb.dim, kb.alphabet)
-        outcome = kb._recognition[v] = identify(kb, v)
-    return outcome
-
-
 def observed(
     kb: KnowledgeBase, uses: tuple[int, ...], n: int
 ) -> tuple[tuple[int, ...], RecognitionOutcome, int]:
     """The trial kernel's input step: (folded vector, its outcome, agreeing observations)
     of n observations, given as their n * kb.dim channel uses in one flat tuple.
 
-    The three are kept in kb._observed[n], keyed by the uses, once every
-    vector in them is recognized; kb._observed[n] is False, decided once per
-    KB and n, when alphabet ** (dim * n) exceeds OBSERVED_MAX, and every call
-    then folds afresh.
+    A vector missing from kb._recognition, which only this function writes,
+    is checked (ValueError unless it is kb.dim int symbols in [0, kb.alphabet))
+    and identified once per KB. The three are kept in kb._observed[n], keyed
+    by the uses, once every vector in them is in that table; kb._observed[n]
+    is False, decided once per KB and n, when alphabet ** (dim * n) exceeds
+    OBSERVED_MAX, and every call then folds afresh.
     """
     memo = kb._observed.get(n)
     if memo is None:
@@ -195,7 +182,8 @@ def observed(
     table = kb._recognition
     for v in (denoised, *observations):
         if v not in table:
-            recognized(kb, v)
+            check_vector(v, kb.dim, kb.alphabet)
+            table[v] = identify(kb, v)
     outcome = table[denoised]
     node = outcome.node
     seen = denoised, outcome, sum(1 for obs in observations if table[obs].node == node)
@@ -215,8 +203,7 @@ def measure(
     (folded vector, its outcome, agreeing observations).
 
     The last counts the n raw observations whose own identification lands on
-    the folded outcome's node. Outcomes come from kb's recognition table, so
-    each distinct vector is identified once per KB.
+    the folded outcome's node.
     """
     if n < 1:
         raise InvalidCount("n must be >= 1")

@@ -15,7 +15,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 from .kb import KnowledgeBase, finite_number
-from .perception import FULL, check_vector, recognized
+from .perception import FULL, check_vector, identify
 from .rng import SplitMix64
 
 OMEGA = "omega"
@@ -60,7 +60,7 @@ def _check_stimulus(kb: KnowledgeBase, entry) -> Stimulus:
         raise ScenarioError(str(exc)) from exc
     truth = _truth(entry.get("truth"), f"stimulus {vector}")
     if truth == OMEGA:
-        outcome = recognized(kb, vector)  # kept in the KB's table for the episodes
+        outcome = identify(kb, vector)
         if outcome.status == FULL:
             raise TruthMismatch(
                 f"stimulus {vector} declared {OMEGA} but matches leaf {outcome.node}")

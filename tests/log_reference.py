@@ -99,8 +99,9 @@ def reference_statement1(header: dict, trials: list[dict], kb) -> CheckResult:
     if header["tasks_before"] != [[tid, [list(p) for p in pairs]]
                                   for tid, pairs in enumerate_tasks(kb)]:
         return CheckResult("statement1", False, None, "task enumeration differs from sealed KB")
+    outcomes: dict = {}
     for trial in trials:
-        why = _disagreement(trial, kb)
+        why = _disagreement(trial, kb, outcomes)
         if why:
             return CheckResult("statement1", False, trial["t"], why)
     return CheckResult("statement1", True)

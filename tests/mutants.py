@@ -152,11 +152,12 @@ MUTANTS = (
            "not 0 <= s < alphabet",
            "1.0 and True equal 1 as keys, so only ints stand for symbols",
            killer="tests/test_agent.py"),
-    Mutant("statement1 looks up a vector of non-int symbols", "src/aprior/perception.py",
-           "if outcome is None or not {int}.issuperset(map(type, v)):",
-           "if outcome is None:",
-           "0.0 and False equal 0 as keys, so a recognition table hit counts only for int symbols",
-           killer="tests/test_audit.py"),
+    Mutant("observed stores a vector it did not check", "src/aprior/perception.py",
+           "            check_vector(v, kb.dim, kb.alphabet)\n"
+           "            table[v] = identify(kb, v)",
+           "            table[v] = identify(kb, v)",
+           "only kb.dim int symbols in [0, kb.alphabet) enter the recognition table",
+           killer="tests/test_agent.py"),
     Mutant("one word counted per corruption", "src/aprior/perception.py",
            "                u = draw()\n                replacements += 1\n",
            "                u = draw()\n            replacements += 1\n",
@@ -337,6 +338,28 @@ MUTANTS = (
            "except (KeyError, TypeError):  # a member missing, or not a dict",
            "except TypeError:",
            "a trial record without every required member is a malformed log, not a crash",
+           killer="tests/test_audit.py"),
+    Mutant("parse_log keeps a line with any truth text", "src/aprior/audit.py",
+           '(?:-?(?:0|[1-9][0-9]*)|"omega")',
+           ".*",
+           "a record is kept for its twins only from a line whose truth, if any, is an id or "
+           "omega, then the closing brace",
+           killer="tests/test_log_parse.py"),
+    Mutant("parse_log keys a copy by one concatenated string", "src/aprior/audit.py",
+           "key = line[:cut], line[end:]",
+           "key = line[:cut] + line[end:]",
+           "a copy's key keeps the text before its t apart from the text after its digits, so "
+           "lines that differ in member order are different records",
+           killer="tests/test_log_parse.py"),
+    Mutant("statement1 looks up a vector of non-int symbols", "src/aprior/audit.py",
+           "out = outcomes.get(v) if {int}.issuperset(map(type, v)) else None",
+           "out = outcomes.get(v)",
+           "0.0 and False equal 0 as keys, so the audit looks up only a vector of int symbols",
+           killer="tests/test_audit.py"),
+    Mutant("the auditor reads the kernel's table", "src/aprior/audit.py",
+           "outcomes: dict = {}",
+           "outcomes: dict = kb._recognition",
+           "the audit derives each outcome from the sealed tree, never from a table the run wrote",
            killer="tests/test_audit.py"),
     Mutant("statement1 skips a record by its candidates list alone", "src/aprior/audit.py",
            "if like is not None and all(map(is_, members, like)):",

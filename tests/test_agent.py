@@ -30,7 +30,7 @@ from aprior.perception import (
     RecognitionOutcome,
 )
 from aprior.rng import substream
-from aprior.world import load_scenario
+from aprior.world import FIXED, Scenario, Stimulus, load_scenario
 from conftest import TAMPER_TRIAL, episode_with_words, mixed_scenario_doc, three_node_doc
 from episode_oracle import reference_episode
 from oracles import fnv1a_oracle, reflex_fire_trials
@@ -187,6 +187,16 @@ def test_run_episode_single_trial(kb):
     assert len(log.lines) == 1
     assert log.header["digest_before"] == log.header["digest_after"]
     assert json.loads(log.lines[0])["score"] == 1.0
+
+
+@pytest.mark.parametrize("vector,message", [((5, 0), "not ints in [0, 3)"),
+                                            ((0,), "vector length 1 != 2")])
+def test_the_kernel_checks_each_vector_before_it_enters_the_table(kb, vector, message):
+    # run_episode trusts its scenario, so a hand-built one reaches the kernel unchecked
+    scenario = Scenario(FIXED, (Stimulus(vector, 11),), 1, {}, 0, ())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_episode(make_state(kb), scenario, 1)
+    assert kb._recognition == {}
 
 
 def test_run_episode_deterministic(kb):

@@ -15,7 +15,7 @@ from aprior.audit import (
 )
 from aprior.decision import MeasurementEconomy
 from aprior.kb import ROOT, build_kb
-from aprior.perception import ChannelParams
+from aprior.perception import ChannelParams, identify
 from aprior.world import load_scenario
 from conftest import mixed_scenario_doc, three_node_doc
 from oracles import first_early_fire
@@ -115,7 +115,7 @@ RECOGNITION_EDITS = {
     "denoised [3, 0]: vector (3, 0) has symbols that are not ints in [0, 3)": (
         [2, 0], lambda r: r.update(denoised=[3, 0])),
     "denoised [0, 0, 0]: vector length 3 != 2": ([0, 0], lambda r: r.update(denoised=[0, 0, 0])),
-    # 0.0 and False equal 0 as keys: the table lookup alone would find (0, 0)'s outcome, Q11
+    # 0.0 and False equal 0 as keys; here no earlier record has put (0, 0) in the audit's map
     "denoised [0.0, False]: vector (0.0, False) has symbols that are not ints in [0, 3)": (
         [0, 0], lambda r: r.update(denoised=[0.0, False])),
 }
@@ -131,6 +131,40 @@ def test_statement1_rederives_each_trials_recognition(kb, detail):
     result = assert_statement1(header, tampered, kb)
     assert (result.passed, result.violating_trial, result.detail) == (False, victim["t"], detail)
     assert not audit_log(header, tampered, kb).passed
+
+
+@pytest.mark.parametrize("denoised", [[0.0, False], [0, False], [True, 0], [[0], 0]])
+def test_a_warm_audit_gives_no_outcome_to_symbols_that_are_not_ints(kb, denoised):
+    # the first three equal (0, 0) or (1, 0) as keys, and records 0 and 2 put both in the
+    # audit's map before record 4; a list is no key at all
+    header, trials = make_log(kb, epsilon=0.0)
+    assert [trials[t]["denoised"] for t in (0, 2)] == [[0, 0], [1, 0]]
+    tampered = copy.deepcopy(trials)
+    tampered[4]["denoised"] = denoised
+    result = assert_statement1(header, tampered, kb)
+    detail = (f"denoised {denoised}: vector {tuple(denoised)} has symbols that are not ints "
+              "in [0, 3)")
+    assert (result.passed, result.violating_trial, result.detail) == (False, 4, detail)
+
+
+def test_the_audit_reads_no_outcome_the_run_wrote():
+    # negative control: a table entry poisoned after loading makes the C1 kernel act on the
+    # omega vector (2, 0) as if it were Q11, and the audit of the same KB object must see it
+    kb = build_kb(three_node_doc())
+    scenario = load_scenario(mixed_scenario_doc(), kb)
+    kb._recognition[(2, 0)] = identify(kb, (0, 0))
+    state = AgentState(kb, ChannelParams(0.3, kb.alphabet, kb.dim),
+                       MeasurementEconomy(value=1.0, cost=0.02, phi0=0.0, n_max=9),
+                       seed=7, fixed_n=3)
+    header, trials = parse_log(run_episode(state, scenario, 1000).to_jsonl())
+    poisoned = [t for t in trials if t["denoised"] == [2, 0] and t["action"] is not None]
+    assert len(poisoned) == 102
+    result = assert_statement1(header, trials, kb)
+    assert (result.passed, result.violating_trial, result.detail) == (False, 3, (
+        "node 11, depth 2, status full != denoised [2, 0]'s node -1, depth 0, "
+        "status unrecognized"))
+    report = audit_log(header, trials, kb)
+    assert [c.name for c in report.checks if not c.passed] == ["statement1"]
 
 
 def _others_untouched(trials, tampered, victim) -> bool:

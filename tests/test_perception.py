@@ -23,7 +23,6 @@ from aprior.perception import (
     identify,
     majority_fold,
     measure,
-    recognized,
 )
 from aprior.rng import BLOCK, MASK64, SplitMix64
 from conftest import tree_docs
@@ -203,7 +202,6 @@ def test_memo_holds_the_identify_outcome_of_every_vector(kb, params):
         for x in ALL_VECTORS:
             measure(kb, x, 5, params, rng)
     assert kb._recognition == {v: identify(kb, v) for v in ALL_VECTORS}
-    assert recognized(kb, (0, 0)) is kb._recognition[(0, 0)]
 
 
 @pytest.mark.parametrize("vector", [(1.0, 0.0), (True, 0), (1, 0.0)])
@@ -211,18 +209,7 @@ def test_symbols_that_only_equal_ints_never_enter_the_table(kb, noiseless, vecto
     # 1.0 and True compare and hash as 1, so as keys they would stand for (1, 0)
     with pytest.raises(ValueError, match="not ints"):
         measure(kb, vector, 1, noiseless, SplitMix64(0))
-    with pytest.raises(ValueError, match="not ints"):
-        recognized(kb, vector)
     assert kb._recognition == {}
-
-
-@pytest.mark.parametrize("vector", [(0.0, False), (0, False), (True, 0)])
-def test_a_warm_table_gives_no_outcome_to_symbols_that_only_equal_ints(kb, vector):
-    # negative control: each vector equals (0, 0) or (1, 0) as a key, and both are in the table
-    warm = {v: recognized(kb, v) for v in [(0, 0), (1, 0)]}
-    with pytest.raises(ValueError, match="not ints"):
-        recognized(kb, vector)
-    assert kb._recognition == warm
 
 
 def identify_every_time(kb, x, n, params, rng):

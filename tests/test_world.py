@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aprior.kb import build_kb
-from aprior.perception import identify
 from aprior.rng import BLOCK, MASK64, SplitMix64
 from aprior.world import (
     OMEGA,
@@ -48,13 +47,12 @@ def test_omega_requires_no_leaf_match(kb):
     assert sc.entries[0].truth == OMEGA
 
 
-def test_loading_keeps_each_omega_outcome_in_the_kbs_table(kb):
-    # an episode then finds the omega vectors already identified
+def test_loading_a_scenario_leaves_the_kbs_recognition_table_empty(kb):
+    # the omega check identifies its vectors itself; only the trial kernel fills the table
     doc = mixed_scenario_doc()
     load_scenario(doc, kb)
-    omega = [tuple(e["vector"]) for e in doc["entries"] if e["truth"] == OMEGA]
-    assert len(omega) == 2
-    assert kb._recognition == {v: identify(kb, v) for v in omega}
+    assert [e["truth"] for e in doc["entries"]].count(OMEGA) == 2
+    assert kb._recognition == {}
 
 
 def assert_omega_check_agrees_with_leaf_scan(kb):
