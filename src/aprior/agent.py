@@ -13,15 +13,15 @@ n * dim channel uses of a run of trials, whose picks come from one
 selection draw: `run_episode` draws as many trials' stimuli as
 CHANNEL_USES allows, then all their uses, with one call each (the named
 streams draw the same words in the same order either way). Gate, phi and
-order depend only on the folded vector, the count of agreeing
-observations and the gate state min(recurrence, largest k among its
-node's programs), given n and the economy's phi0 and cost. The log
-members they determine are kept, as one pick per program that may fire,
-in a decision table keyed by folded vector and then by (count, gate
+order depend only on the folded vector, the count of agreeing observations
+and the gate state min(recurrence, the node's gate cap: the largest k
+among its programs, sealed with the KB), given n and the economy's phi0
+and cost. The log members they determine are kept, as one pick per program
+that may fire, in a decision table keyed by (folded vector, count, gate
 state), which the kernel reads and fills. A sealed KB holds one such
-table, for the (n, phi0, cost with its sign) of the latest state built
-on it, and every state built with the same four shares it; a state keeps
-its table when a later state's economy replaces the KB's.
+table, for the (n, phi0, cost with its sign) of the latest state built on
+it, and every state built with the same four shares it; a state keeps its
+table when a later state's economy replaces the KB's.
 """
 from __future__ import annotations
 
@@ -68,10 +68,9 @@ class AgentState:
 
     n: measurements per trial, planned once; trials: trials run so far;
     recurrence: recognized object id -> recognitions so far, the current
-    trial included; decisions: folded vector -> (largest k among its node's
-    programs, {(hits, gate state): _Entry}), shared with every state on kb
-    with this state's n and economy; channel_rng and selection_rng: its two
-    agent streams.
+    trial included; decisions: (folded vector, hits, gate state) -> _Entry,
+    shared with every state on kb with this state's n and economy;
+    channel_rng and selection_rng: its two agent streams.
     """
 
     __slots__ = ("kb", "params", "econ", "seed", "fixed_n", "n", "trials", "recurrence",
@@ -191,7 +190,7 @@ def _trials(state: AgentState, uses: tuple[int, ...]):
     selection_rng.draws() run, by randbelow's rejection, and the stream moves past
     their words when the run ends or is closed."""
     kb, n, rng = state.kb, state.n, state.selection_rng
-    decisions, recurrence = state.decisions, state.recurrence
+    decisions, recurrence, cap = state.decisions, state.recurrence, kb._gate_caps.get
     width = n * kb.dim
     draw = rng.draws()
     drawn = 0
@@ -200,16 +199,11 @@ def _trials(state: AgentState, uses: tuple[int, ...]):
             denoised, outcome, hits = observed(kb, uses[at:at + width], n)
             t = record(state, outcome)
             node = outcome.node
-            table = decisions.get(denoised)
-            if table is None:
-                k_max = max((p.reflex_threshold for p in kb.programs_for(node)), default=0)
-                table = decisions[denoised] = (k_max, {})
-            k_max, entries = table
-            # counts past the largest k open no further gate, so they share one entry
-            key = (hits, min(recurrence.get(node, 0), k_max))
-            entry = entries.get(key)
+            # counts past the gate cap open no further gate, so they share one entry
+            key = (denoised, hits, min(recurrence.get(node, 0), cap(node, 0)))
+            entry = decisions.get(key)
             if entry is None:  # a miss builds it from the gate rule
-                entry = entries[key] = _entry(state, denoised, outcome, hits)
+                entry = decisions[key] = _entry(state, denoised, outcome, hits)
             picks, pick = entry  # pick: the idle one
             if picks:
                 size = len(picks)
@@ -268,6 +262,9 @@ def run_episode(
     """
     if type(trials) is not int or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    # a log's records count t from 0, and its scenario stream starts at the seed
+    if state.trials != 0:
+        raise ValueError(f"run_episode needs a state that has run no trial, not {state.trials}")
 
     canonical_before = state.kb.canonical
     digest_before = kb_digest(state.kb)

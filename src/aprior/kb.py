@@ -101,22 +101,24 @@ class KnowledgeBase(Frozen):
     their (folded vector, outcome, agreeing count). perception.observed is
     the one writer of both.
     _decisions maps the (n, phi0, cost, sign of cost) of the latest agent
-    state built on the KB to its decision table, keyed by folded vector,
-    one entry at most. All three start empty, live exactly as long as the
-    KB, and take no part in its equality or repr.
+    state built on the KB to its decision table, one entry at most. All
+    three start empty, live exactly as long as the KB, and take no part in
+    its equality or repr; nor does _gate_caps, derived from _by_trigger
+    when sealed: a trigger -> the largest reflex threshold k of its programs.
     """
 
     __slots__ = ("dim", "alphabet", "objects", "tasks", "programs", "tags",  # shown by repr
                  "canonical", "_children", "_by_trigger",  # compared by == with those
-                 "_recognition", "_observed", "_decisions")
+                 "_gate_caps", "_recognition", "_observed", "_decisions")
 
     def __init__(self, dim: int, alphabet: int, objects: Mapping[int, InternalObject],
                  tasks: Mapping[int, tuple[tuple[int, int], ...]],
                  programs: Mapping[int, Program], tags: Mapping[int, tuple[str, ...]],
                  canonical: bytes, _children: Mapping[int, tuple[int, ...]],
                  _by_trigger: Mapping[int, tuple[Program, ...]]):
+        caps = {t: max(p.reflex_threshold for p in group) for t, group in _by_trigger.items()}
         self._seal(dim, alphabet, objects, tasks, programs, tags, canonical, _children,
-                   _by_trigger, {}, {}, {})
+                   _by_trigger, MappingProxyType(caps), {}, {}, {})
 
     def __eq__(self, other):
         if type(other) is not KnowledgeBase:

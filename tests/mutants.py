@@ -57,17 +57,11 @@ class Mutant:
 KERNEL_LOOKUP = (
     "            t = record(state, outcome)\n"
     "            node = outcome.node\n"
-    "            table = decisions.get(denoised)\n"
-    "            if table is None:\n"
-    "                k_max = max((p.reflex_threshold for p in kb.programs_for(node)), default=0)\n"
-    "                table = decisions[denoised] = (k_max, {})\n"
-    "            k_max, entries = table\n"
-    "            # counts past the largest k open no further gate, so they share one entry\n"
-    "            key = (hits, min(recurrence.get(node, 0), k_max))\n"
-    "            entry = entries.get(key)\n"
+    "            # counts past the gate cap open no further gate, so they share one entry\n"
+    "            key = (denoised, hits, min(recurrence.get(node, 0), cap(node, 0)))\n"
+    "            entry = decisions.get(key)\n"
     "            if entry is None:  # a miss builds it from the gate rule\n"
-    "                entry = entries[key] = _entry(state, denoised, outcome, hits)\n"
-    "            picks, pick = entry  # pick: the idle one\n")
+    "                entry = decisions[key] = _entry(state, denoised, outcome, hits)\n")
 
 MUTANTS = (
     Mutant("memo keyed by truth", "src/aprior/agent.py",
@@ -81,9 +75,8 @@ MUTANTS = (
            "a line's status is its own trial's recognition status",
            killer="tests/test_audit.py"),
     Mutant("table keyed by node", "src/aprior/agent.py",
-           KERNEL_LOOKUP,
-           KERNEL_LOOKUP.replace("decisions.get(denoised)", "decisions.get(outcome.node)")
-           .replace("decisions[denoised]", "decisions[outcome.node]"),
+           "key = (denoised, hits,",
+           "key = (outcome.node, hits,",
            "a pick's text holds its folded vector, so the table is keyed by that vector",
            killer="tests/test_agent.py"),
     Mutant("gate off by one", "src/aprior/agent.py",
@@ -96,6 +89,11 @@ MUTANTS = (
            KERNEL_LOOKUP.replace("            t = record(state, outcome)\n", "")
            + "            t = record(state, outcome)\n",
            "the recurrence count feeding the gate includes the current trial",
+           killer="tests/test_acceptance.py"),
+    Mutant("gate cap ignored", "src/aprior/agent.py",
+           "min(recurrence.get(node, 0), cap(node, 0))",
+           "min(recurrence.get(node, 0), 0)",
+           "a gate state counts recognitions up to the node's largest k: a k=3 program fires",
            killer="tests/test_acceptance.py"),
     Mutant("decision key without the cost's sign", "src/aprior/agent.py",
            "key = (n, self.econ.phi0, cost, math.copysign(1.0, cost))",
@@ -141,6 +139,11 @@ MUTANTS = (
            "if state.kb.canonical != canonical_before:",
            "if False:",
            "--strict stops on a KB whose canonical bytes changed during the episode",
+           killer="tests/test_agent.py"),
+    Mutant("strict no-effector check removed", "src/aprior/agent.py",
+           "if outcome.status == UNRECOGNIZED and program_id is not None:",
+           "if False:",
+           "--strict stops on a program run on an unrecognized stimulus",
            killer="tests/test_agent.py"),
     Mutant("agreement from the fold", "src/aprior/perception.py",
            "if table[obs].node == node)",

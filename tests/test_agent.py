@@ -264,6 +264,18 @@ def test_strict_run_names_the_trial_that_changed_the_kb(tampered_kb):
         run_episode(make_state(tampered_kb), scenario, 20, strict=True)
 
 
+def test_strict_run_stops_on_an_action_on_an_unrecognized_stimulus(kb):
+    # an entry poisoned to fire program 1 where omega's (2, 0) folds at eps 0 and n 1:
+    # one agreeing observation, gate state 0; a plain run of a state sharing that table
+    # logs the action
+    scenario = scenario_fixed(kb, [((2, 0), "omega")])
+    state = make_state(kb)
+    state.decisions[((2, 0), 1, 0)] = ([(1, "{")], None)
+    with pytest.raises(AssertionError, match=r"^trial 0: action on unrecognized stimulus$"):
+        run_episode(state, scenario, 1, strict=True)
+    assert run_episode(make_state(kb), scenario, 1).actions == 1
+
+
 def test_a_strict_failure_leaves_the_state_past_its_trial(tampered_kb):
     # counters and the selection stream stand where a trial-by-trial step leaves them
     scenario = scenario_fixed(tampered_kb, [((0, 0), 11), ((1, 0), 2)])
@@ -321,11 +333,15 @@ def test_state_keeps_counters_not_a_record_per_trial(kb):
     assert state.trials == 1000
     assert set(state.recurrence) <= set(kb.objects)
     assert len(kb._recognition) <= kb.alphabet ** kb.dim
-    # nothing else on the state grows with the trial count
+    # nothing else on the state grows with the trial count: the decision table holds at
+    # most one entry per (vector, agreeing count, gate state)
+    cap = max((p.reflex_threshold for p in kb.programs.values()), default=0)
+    bounds = {"decisions": kb.alphabet ** kb.dim * (state.n + 1) * (cap + 1)}
     for name in AgentState.__slots__:
         value = getattr(state, name)
         if name != "kb" and isinstance(value, (list, dict, set, tuple)):
-            assert len(value) <= max(len(kb.objects), kb.alphabet ** kb.dim), name
+            bound = bounds.get(name, max(len(kb.objects), kb.alphabet ** kb.dim))
+            assert len(value) <= bound, name
 
 
 def c1_state(kb, seed):
@@ -342,10 +358,11 @@ def test_tables_are_shared_per_kb_and_bounded(monkeypatch):
     assert all(state.decisions is states[0].decisions for state in states)
     assert 0 < len(kb._recognition) <= kb.alphabet ** kb.dim
     assert list(kb._decisions) == [(3, 0.0, 0.02, 1.0)]
-    for vector, (k_max, entries) in states[0].decisions.items():
+    # a vector's entries: one per agreeing count in [0, n] and gate state in [0, cap]
+    for vector, hits, gate in states[0].decisions:
         node = kb._recognition[vector].node
-        assert k_max == max((p.reflex_threshold for p in kb.programs_for(node)), default=0)
-        assert len(entries) <= (3 + 1) * (k_max + 1)
+        cap = max((p.reflex_threshold for p in kb.programs_for(node)), default=0)
+        assert 0 <= hits <= 3 and 0 <= gate <= cap
 
     seen = set(kb._recognition)
     identified = []
@@ -394,7 +411,7 @@ def test_a_decision_table_miss_runs_the_gate_once(monkeypatch):
     state = c1_state(kb, 0)
     log = run_episode(state, load_scenario(mixed_scenario_doc(), kb), 1000)
     assert log.actions > 0
-    assert len(calls) == sum(len(entries) for _, entries in state.decisions.values())
+    assert len(calls) == len(state.decisions)
 
 
 def c1_log(kb, seed, trials=300, cost=0.02):
@@ -433,6 +450,23 @@ def test_run_episode_rejects_a_trial_count_that_is_not_an_int_ge_1(kb, trials, m
     with pytest.raises(ValueError, match="trials must be an int >= 1"):
         run_episode(state, scenario, trials)
     assert (state.channel_rng.state, state.selection_rng.state, state.trials) == (*words, 0)
+
+
+@pytest.mark.parametrize("used", ["episode", "step"])
+def test_run_episode_rejects_a_state_that_has_run_a_trial(kb, used, monkeypatch):
+    # a second episode on one state logged t from 5, which parse_log rejects, and
+    # restarted the scenario stream while the channel and selection streams went on
+    state = c1_state(kb, 7)
+    scenario = load_scenario(mixed_scenario_doc(), kb)
+    if used == "episode":
+        run_episode(state, scenario, 5)
+    else:
+        step(state, (0, 0))
+    words = (state.channel_rng.state, state.selection_rng.state, state.trials)
+    monkeypatch.setattr(aprior.agent, "substream", lambda *args: pytest.fail("stream made"))
+    with pytest.raises(ValueError, match=f"has run no trial, not {words[2]}$"):
+        run_episode(state, scenario, 5)
+    assert (state.channel_rng.state, state.selection_rng.state, state.trials) == words
 
 
 def test_a_new_economy_replaces_the_kbs_decision_table():

@@ -283,11 +283,20 @@ def assert_clean_exit(result, code):
     assert "Traceback" not in result.out + result.err
 
 
-@pytest.mark.parametrize("gap", ["non-object entry", "boolean k", "non-finite utility",
-                                 "carriage return in a tag"])
-def test_validate_rejects_schema_gaps_without_traceback(tmp_path, gap):
+@pytest.mark.parametrize("gap,message", [
+    ("non-object entry", "objects entries must be objects, got int"),
+    ("boolean k", "program 1: k must be a positive integer"),
+    ("non-finite utility", "program 1: utility must be a finite number"),
+    ("carriage return in a tag",
+     "operation 1: action_tag must be a non-empty string without control characters"),
+    ("top-level array", "KB document must be a JSON object"),
+], ids=["non-object entry", "boolean k", "non-finite utility", "carriage return in a tag",
+        "top-level array"])
+def test_validate_rejects_schema_gaps_without_traceback(tmp_path, gap, message):
     doc = three_node_doc()
-    if gap == "non-object entry":
+    if gap == "top-level array":
+        doc = []
+    elif gap == "non-object entry":
         doc["objects"].append(7)
     elif gap == "boolean k":
         doc["programs"][0]["k"] = True
@@ -299,7 +308,7 @@ def test_validate_rejects_schema_gaps_without_traceback(tmp_path, gap):
     path.write_text(json.dumps(doc), encoding="utf-8")
     result = invoke(["validate", str(path)])
     assert_clean_exit(result, 1)
-    assert "SchemaError" in result.err
+    assert result.err == f"SchemaError: {message}\n"
 
 
 @pytest.mark.parametrize("option,value", [
@@ -484,6 +493,8 @@ def _malformed_scenario(case: str) -> dict:
         doc["scoring"][0]["truth"] = [11]
     elif case == "scoring not a list":
         doc["scoring"] = 3
+    elif case == "top-level array":
+        doc = []
     return doc
 
 
@@ -491,6 +502,7 @@ def _malformed_scenario(case: str) -> dict:
     "NaN scoring value", "non-object entry", "non-object scoring row",
     "boolean vector symbols", "boolean repeat", "boolean weight", "weights whose sum overflows",
     "symbol outside the alphabet", "boolean truth", "list truth", "scoring not a list",
+    "top-level array",
 ])
 def test_run_rejects_malformed_scenario_without_traceback(kb_file, tmp_path, case):
     path = tmp_path / "scenario.json"

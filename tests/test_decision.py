@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -177,15 +178,33 @@ def test_sweep_matches_brute_oracle(kb, params, econ):
     assert phi_star > sweep[0].phi and phi_star > sweep[-1].phi
 
 
-@pytest.mark.parametrize("fields", [
-    {"value": math.nan}, {"cost": math.nan}, {"phi0": math.nan}, {"cost": math.inf},
-    {"n_max": 10 ** 400}, {"cost": 1e308}, {"value": 1e308, "cost": 1e307},
+@pytest.mark.parametrize("fields,message", [
+    ({"value": math.nan}, "finite"), ({"cost": math.nan}, "finite"),
+    ({"phi0": math.nan}, "finite"), ({"cost": math.inf}, "finite"),
+    ({"n_max": 10 ** 400}, "finite"), ({"cost": 1e308}, "overflows"),
+    ({"value": 1e308, "cost": 1e307}, "overflows"),
+    ({"value": -1.0}, "value and cost must be >= 0"),
+    ({"cost": -0.5}, "value and cost must be >= 0"),
 ], ids=["nan value", "nan cost", "nan phi0", "inf cost", "n_max past the floats",
-        "cost * n_max overflows", "value + cost * n_max overflows"])
-def test_economy_rejects_non_finite_numbers_and_an_overflowing_bound(fields):
+        "cost * n_max overflows", "value + cost * n_max overflows", "negative value",
+        "negative cost"])
+def test_economy_rejects_non_finite_numbers_and_an_overflowing_bound(fields, message):
     # NaN fails `< 0`, so only a finiteness check stops it; 1 + 1e308 * 9 is inf
-    with pytest.raises(ValueError, match="finite|overflows"):
+    with pytest.raises(ValueError, match=message):
         MeasurementEconomy(**{"value": 1.0, "cost": 0.0, "phi0": 0.0, "n_max": 9, **fields})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda p, e, prog: feature_accuracy(3, p, 0, mode="bogus"), "unknown mode 'bogus'"),
+    (lambda p, e, prog: feature_accuracy(3, p, 3), "true_symbol outside alphabet"),
+    (lambda p, e, prog: phi_measure(3, 1.5, e), "perr must be a probability"),
+    (lambda p, e, prog: phi_program(prog, 1.5, 3, e), "agreement must be in [0, 1]"),
+], ids=["unknown mode", "symbol outside the alphabet", "perr above 1", "agreement above 1"])
+def test_an_argument_outside_its_domain_is_rejected(kb, params, econ, call, message):
+    # at eps 0.3, so feature_accuracy reaches its mode; unchecked, each returns a number
+    # or fails under another message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(params, econ, kb.programs[1])
 
 
 @pytest.mark.parametrize("n_max", [9.0, 2.5, True, "9", 0])

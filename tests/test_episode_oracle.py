@@ -169,28 +169,30 @@ PICK_MEMBERS = ["action", "agreement", "candidates", "chosen", "denoised", "dept
 
 
 def assert_table_structure(state):
-    """No float keys; each vector's picks log that vector, and the eligible ids of its entry."""
+    """No float keys; each entry's picks log its key's vector and count, and the eligible
+    ids of that entry; its gate state lies within the node's largest k."""
     kb = state.kb
     # 0.0 == -0.0, so a float key would give both zeros one member
-    for vector, (k_max, entries) in state.decisions.items():
-        assert type(vector) is tuple and all(type(s) is int for s in vector)
-        assert vector in kb._recognition and type(k_max) is int
+    for key, (picks, idle) in state.decisions.items():
+        vector, hits, gate = key
+        assert [type(x) for x in key] == [tuple, int, int]
+        assert all(type(s) is int for s in vector) and vector in kb._recognition
         node = kb._recognition[vector].node
-        assert k_max == max((p.reflex_threshold for p in kb.programs_for(node)), default=0)
-        for key, (picks, idle) in entries.items():
-            assert [type(x) for x in key] == [int, int]
-            ids = [pid for pid, _ in picks]
-            # a pick's text opens its log line and holds the members through "phi_chosen",
-            # each followed by a comma
-            for pid, text in picks if idle is None else [idle]:
-                members = json.loads(text[:-1] + "}")
-                assert list(members) == PICK_MEMBERS
-                assert (members["chosen"], members["eligible"]) == (pid, ids)
-                assert (members["denoised"], members["node"]) == (list(vector), node)
-            # the no-action pick exists exactly when nothing is eligible
-            assert (idle is None) == bool(picks)
-            if idle is not None:
-                assert idle[0] is None
+        cap = max((p.reflex_threshold for p in kb.programs_for(node)), default=0)
+        assert 0 <= hits <= state.n and 0 <= gate <= cap
+        ids = [pid for pid, _ in picks]
+        # a pick's text opens its log line and holds the members through "phi_chosen",
+        # each followed by a comma
+        for pid, text in picks if idle is None else [idle]:
+            members = json.loads(text[:-1] + "}")
+            assert list(members) == PICK_MEMBERS
+            assert (members["chosen"], members["eligible"]) == (pid, ids)
+            assert (members["denoised"], members["node"]) == (list(vector), node)
+            assert members["agreement"] == hits / state.n
+        # the no-action pick exists exactly when nothing is eligible
+        assert (idle is None) == bool(picks)
+        if idle is not None:
+            assert idle[0] is None
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +242,27 @@ def test_boolean_where_integer_required_rejected(path):
         build_kb(doc)
 
 
+@pytest.mark.parametrize("path,value,message", [
+    (("objects", 0, "predicate"), [[0, 0], [0, 1]], "object 1: duplicate feature index 0"),
+    (("alphabet",), 1, "alphabet must be >= 2"),
+    (("objects", 0, "id"), -2, "object id -2 must be non-negative"),
+    (("operations", 0, "applicable_objects"), [],
+     "operation 1: applicable_objects must be non-empty"),
+    (("programs", 0, "operations"), [], "program 1: operations must be non-empty"),
+], ids=["duplicate feature index", "alphabet 1", "negative object id", "no applicable objects",
+        "no operations"])
+def test_a_value_out_of_schema_is_rejected_with_its_message(path, value, message):
+    # each would otherwise build, or fail later under another name
+    doc = minimal_doc()
+    *head, last = path
+    target = doc
+    for step in head:
+        target = target[step]
+    target[last] = value
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        build_kb(doc)
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_program_k_below_one_rejected(k):
     # a k=0 program would fire like k=1 under another digest
@@ -261,7 +283,8 @@ def test_non_finite_utility_rejected(utility):
 
 
 def test_sealed_containers_are_read_only(kb):
-    containers = (kb.objects, kb.tasks, kb.programs, kb._children, kb._by_trigger)
+    containers = (kb.objects, kb.tasks, kb.programs, kb._children, kb._by_trigger,
+                  kb._gate_caps)
     for container in containers:
         key = next(iter(container))
         with pytest.raises(TypeError):
@@ -350,3 +373,5 @@ def test_programs_for_ascending_id_and_empty(doc):
     assert kb.programs_for(1) == ()  # an internal node that triggers nothing
     assert kb.programs_for(ROOT) == ()
     assert kb.programs_for(999) == ()
+    # a gate cap: the largest k among a trigger's programs, for triggers only
+    assert dict(kb._gate_caps) == {12: 2, 11: 1, 2: 3}

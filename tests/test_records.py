@@ -49,3 +49,16 @@ def test_a_record_is_frozen_and_compares_by_value(name):
     if name in HASHED:
         assert hash(twin) == hash(record)
         assert len({twin, record}) == 1
+
+
+@pytest.mark.parametrize("name,other", [("RecognitionOutcome", (11, 2, FULL)),
+                                        ("KnowledgeBase", 1)])
+def test_a_sealed_record_is_no_match_for_another_type(name, other):
+    # its __eq__ returns NotImplemented, so Python falls back to identity: False, no error
+    record = records()[name][0]
+    assert not record == other and record != other
+
+
+def test_an_outcome_shows_its_fields():
+    assert repr(RecognitionOutcome(11, 2, FULL)) == (
+        "RecognitionOutcome(node=11, depth=2, status='full')")

@@ -5,6 +5,7 @@ import sys
 from itertools import islice
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -33,6 +34,10 @@ def test_randbelow_bounds_and_coverage():
         assert 0 <= x < 5
         seen.add(x)
     assert seen == {0, 1, 2, 3, 4}
+    state = rng.state
+    with pytest.raises(ValueError, match=r"^randbelow requires n >= 1$"):
+        rng.randbelow(0)
+    assert rng.state == state
 
 
 def test_randbelow_roughly_uniform():
